@@ -61,7 +61,10 @@ class BoundaryTrace:
         self.phi = np.asarray(self.phi, dtype=float)
         if self.phi.shape != (3, *self.grid.shape):
             raise ValueError("trace must have shape (3, ny, nx)")
-        if np.any(self.phi[:, self.grid.boundary_mask()] < 0):
+        ring = self.phi[:, self.grid.boundary_mask()]
+        if not np.all(np.isfinite(ring)):
+            raise ValueError("boundary data must be finite")
+        if np.any(ring < 0):
             raise ValueError("boundary data must be nonnegative")
 
     def component(self, k: int) -> np.ndarray:
@@ -226,12 +229,21 @@ def evaluate_bc(config: BoundaryConfig, grid: Grid) -> BoundaryTrace:
     for k, ev in enumerate(config.evaluators):
         full = np.asarray(ev(X, Y), dtype=float) + np.zeros(grid.shape)
         phi[k][bmask] = full[bmask]
+    return _segregated_trace(grid, phi, config.id)
+
+
+def _segregated_trace(grid: Grid, phi: np.ndarray, config_id: str) -> BoundaryTrace:
+    """Resolve corner conflicts in phi, then build and validate the trace.
+
+    Raises ValueError on non-finite or negative data, or if the data still
+    violates segregation after corner resolution.
+    """
     _resolve_corners(phi, grid)
-    trace = BoundaryTrace(grid, phi, config_id=config.id)
+    trace = BoundaryTrace(grid, phi, config_id=config_id)
     report = validate_segregation(trace)
     if not report.ok:
         raise ValueError(
-            f"config {config.id!r} violates the segregation assumption at "
+            f"config {config_id!r} violates the segregation assumption at "
             f"{len(report.violations)} boundary node(s), first at "
             f"(x, y) = {report.violations[0][2:4]}"
         )
@@ -284,7 +296,9 @@ def trace_from_csv(path, grid: Grid, config_id: str = "custom") -> BoundaryTrace
 
     Sides are bottom/top (coord = x) and left/right (coord = y); values are
     interpolated linearly along each side.  Corner nodes take the bottom/top
-    table values.
+    table values, and conflicting corners are resolved as for the built-ins.
+    Raises ValueError on a non-finite table value, and on node data that is
+    negative or violates segregation.
     """
     tables: dict[str, list[tuple[float, float, float, float]]] = {
         "bottom": [],
@@ -301,7 +315,10 @@ def trace_from_csv(path, grid: Grid, config_id: str = "custom") -> BoundaryTrace
             side = row[0].strip().lower()
             if side not in tables:
                 raise ValueError(f"unknown side {side!r} in trace CSV")
-            tables[side].append(tuple(float(v) for v in row[1:5]))
+            values = tuple(float(v) for v in row[1:5])
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"non-finite value in trace CSV row {row}")
+            tables[side].append(values)
 
     phi = np.zeros((3, *grid.shape))
     xs, ys = grid.xs(), grid.ys()
@@ -320,4 +337,4 @@ def trace_from_csv(path, grid: Grid, config_id: str = "custom") -> BoundaryTrace
     fill("right", (slice(None), grid.nx - 1), ys)
     fill("bottom", (0, slice(None)), xs)
     fill("top", (grid.ny - 1, slice(None)), xs)
-    return BoundaryTrace(grid, phi, config_id=config_id)
+    return _segregated_trace(grid, phi, config_id)

@@ -227,16 +227,6 @@ def apply_laplacian(grid: Grid, f: ScalarField) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def laplacian_values(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Raw-array form of :func:`apply_laplacian` used in solver inner loops."""
-    out = np.zeros(grid.shape)
-    out[1:-1, 1:-1] = (
-        (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / grid.hx**2
-        + (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / grid.hy**2
-    )
-    return out
-
-
 def dirichlet_energy(state: SystemState) -> float:
     """Cell-based Dirichlet energy surrogate.
 

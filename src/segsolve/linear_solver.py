@@ -8,13 +8,35 @@ definite system on the interior nodes,
       = f_ij + boundary-neighbor coupling,
 
 solved matrix-free by conjugate gradients with a Jacobi (diagonal)
-preconditioner.  A dense factorization of the same system is provided as an
-independent oracle for small grids.  With w = 0 the solve is the discrete
-harmonic extension of the boundary data.
+preconditioner.  With w = 0 the solve is the discrete harmonic extension of
+the boundary data.
+
+CG runs on the flattened full (ny, nx) field, not on the interior block:
+
+  * x is a flat copy of the field whose boundary ring holds the trace; the
+    working array is returned as the solution field.
+  * The operator is the diagonal term plus four contiguous shifted slices of
+    the flat array (offsets +-1 and +-nx), one pass each, over the span of
+    flat nodes whose four neighbours lie in the array.  That span covers every
+    interior node; at ring nodes inside it the shifts wrap across rows and
+    leave finite junk.
+  * The Jacobi inverse is zero on the ring, so whatever lands in the ring
+    entries of the residual never reaches the preconditioned residual, the
+    search direction or x, and the ring keeps the trace exactly.
+  * The boundary coupling in the right-hand side is one operator application
+    to the ring-only field.
+  * The system is multiplied by hx^2 (x-neighbour coefficient 1), and CG
+    keeps (x, r) and (p, -A p) as rows of two (2, ny*nx) arrays, so both
+    updates are one pass.  Jacobi-PCG and its stopping test are invariant
+    under the scaling; only rounding differs.
+
+A dense factorization of the reduced interior system, assembled separately
+from the interior right-hand side, is an independent oracle for small grids.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,39 +138,6 @@ def _interior_rhs(p: HelmholtzProblem) -> np.ndarray:
     return b
 
 
-def _make_apply(p: HelmholtzProblem):
-    g = p.grid
-    ax, ay = 1.0 / g.hx**2, 1.0 / g.hy**2
-    diag = 2.0 * ax + 2.0 * ay + p.weight[1:-1, 1:-1] / p.epsilon
-
-    y = np.empty_like(diag)
-    t = np.empty_like(diag)
-
-    def apply_op(x: np.ndarray) -> np.ndarray:
-        """A x, written into a buffer that the next call overwrites."""
-        np.multiply(diag, x, out=y)
-        np.multiply(x, ax, out=t)
-        y[:, 1:] -= t[:, :-1]
-        y[:, :-1] -= t[:, 1:]
-        np.multiply(x, ay, out=t)
-        y[1:, :] -= t[:-1, :]
-        y[:-1, :] -= t[1:, :]
-        return y
-
-    return apply_op, diag
-
-
-def _assemble_field(p: HelmholtzProblem, interior: np.ndarray) -> ScalarField:
-    g = p.grid
-    full = np.zeros(g.shape)
-    full[0, :] = p.trace[0, :]
-    full[-1, :] = p.trace[-1, :]
-    full[:, 0] = p.trace[:, 0]
-    full[:, -1] = p.trace[:, -1]
-    full[1:-1, 1:-1] = interior
-    return ScalarField(g, full)
-
-
 def solve_helmholtz_with_info(
     p: HelmholtzProblem,
     controls: SolverControls | None = None,
@@ -158,47 +147,80 @@ def solve_helmholtz_with_info(
 
     The stopping test is on the diagonally preconditioned residual norm
     relative to the preconditioned right-hand side.  x0 (full-shape array or
-    field) warm-starts the iteration.
+    field) warm-starts the iteration; only its interior values are used.
     """
     controls = controls or SolverControls()
-    apply_op, diag = _make_apply(p)
-    b = _interior_rhs(p)
+    g = p.grid
+    nx, size = g.nx, g.ny * g.nx
+    hx2 = g.hx**2
+    q = hx2 / g.hy**2
+    ring = g.boundary_mask().reshape(-1)
+    # the system times hx^2: x-neighbour coefficient 1, y-neighbour coefficient q
+    diag = 2.0 + 2.0 * q + np.where(ring, 0.0, p.weight.reshape(-1)) * (hx2 / p.epsilon)
+    dinv = np.where(ring, 0.0, 1.0 / diag)
+    load = 0.0 if p.load is None else np.where(ring, 0.0, p.load.reshape(-1) * hx2)
+    trace_only = np.where(ring, p.trace.reshape(-1), 0.0)
 
-    bz = float(np.vdot(b, b / diag))
+    # pair holds the operand v (the search direction p in the loop) and -A v;
+    # xr holds x and r.  Both CG updates are then one pass: xr += alpha * pair.
+    pair = np.zeros((2, size))
+    xr = np.empty((2, size))
+    tmp = np.empty((2, size))
+    v, minus_ap = pair
+    x, r = xr
+    lo, hi = nx + 1, size - nx - 1  # interior nodes lie in [lo, hi), their neighbours in the array
+    centre, left, right = v[lo:hi], v[lo - 1 : hi - 1], v[lo + 1 : hi + 1]
+    down, up = v[lo - nx : hi - nx], v[lo + nx : hi + nx]
+    d, out = diag[lo:hi], minus_ap[lo:hi]
+    t = np.empty(hi - lo)
+
+    def negative_apply() -> None:
+        """minus_ap <- -A v: exact at interior nodes, finite junk on the ring."""
+        np.add(down, up, out=out)
+        np.multiply(out, q, out=out)
+        np.add(left, right, out=t)
+        np.add(out, t, out=out)
+        np.multiply(d, centre, out=t)
+        np.subtract(out, t, out=out)
+
+    # reduced right-hand side: load plus the coupling to the boundary ring
+    v[:] = trace_only
+    negative_apply()
+    b = load + minus_ap
+    bz = float(b.dot(b * dinv))
     if bz == 0.0:
         # zero data: unique solution is zero (coefficient is nonnegative)
-        info = SolveInfo(0, 0.0, True, [0.0])
-        return _assemble_field(p, np.zeros_like(b)), info
+        return ScalarField(g, trace_only.reshape(g.shape)), SolveInfo(0, 0.0, True, [0.0])
 
     if x0 is None:
-        x = np.zeros_like(b)
+        x[:] = trace_only
     else:
         x0v = x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=float)
-        x = x0v[1:-1, 1:-1].copy()
+        x[:] = np.where(ring, trace_only, x0v.reshape(-1))
+    v[:] = x
+    negative_apply()
+    np.add(load, minus_ap, out=r)
 
-    scale = np.sqrt(bz)
-    r = b - apply_op(x)
-    z = r / diag
-    rz = float(np.vdot(r, z))
-    res = np.sqrt(max(rz, 0.0)) / scale
+    scale = math.sqrt(bz)
+    z = r * dinv
+    rz = float(r.dot(z))
+    res = math.sqrt(max(rz, 0.0)) / scale
     history = [res]
-    p_dir = z.copy()
-    tmp = np.empty_like(b)
-    budget = controls.budget(p.grid)
+    v[:] = z
+    budget = controls.budget(g)
     iters = 0
     while res > controls.rel_tol and iters < budget:
-        ap = apply_op(p_dir)
-        alpha = rz / float(np.vdot(p_dir, ap))
-        x += np.multiply(p_dir, alpha, out=tmp)
-        r -= np.multiply(ap, alpha, out=tmp)
-        np.divide(r, diag, out=z)
-        rz_new = float(np.vdot(r, z))
-        res = np.sqrt(max(rz_new, 0.0)) / scale
+        negative_apply()
+        alpha = -rz / float(v.dot(minus_ap))
+        np.add(xr, np.multiply(pair, alpha, out=tmp), out=xr)  # x += alpha p, r -= alpha A p
+        np.multiply(r, dinv, out=z)
+        rz_new = float(r.dot(z))
+        res = math.sqrt(max(rz_new, 0.0)) / scale
         history.append(res)
         beta = rz_new / rz
         rz = rz_new
-        np.multiply(p_dir, beta, out=p_dir)
-        np.add(z, p_dir, out=p_dir)  # p <- z + beta * p
+        np.multiply(v, beta, out=v)
+        np.add(z, v, out=v)  # p <- z + beta * p
         iters += 1
 
     info = SolveInfo(iters, res, res <= controls.rel_tol, history)
@@ -209,7 +231,7 @@ def solve_helmholtz_with_info(
             iterations=iters,
             rel_residual=res,
         )
-    return _assemble_field(p, x), info
+    return ScalarField(g, x.reshape(g.shape)), info
 
 
 def solve_helmholtz(
@@ -284,4 +306,7 @@ def dense_oracle_solve(p: HelmholtzProblem) -> ScalarField:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"singular reduced system: {exc}", 0, np.inf) from exc
-    return _assemble_field(p, x.reshape(p.grid.ny - 2, p.grid.nx - 2))
+    g = p.grid
+    full = np.where(g.boundary_mask(), p.trace, 0.0)
+    full[1:-1, 1:-1] = x.reshape(g.ny - 2, g.nx - 2)
+    return ScalarField(g, full)

@@ -12,8 +12,9 @@ Four fixed-point sweeps are provided:
                 damping u <- alpha * solve + (1 - alpha) * u
   gauss_seidel  sequential solves; later components average the previous and
                 freshly updated squares of earlier components
-  semi_implicit the symmetrized-coefficient variant (writes the same averaged
-                coefficients as the Gauss-Seidel sweep)
+  semi_implicit the symmetrized-coefficient variant; its averaged coefficients
+                are the Gauss-Seidel ones, so it runs the undamped
+                Gauss-Seidel sweep
   phase_field   solves with the penalty split half-implicit / half-explicit,
                 then clips negatives
 
@@ -146,12 +147,8 @@ def _gauss_seidel_sweep(grid, u, tr, eps, controls, alpha=1.0):
 
 
 def _semi_implicit_sweep(grid, u, tr, eps, controls):
-    v1, i1 = _solve(grid, (u[1] * u[2]) ** 2, eps, tr[0], u[0], controls)
-    w2 = (u[0] ** 2 + v1**2) / 2.0 * u[2] ** 2
-    v2, i2 = _solve(grid, w2, eps, tr[1], u[1], controls)
-    w3 = ((u[0] * u[1]) ** 2 + (v1 * v2) ** 2) / 2.0
-    v3, i3 = _solve(grid, w3, eps, tr[2], u[2], controls)
-    return np.stack([v1, v2, v3]), (i1, i2, i3)
+    """The undamped Gauss-Seidel sweep: its symmetrized coefficients are the same numbers."""
+    return _gauss_seidel_sweep(grid, u, tr, eps, controls)
 
 
 def _phase_field_sweep(grid, u, tr, eps, controls):
@@ -188,11 +185,7 @@ def gauss_seidel_step(state: SystemState, trace: BoundaryTrace, epsilon: float) 
     return SystemState.from_stack(state.grid, out)
 
 
-def semi_implicit_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:
-    out, _ = _semi_implicit_sweep(
-        state.grid, _as_stack(state), trace.phi, epsilon, SolverControls()
-    )
-    return SystemState.from_stack(state.grid, out)
+semi_implicit_step = gauss_seidel_step
 
 
 def phase_field_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:

@@ -116,6 +116,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundaryTrace(g, phi)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_trace_rejected(self, value):
+        g = build_grid(5, 5, SQUARE)
+        phi = np.zeros((3, *g.shape))
+        phi[2, -1, 3] = value
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryTrace(g, phi)
+
     def test_domain_mismatch(self):
         g = build_grid(9, 9, (0, 1, 0, 1))
         with pytest.raises(ValueError, match="domain"):
@@ -177,25 +185,52 @@ class TestResolutionConsistency:
 
 
 class TestCustomTrace:
+    VALID_TABLE = (
+        "side,coord,phi1,phi2,phi3\n"
+        "bottom,-1,1,0,0\n"
+        "bottom,1,0,0,1\n"
+        "top,-1,0,1,0\n"
+        "top,1,0,1,0\n"
+        "left,-1,1,0,0\n"
+        "left,1,0,1,0\n"
+        "right,-1,0,0,1\n"
+        "right,1,0,1,0\n"
+    )
+
     def test_tabulated_interpolation(self, tmp_path):
         csv_path = tmp_path / "trace.csv"
-        csv_path.write_text(
-            "side,coord,phi1,phi2,phi3\n"
-            "bottom,-1,1,0,0\n"
-            "bottom,1,0,0,1\n"
-            "top,-1,0,1,0\n"
-            "top,1,0,1,0\n"
-            "left,-1,1,0,0\n"
-            "left,1,0,1,0\n"
-            "right,-1,0,0,1\n"
-            "right,1,0,1,0\n"
-        )
+        csv_path.write_text(self.VALID_TABLE)
         g = build_grid(5, 5, SQUARE)
         tr = trace_from_csv(csv_path, g)
         # linear interpolation along the bottom edge
         assert node_values(tr, 0.0, -1.0) == pytest.approx([0.5, 0.0, 0.5])
         # corners owned by the bottom/top tables
         assert node_values(tr, -1.0, -1.0) == pytest.approx([1.0, 0.0, 0.0])
+        assert validate_segregation(tr).ok
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("bottom,0,nan,0,0", "non-finite"),
+            ("top,0.5,0,inf,0", "non-finite"),
+            ("bottom,0,1,1,1", "segregation"),
+        ],
+    )
+    def test_bad_row_rejected(self, tmp_path, row, match):
+        p = tmp_path / "trace.csv"
+        p.write_text(self.VALID_TABLE + row + "\n")
+        with pytest.raises(ValueError, match=match):
+            trace_from_csv(p, build_grid(9, 9, SQUARE))
+
+    def test_conflicting_corner_row_resolved(self, tmp_path):
+        # a corner value positive in all three components keeps phi1 and
+        # phi3, as the built-in corners do
+        p = tmp_path / "trace.csv"
+        p.write_text(
+            self.VALID_TABLE.replace("bottom,-1,1,0,0", "bottom,-1,1,1,1\nbottom,-0.99,1,0,0")
+        )
+        tr = trace_from_csv(p, build_grid(9, 9, SQUARE))
+        assert node_values(tr, -1.0, -1.0) == pytest.approx([1.0, 0.0, 1.0])
         assert validate_segregation(tr).ok
 
     def test_bad_header(self, tmp_path):

@@ -32,6 +32,52 @@ def random_problem(grid, rng, eps_range=(-4.0, 0.0), load=False):
     return HelmholtzProblem(grid, w, eps, tr, load=f)
 
 
+def plain_pcg(p, rel_tol):
+    """Jacobi-PCG on the interior (ny - 2, nx - 2) array with 2-D slices.
+
+    The reference for the flat full-grid solver: same stopping test, zero
+    start.  Returns the full field and the iteration count.
+    """
+    g = p.grid
+    ax, ay = 1.0 / g.hx**2, 1.0 / g.hy**2
+    diag = 2.0 * ax + 2.0 * ay + p.weight[1:-1, 1:-1] / p.epsilon
+
+    def apply_op(v):
+        y = diag * v
+        y[:, 1:] -= ax * v[:, :-1]
+        y[:, :-1] -= ax * v[:, 1:]
+        y[1:, :] -= ay * v[:-1, :]
+        y[:-1, :] -= ay * v[1:, :]
+        return y
+
+    tr = p.trace
+    b = np.zeros(diag.shape) if p.load is None else p.load[1:-1, 1:-1].copy()
+    b[:, 0] += ax * tr[1:-1, 0]
+    b[:, -1] += ax * tr[1:-1, -1]
+    b[0, :] += ay * tr[0, 1:-1]
+    b[-1, :] += ay * tr[-1, 1:-1]
+    scale = np.sqrt(np.sum(b * b / diag))
+    x = np.zeros(diag.shape)
+    r = b.copy()
+    z = r / diag
+    d = z.copy()
+    rz = np.sum(r * z)
+    iters = 0
+    while np.sqrt(rz) / scale > rel_tol:
+        ad = apply_op(d)
+        alpha = rz / np.sum(d * ad)
+        x += alpha * d
+        r -= alpha * ad
+        z = r / diag
+        rz_new = np.sum(r * z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+        iters += 1
+    full = boundary_only(g, tr)
+    full[1:-1, 1:-1] = x
+    return full, iters
+
+
 class TestClosedForms:
     def test_single_interior_node(self):
         # 3x3 grid with unit spacing: (4 + w0/eps) u = g_N + g_S + g_E + g_W
@@ -114,6 +160,18 @@ class TestDenseOracle:
         a = solve_helmholtz(p)
         b = dense_oracle_solve(p)
         assert np.abs(a.values - b.values).max() <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (9, 3), (11, 7), (8, 9), (12, 5)])
+    @pytest.mark.parametrize("load", [False, True])
+    def test_flat_cg_matches_oracle_on_rectangles(self, shape, load):
+        ny, nx = shape
+        g = build_grid(nx, ny, (-1.0, 1.0, 0.0, 0.7))  # hx != hy
+        rng = np.random.default_rng(nx * 100 + ny)
+        for _ in range(3):
+            p = random_problem(g, rng, load=load)
+            a = solve_helmholtz(p)
+            b = dense_oracle_solve(p)
+            assert np.abs(a.values - b.values).max() <= 1e-10
 
     def test_size_cap(self):
         g = build_grid(23, 23, SQUARE)  # 441 interior nodes
@@ -200,6 +258,26 @@ class TestSolverBehavior:
         _, info_warm = solve_helmholtz_with_info(p, x0=cold)
         assert info_warm.iterations <= 1
         assert info_warm.iterations < info_cold.iterations
+
+    def test_warm_start_ring_is_replaced_by_trace(self):
+        g = build_grid(13, 10, SQUARE)
+        rng = np.random.default_rng(83)
+        p = random_problem(g, rng, load=True)
+        x0 = rng.uniform(2.0, 3.0, g.shape)  # ring far from the trace
+        warm, _ = solve_helmholtz_with_info(p, x0=x0)
+        b = g.boundary_mask()
+        assert np.array_equal(warm.values[b], p.trace[b])
+        assert np.abs(warm.values - solve_helmholtz(p).values).max() <= 1e-10
+
+    def test_matches_plain_2d_pcg(self):
+        g = build_grid(19, 25, SQUARE)  # shape (25, 19), hx != hy
+        rng = np.random.default_rng(87)
+        for k in range(6):
+            p = random_problem(g, rng, load=k % 2 == 1)
+            fld, info = solve_helmholtz_with_info(p)
+            ref, ref_iters = plain_pcg(p, SolverControls().rel_tol)
+            assert abs(info.iterations - ref_iters) <= 1
+            assert np.abs(fld.values - ref).max() <= 1e-12
 
     def test_dense_system_is_spd(self):
         g = build_grid(7, 7, SQUARE)

@@ -174,6 +174,19 @@ class TestSemiImplicitStep:
         assert out.u2.values[1, 1] == pytest.approx(picard_v2, abs=1e-12)
 
 
+    @pytest.mark.parametrize("bc_id", ["ex41", "bc4", "bc7"])
+    def test_run_is_bitwise_the_undamped_gauss_seidel_run(self, bc_id):
+        g = build_grid(21, 21, SQUARE)
+        runs = {}
+        for scheme in ("gauss_seidel", "semi_implicit"):
+            state, history, _ = run_penalty(g, bc_id, PenaltyConfig(1e-4, scheme=scheme))
+            rows = [{k: v for k, v in r.items() if k != "scheme"} for r in history.to_jsonl_rows()]
+            runs[scheme] = (state.stack(), rows)
+        gs, semi = runs["gauss_seidel"], runs["semi_implicit"]
+        assert np.array_equal(gs[0], semi[0])
+        assert gs[1] == semi[1]
+
+
 class TestPhaseFieldStep:
     def test_zero_coupling_gives_harmonic_extensions(self):
         g = build_grid(9, 9, SQUARE)
