@@ -297,8 +297,9 @@ def trace_from_csv(path, grid: Grid, config_id: str = "custom") -> BoundaryTrace
     Sides are bottom/top (coord = x) and left/right (coord = y); values are
     interpolated linearly along each side.  Corner nodes take the bottom/top
     table values, and conflicting corners are resolved as for the built-ins.
-    Raises ValueError on a non-finite table value, and on node data that is
-    negative or violates segregation.
+    Raises ValueError on an empty or header-only file, a row without five
+    columns, a non-finite table value, and on node data that is negative or
+    violates segregation.
     """
     tables: dict[str, list[tuple[float, float, float, float]]] = {
         "bottom": [],
@@ -308,10 +309,14 @@ def trace_from_csv(path, grid: Grid, config_id: str = "custom") -> BoundaryTrace
     }
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"trace CSV {path} is empty")
         if [c.strip().lower() for c in header] != ["side", "coord", "phi1", "phi2", "phi3"]:
             raise ValueError(f"unexpected trace CSV header: {header}")
         for row in reader:
+            if len(row) != 5:
+                raise ValueError(f"trace CSV row {row} does not have 5 columns")
             side = row[0].strip().lower()
             if side not in tables:
                 raise ValueError(f"unknown side {side!r} in trace CSV")
@@ -319,6 +324,8 @@ def trace_from_csv(path, grid: Grid, config_id: str = "custom") -> BoundaryTrace
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"non-finite value in trace CSV row {row}")
             tables[side].append(values)
+    if not any(tables.values()):
+        raise ValueError(f"trace CSV {path} has no data rows")
 
     phi = np.zeros((3, *grid.shape))
     xs, ys = grid.xs(), grid.ys()

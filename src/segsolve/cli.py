@@ -212,7 +212,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     outdir = _output_dir(cfg, f"{cfg.algorithm}_{cfg.bc}_n{cfg.n}")
     try:
         state, report, trace = _run_single(cfg)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: unreadable custom trace
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except LinearSolveError as exc:

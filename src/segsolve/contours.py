@@ -193,27 +193,37 @@ def _svg_path(poly: np.ndarray, flip: float) -> str:
     return " ".join(parts)
 
 
-def render_svg(contours: ContourSet, grid: Grid, size: int = 640) -> str:
-    """One SVG with the domain frame and red/blue/green component polylines."""
+def _frame_and_paths(contours: ContourSet, grid: Grid) -> list[str]:
+    """The domain frame `<rect>` and one `<path>` per component polyline, in domain units."""
     w = grid.x_max - grid.x_min
     h = grid.y_max - grid.y_min
     flip = grid.y_min + grid.y_max  # svg y axis points down
-    stroke = 0.008 * min(w, h)
+    stroke = _fmt(0.008 * min(w, h))
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{int(round(size * h / w))}" '
-        f'viewBox="{_fmt(grid.x_min)} {_fmt(grid.y_min)} {_fmt(w)} {_fmt(h)}">',
         f'<rect x="{_fmt(grid.x_min)}" y="{_fmt(grid.y_min)}" width="{_fmt(w)}" '
-        f'height="{_fmt(h)}" fill="white" stroke="black" stroke-width="{_fmt(stroke)}"/>',
+        f'height="{_fmt(h)}" fill="white" stroke="black" stroke-width="{stroke}"/>'
     ]
     for k in (1, 2, 3):
         color = COMPONENT_COLORS[k]
         for poly in contours.polylines[k]:
             lines.append(
                 f'<path d="{_svg_path(poly, flip)}" fill="none" '
-                f'stroke="{color}" stroke-width="{_fmt(stroke)}"/>'
+                f'stroke="{color}" stroke-width="{stroke}"/>'
             )
-    lines.append("</svg>")
+    return lines
+
+
+def render_svg(contours: ContourSet, grid: Grid, size: int = 640) -> str:
+    """One SVG with the domain frame and red/blue/green component polylines."""
+    w = grid.x_max - grid.x_min
+    h = grid.y_max - grid.y_min
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{int(round(size * h / w))}" '
+        f'viewBox="{_fmt(grid.x_min)} {_fmt(grid.y_min)} {_fmt(w)} {_fmt(h)}">',
+        *_frame_and_paths(contours, grid),
+        "</svg>",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -226,8 +236,6 @@ def render_tiled_svg(
     """Tile several contour plots (label, contours) into one sheet, row-major."""
     w = grid.x_max - grid.x_min
     h = grid.y_max - grid.y_min
-    flip = grid.y_min + grid.y_max
-    stroke = 0.008 * min(w, h)
     margin = 0.15 * tile
     nrows = (len(entries) + ncols - 1) // ncols
     width = ncols * tile + (ncols + 1) * margin
@@ -242,17 +250,7 @@ def render_tiled_svg(
         tx = margin + c * (tile + margin) - scale * grid.x_min
         ty = margin + r * (tile + margin * 1.6) - scale * grid.y_min
         lines.append(f'<g transform="translate({_fmt(tx)} {_fmt(ty)}) scale({_fmt(scale)})">')
-        lines.append(
-            f'<rect x="{_fmt(grid.x_min)}" y="{_fmt(grid.y_min)}" width="{_fmt(w)}" '
-            f'height="{_fmt(h)}" fill="white" stroke="black" stroke-width="{_fmt(stroke)}"/>'
-        )
-        for k in (1, 2, 3):
-            color = COMPONENT_COLORS[k]
-            for poly in contours.polylines[k]:
-                lines.append(
-                    f'<path d="{_svg_path(poly, flip)}" fill="none" '
-                    f'stroke="{color}" stroke-width="{_fmt(stroke)}"/>'
-                )
+        lines.extend(_frame_and_paths(contours, grid))
         lines.append("</g>")
         label_x = margin + c * (tile + margin)
         label_y = margin + r * (tile + margin * 1.6) + tile * (h / w) + 0.55 * margin

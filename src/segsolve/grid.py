@@ -10,6 +10,12 @@ Discrete L2 quantities use the tensor-product trapezoidal node weights
 (interior weight hx*hy, half on edges, quarter on corners), which integrate
 constants exactly.  For fields vanishing on the boundary this coincides with
 the plain diagonal hx*hy weighting used inside the interior linear systems.
+
+The measures every solver shares are defined once, on raw arrays:
+`energy_of_stack` (the Dirichlet energy of a (3, ny, nx) stack),
+`max_l2_step` (the largest per-component L2 norm of a stack difference, the
+stopping measure of every outer loop) and `l2_norm`.  `dirichlet_energy`,
+`l2_diff` and `product_violation` are their wrappers on the dataclasses.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ __all__ = [
     "build_grid",
     "apply_laplacian",
     "dirichlet_energy",
+    "energy_of_stack",
+    "max_l2_step",
     "product_violation",
     "interior_product_max",
     "region_mean",
@@ -228,24 +236,16 @@ def apply_laplacian(grid: Grid, f: ScalarField) -> ScalarField:
 
 
 def dirichlet_energy(state: SystemState) -> float:
-    """Cell-based Dirichlet energy surrogate.
+    """Cell-based Dirichlet energy surrogate of a state; see :func:`energy_of_stack`."""
+    return energy_of_stack(state.grid, state.stack())
+
+
+def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
+    """Cell-based Dirichlet energy surrogate of a raw (3, ny, nx) array.
 
     E_h(u) = 1/2 * sum_i sum_cells |grad_h u_i|^2 * hx*hy, with the forward
     difference gradient anchored at the lower-left corner of each cell.
     Nonnegative, and zero exactly for componentwise-constant states.
-    """
-    g = state.grid
-    total = 0.0
-    for comp in state.components:
-        v = comp.values
-        gx = (v[:-1, 1:] - v[:-1, :-1]) / g.hx
-        gy = (v[1:, :-1] - v[:-1, :-1]) / g.hy
-        total += float(np.sum(gx * gx + gy * gy))
-    return 0.5 * total * g.hx * g.hy
-
-
-def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
-    """Dirichlet energy surrogate of a raw (3, ny, nx) array.
 
     `work` may supply two float arrays of shape (3, ny - 1, nx - 1) to hold
     the gradients, so repeated calls allocate nothing; the value is the same
@@ -268,6 +268,23 @@ def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
     return 0.5 * total * grid.hx * grid.hy
 
 
+def max_l2_step(weights: np.ndarray, a: np.ndarray, b: np.ndarray, work=None) -> float:
+    """Largest per-component discrete L2 norm of a - b, for (3, ny, nx) arrays.
+
+    max_k sqrt(sum(weights * (a_k - b_k)^2)) with the (ny, nx) node weights
+    of :func:`node_weights`.  `work` may supply two float arrays of the
+    stacks' shape, so repeated calls allocate nothing; the value is the same
+    bit for bit as without them.
+    """
+    if work is None:
+        work = (np.empty(a.shape), np.empty(a.shape))
+    d, wd = work
+    np.subtract(a, b, out=d)
+    np.multiply(weights, d, out=wd)
+    np.multiply(wd, d, out=wd)
+    return float(np.sqrt(np.max(np.sum(wd, axis=(1, 2)))))
+
+
 class ProductViolation(NamedTuple):
     l2: float
     max_abs: float
@@ -276,9 +293,7 @@ class ProductViolation(NamedTuple):
 def product_violation(state: SystemState) -> ProductViolation:
     """L2 norm and max-abs of the pointwise product u1*u2*u3 over all nodes."""
     prod = state.u1.values * state.u2.values * state.u3.values
-    w = node_weights(state.grid)
-    l2 = float(np.sqrt(np.sum(w * prod * prod)))
-    return ProductViolation(l2, float(np.max(np.abs(prod))))
+    return ProductViolation(l2_norm(state.grid, prod), float(np.max(np.abs(prod))))
 
 
 def interior_product_max(state: SystemState) -> float:
@@ -304,8 +319,7 @@ def l2_diff(a: ScalarField, b: ScalarField) -> float:
     """Discrete L2 norm of (a - b); grids must match."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-    d = a.values - b.values
-    return float(np.sqrt(np.sum(node_weights(a.grid) * d * d)))
+    return l2_norm(a.grid, a.values - b.values)
 
 
 def l2_norm(grid: Grid, values: np.ndarray) -> float:
@@ -328,17 +342,27 @@ def field_to_csv(f: ScalarField, path) -> None:
 
 
 def field_from_csv(path) -> ScalarField:
-    """Rebuild a field from :func:`field_to_csv` output."""
+    """Rebuild a field from :func:`field_to_csv` output.
+
+    Raises ValueError on an empty or header-only file, a row without three
+    columns, or rows that do not form a rectangular grid.
+    """
     xs, ys, vals = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"field CSV {path} is empty")
         if [c.strip() for c in header] != ["x", "y", "value"]:
             raise ValueError(f"unexpected field CSV header: {header}")
         for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"field CSV row {row} does not have 3 columns")
             xs.append(float(row[0]))
             ys.append(float(row[1]))
             vals.append(float(row[2]))
+    if not xs:
+        raise ValueError(f"field CSV {path} has no data rows")
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     # row-major layout: x cycles fastest, so nx = index of first y change

@@ -20,7 +20,9 @@ Four fixed-point sweeps are provided:
 
 A run starts all components from their harmonic extensions and continues a
 geometrically decreasing ladder of penalty parameters, warm-starting each
-stage from the previous.
+stage from the previous.  The sweeps and the loop work on raw (3, ny, nx)
+stacks; the loop stops a stage on :func:`segsolve.grid.max_l2_step` and
+records one history dict per sweep, which is also the report's history.
 """
 
 from __future__ import annotations
@@ -32,13 +34,17 @@ from typing import Callable
 import numpy as np
 
 from .boundary import BoundaryTrace, resolve_trace
-from .grid import Grid, SystemState, energy_of_stack, l2_norm, node_weights
-from .linear_solver import HelmholtzProblem, SolverControls, solve_helmholtz_with_info
+from .grid import Grid, SystemState, energy_of_stack, l2_norm, max_l2_step, node_weights
+from .linear_solver import (
+    HelmholtzProblem,
+    SolverControls,
+    harmonic_extension,
+    solve_helmholtz_with_info,
+)
 from .reporting import SolveReport
 
 __all__ = [
     "PenaltyConfig",
-    "PenaltyRecord",
     "PenaltyHistory",
     "SCHEMES",
     "picard_step",
@@ -84,36 +90,20 @@ class PenaltyConfig:
 
 
 @dataclass
-class PenaltyRecord:
-    stage_epsilon: float
-    iteration: int
-    scheme: str
-    energy: float
-    penalty_energy: float
-    step_norm: float
-    cg_iters: tuple[int, int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "stage_epsilon": self.stage_epsilon,
-            "iter": self.iteration,
-            "scheme": self.scheme,
-            "energy": self.energy,
-            "penalty_energy": self.penalty_energy,
-            "step_norm": self.step_norm,
-            "cg_iters": list(self.cg_iters),
-        }
-
-
-@dataclass
 class PenaltyHistory:
-    records: list[PenaltyRecord] = field(default_factory=list)
+    """History of a run, one dict per sweep.
+
+    Keys: stage_epsilon, iter, scheme, energy, penalty_energy, step_norm,
+    cg_iters.  The run's report holds this same list as its history.
+    """
+
+    rows: list[dict] = field(default_factory=list)
 
     def to_jsonl_rows(self) -> list[dict]:
-        return [r.to_dict() for r in self.records]
+        return self.rows
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
 
 def _solve(grid, w, eps, trace_k, x0, controls, load=None):
@@ -164,23 +154,19 @@ def _phase_field_sweep(grid, u, tr, eps, controls):
     return out, tuple(iters)
 
 
-def _as_stack(state: SystemState) -> np.ndarray:
-    return state.stack()
-
-
 def picard_step(
     state: SystemState, trace: BoundaryTrace, epsilon: float, alpha: float
 ) -> SystemState:
     """One damped decoupled sweep: alpha * solve(w_i(u^k)) + (1 - alpha) * u^k."""
     out, _ = _picard_sweep(
-        state.grid, _as_stack(state), trace.phi, epsilon, alpha, SolverControls()
+        state.grid, state.stack(), trace.phi, epsilon, alpha, SolverControls()
     )
     return SystemState.from_stack(state.grid, out)
 
 
 def gauss_seidel_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:
     out, _ = _gauss_seidel_sweep(
-        state.grid, _as_stack(state), trace.phi, epsilon, SolverControls()
+        state.grid, state.stack(), trace.phi, epsilon, SolverControls()
     )
     return SystemState.from_stack(state.grid, out)
 
@@ -190,7 +176,7 @@ semi_implicit_step = gauss_seidel_step
 
 def phase_field_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:
     out, _ = _phase_field_sweep(
-        state.grid, _as_stack(state), trace.phi, epsilon, SolverControls()
+        state.grid, state.stack(), trace.phi, epsilon, SolverControls()
     )
     return SystemState.from_stack(state.grid, out)
 
@@ -206,7 +192,7 @@ def run_penalty(
 
     bc may be a BoundaryConfig, a builtin id, or an evaluated BoundaryTrace.
     `stages` overrides the geometric ladder (used by the scaling study).
-    A non-convergent stage is recorded and its best iterate seeds the next
+    A non-convergent stage is recorded and its last iterate seeds the next
     stage; inner solver failures propagate.
     """
     t0 = time.perf_counter()
@@ -214,27 +200,13 @@ def run_penalty(
     tr = trace.phi
     controls = SolverControls(rel_tol=cfg.inner_rel_tol)
 
-    u = np.stack(
-        [
-            np.asarray(
-                solve_helmholtz_with_info(
-                    HelmholtzProblem(grid, np.zeros(grid.shape), 1.0, tr[k]), controls
-                )[0].values
-            )
-            for k in range(3)
-        ]
-    )
+    u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
 
     ladder = list(stages) if stages is not None else cfg.stages()
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("epsilon ladder must be strictly decreasing")
 
     weights = node_weights(grid)
-
-    def step_norm(a, b):
-        d = a - b
-        return float(np.sqrt(np.max(np.sum(weights * d * d, axis=(1, 2)))))
-
     history = PenaltyHistory()
     stage_summaries = []
     total_iters = 0
@@ -252,20 +224,19 @@ def run_penalty(
             else:
                 new, cg = _phase_field_sweep(grid, u, tr, eps, controls)
 
-            sn = step_norm(new, u)
+            sn = max_l2_step(weights, new, u)
             u = new
-            prod = u[0] * u[1] * u[2]
-            prod_l2 = l2_norm(grid, prod)
-            history.records.append(
-                PenaltyRecord(
-                    stage_epsilon=eps,
-                    iteration=it,
-                    scheme=cfg.scheme,
-                    energy=energy_of_stack(grid, u),
-                    penalty_energy=prod_l2**2 / eps,
-                    step_norm=sn,
-                    cg_iters=cg,
-                )
+            prod_l2 = l2_norm(grid, u[0] * u[1] * u[2])
+            history.rows.append(
+                {
+                    "stage_epsilon": eps,
+                    "iter": it,
+                    "scheme": cfg.scheme,
+                    "energy": energy_of_stack(grid, u),
+                    "penalty_energy": prod_l2**2 / eps,
+                    "step_norm": sn,
+                    "cg_iters": list(cg),
+                }
             )
             if iterate_hook is not None:
                 iterate_hook(eps, it, u)
@@ -296,7 +267,7 @@ def run_penalty(
         final_energy=energy_of_stack(grid, u),
         final_violation_max=float(np.max(np.abs(prod))),
         wall_time_seconds=time.perf_counter() - t0,
-        history=history.to_jsonl_rows(),
+        history=history.rows,
         meta={"stages": stage_summaries, "epsilon_target": ladder[-1]},
     )
     return state, history, report

@@ -10,6 +10,10 @@ plus the safeguards used for the benchmark sweep: geometric backtracking on
 the cell-based energy surrogate, an optional proximal bias toward the current
 iterate before projection, projection hysteresis, and a momentum restart
 (t = 1, y = u) when even the smallest step cannot decrease the energy.
+
+Both loops run on raw (3, ny, nx) stacks in buffers allocated once per run
+(`_Workspace`); the energy and the step norm are the shared measures of
+:mod:`segsolve.grid`, and a `SystemState` is built only for the result.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import resolve_trace
-from .grid import Grid, SystemState, energy_of_stack, node_weights
+from .grid import Grid, SystemState, energy_of_stack, max_l2_step, node_weights
 from .linear_solver import SolverControls, harmonic_extension
 from .projection import project_stack_interior
 from .reporting import SolveReport
@@ -28,7 +32,6 @@ from .reporting import SolveReport
 __all__ = [
     "PgdConfig",
     "FistaConfig",
-    "MomentumState",
     "BacktrackResult",
     "stability_limit",
     "next_t",
@@ -88,15 +91,6 @@ class FistaConfig:
         if not 0.0 < amin <= a0:
             raise ValueError("need 0 < alpha_min <= alpha0")
         return a0, amin
-
-
-@dataclass
-class MomentumState:
-    """Nesterov momentum bookkeeping: t-sequence value, extrapolated point, previous iterate."""
-
-    t: float
-    y: np.ndarray
-    u_prev: np.ndarray
 
 
 def next_t(t: float) -> float:
@@ -178,12 +172,7 @@ class _Workspace:
         return energy_of_stack(self.grid, u, self.energy_work)
 
     def step_norm(self, a, b) -> float:
-        """`_max_l2_step(node_weights(grid), a, b)` bit for bit, without temporaries."""
-        d, wd = self.diff, self.weighted
-        np.subtract(a, b, out=d)
-        np.multiply(self.weights, d, out=wd)
-        np.multiply(wd, d, out=wd)
-        return float(np.sqrt(np.max(np.sum(wd, axis=(1, 2)))))
+        return max_l2_step(self.weights, a, b, (self.diff, self.weighted))
 
     def violation_max(self, u) -> float:
         """max |u1 * u2 * u3| over all nodes."""
@@ -194,19 +183,14 @@ class _Workspace:
         return float(np.max(p))
 
 
-def _initial_state(grid: Grid, tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projected harmonic extensions with the trace pinned on the boundary."""
+def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Projected harmonic extensions with the trace pinned on the boundary.
+
+    Returns the stack and its (ny, nx) assignment, as `project_into` does.
+    """
     controls = SolverControls()
-    u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
-    inner, k_inner = project_stack_interior(u[:, 1:-1, 1:-1])
-    u = tr.copy()
-    u[:, 1:-1, 1:-1] = inner
-    return u, k_inner
-
-
-def _max_l2_step(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
-    return float(np.sqrt(np.max(np.sum(weights * d * d, axis=(1, 2)))))
+    u = np.stack([harmonic_extension(ws.grid, ws.tr[k], controls).values for k in range(3)])
+    return u, ws.project_into(u)
 
 
 def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, SolveReport]:
@@ -218,7 +202,7 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
     alpha = cfg.resolve_alpha(grid)
 
     ws = _Workspace(grid, tr)
-    u, _ = _initial_state(grid, tr)
+    u, _ = _initial_state(ws)
     new = np.empty_like(u)
     history = []
     converged = False
@@ -287,12 +271,6 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev_k):
         shrinks += 1
 
 
-def _full_assignment(grid: Grid, k_inner: np.ndarray) -> np.ndarray:
-    k = np.zeros(grid.shape, dtype=np.int8)
-    k[1:-1, 1:-1] = k_inner
-    return k
-
-
 def backtrack(
     grid: Grid,
     y: np.ndarray,
@@ -313,7 +291,7 @@ def backtrack(
     if alpha < alpha_min * (1.0 - 1e-12):
         raise ValueError("trial step below alpha_min")
     if prev_k is not None:
-        prev_k = _full_assignment(grid, prev_k)
+        prev_k = np.pad(prev_k, 1)
     ws = _Workspace(grid, tr)
     y = np.ascontiguousarray(y, dtype=float)
     u = np.ascontiguousarray(u, dtype=float)
@@ -331,11 +309,11 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
     alpha0, alpha_min = cfg.resolve_alphas(grid)
 
     ws = _Workspace(grid, tr)
-    u, k_inner = _initial_state(grid, tr)
-    k_prev = _full_assignment(grid, k_inner)
+    u, k_prev = _initial_state(ws)
     energy_u = ws.energy(u)
-    mom = MomentumState(t=1.0, y=u.copy(), u_prev=u.copy())
-    cand = np.empty_like(u)  # trial buffer, rotated with u and u_prev
+    t = 1.0  # Nesterov t-sequence
+    y = u.copy()  # extrapolated point
+    cand = np.empty_like(u)  # trial buffer, swapped with u on acceptance
     alpha = alpha0
     history = []
     converged = False
@@ -344,11 +322,11 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
 
     for k in range(cfg.max_iters):
         iters = k + 1
-        bt = _backtrack(ws, cand, mom.y, u, alpha, energy_u, cfg, alpha_min, k_prev)
+        bt = _backtrack(ws, cand, y, u, alpha, energy_u, cfg, alpha_min, k_prev)
         if bt.needs_restart:
             # discard the candidate; restart momentum from the current iterate
-            mom.t = 1.0
-            np.copyto(mom.y, u)
+            t = 1.0
+            np.copyto(y, u)
             alpha = alpha0
             restarts += 1
             history.append(
@@ -364,14 +342,13 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
             continue
 
         step = ws.step_norm(cand, u)
-        t_new = next_t(mom.t)
-        beta = (mom.t - 1.0) / t_new
-        y = mom.y  # y <- cand + beta * (cand - u)
-        np.subtract(cand, u, out=y)
+        t_new = next_t(t)
+        beta = (t - 1.0) / t_new
+        np.subtract(cand, u, out=y)  # y <- cand + beta * (cand - u)
         np.multiply(y, beta, out=y)
         np.add(cand, y, out=y)
-        mom.t = t_new
-        mom.u_prev, u, cand = u, cand, mom.u_prev
+        t = t_new
+        u, cand = cand, u
         k_prev = bt.assignment
         energy_u = bt.energy
         alpha = bt.alpha

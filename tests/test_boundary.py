@@ -238,3 +238,19 @@ class TestCustomTrace:
         p.write_text("a,b,c\n")
         with pytest.raises(ValueError):
             trace_from_csv(p, build_grid(5, 5, SQUARE))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "empty"),
+            ("side,coord,phi1,phi2,phi3\n", "no data rows"),
+            ("side,coord,phi1,phi2,phi3\nbottom,0.5\n", "5 columns"),
+            ("side,coord,phi1,phi2,phi3\nbottom,0.5,1,0,0,7\n", "5 columns"),
+        ],
+        ids=["empty", "header-only", "short-row", "long-row"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        p = tmp_path / "trace.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            trace_from_csv(p, build_grid(5, 5, SQUARE))

@@ -104,6 +104,24 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"algorithmz": "fista"}))
         assert run_cli("solve", "--config", str(cfg_path)) == 1
 
+    @pytest.mark.parametrize(
+        "table",
+        [None, "", "side,coord,phi1,phi2,phi3\nbottom,0.5\n"],
+        ids=["missing", "empty", "short-row"],
+    )
+    def test_malformed_custom_trace_exits_1(self, tmp_path, capsys, table):
+        trace = tmp_path / "trace.csv"
+        if table is not None:
+            trace.write_text(table)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"algorithm": "pgd", "bc": "custom", "n": 9, "custom_bc_csv": str(trace)}
+        ))
+        out = tmp_path / "run"
+        assert run_cli("solve", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_round_trip_reproduces_artifacts(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -188,6 +206,14 @@ class TestSelftestAndContours:
 
     def test_contours_missing_fields_exits_1(self, tmp_path):
         assert run_cli("contours", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("text", ["", "x,y,value\n"], ids=["empty", "header-only"])
+    def test_contours_malformed_field_exits_1(self, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        run_cli("solve", "--algo", "fista", "--bc", "bc4", "--n", "9", "--out", str(out))
+        (out / "u2.csv").write_text(text)
+        assert run_cli("contours", str(out), "--out", str(tmp_path / "re")) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestEntryPoint:

@@ -13,6 +13,8 @@ from segsolve.grid import (
     field_from_csv,
     field_to_csv,
     l2_diff,
+    l2_norm,
+    max_l2_step,
     node_weights,
     product_violation,
     region_mean,
@@ -151,6 +153,41 @@ class TestDirichletEnergy:
         assert energy_of_stack(g, stack) == expected
         assert energy_of_stack(g, stack, work) == expected
 
+    def test_stack_energy_is_bitwise_the_plain_cell_sum(self):
+        # per-component forward-difference cell sums written out here
+        g = build_grid(37, 29, (-1, 1, -1, 1))
+        stack = np.random.default_rng(17).standard_normal((3, *g.shape))
+        total = 0.0
+        for v in stack:
+            gx = (v[:-1, 1:] - v[:-1, :-1]) / g.hx
+            gy = (v[1:, :-1] - v[:-1, :-1]) / g.hy
+            total += float(np.sum(gx * gx + gy * gy))
+        expected = 0.5 * total * g.hx * g.hy
+        work = (np.empty((3, g.ny - 1, g.nx - 1)), np.empty((3, g.ny - 1, g.nx - 1)))
+        assert energy_of_stack(g, stack) == expected
+        assert energy_of_stack(g, stack, work) == expected
+
+
+class TestMaxL2Step:
+    def test_is_bitwise_the_plain_expression(self):
+        g = build_grid(37, 29, (-1, 1, -1, 1))
+        rng = np.random.default_rng(19)
+        a, b = rng.standard_normal((2, 3, *g.shape))
+        w = node_weights(g)
+        d = a - b
+        expected = float(np.sqrt(np.max(np.sum(w * d * d, axis=(1, 2)))))
+        work = (np.empty(a.shape), np.empty(a.shape))
+        assert max_l2_step(w, a, b) == expected
+        assert max_l2_step(w, a, b, work) == expected
+
+    def test_is_the_largest_component_l2_norm(self):
+        g = build_grid(9, 7, (-1, 1, -1, 1))
+        rng = np.random.default_rng(23)
+        a, b = rng.standard_normal((2, 3, *g.shape))
+        norms = [l2_norm(g, a[k] - b[k]) for k in range(3)]
+        assert max_l2_step(node_weights(g), a, b) == pytest.approx(max(norms), rel=1e-14)
+        assert max_l2_step(node_weights(g), a, a) == 0.0
+
 
 class TestProductViolation:
     def test_zero_component(self):
@@ -276,3 +313,19 @@ class TestCsvRoundTrip:
         ys = [float(r[1]) for r in rows]
         assert xs == [0, 1, 2, 0, 1, 2, 0, 1, 2]
         assert ys == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "empty"),
+            ("x,y,value\n", "no data rows"),
+            ("x,y,value\n0,0\n", "3 columns"),
+            ("x,y,value\n0,0,1\n1,0,1,5\n", "3 columns"),
+        ],
+        ids=["empty", "header-only", "short-row", "long-row"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "field.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            field_from_csv(path)

@@ -138,6 +138,26 @@ class TestGaussSeidelStep:
         assert out.stack().min() >= -1e-10
 
 
+    @pytest.mark.parametrize("bc_id", ["ex41", "bc7"])
+    def test_damped_sweep_is_bitwise_the_convex_combination(self, bc_id):
+        # one damped sweep from the harmonic extensions u0 equals
+        # alpha * (undamped sweep) + (1 - alpha) * u0, bit for bit
+        g = build_grid(21, 21, SQUARE)
+        tr = evaluate_bc(builtin_config(bc_id), g)
+        u0 = np.stack([harmonic_extension(g, tr.phi[k]).values for k in range(3)])
+        alpha = 0.3
+        runs = {}
+        for damp in (False, True):
+            cfg = PenaltyConfig(
+                1e-2, scheme="gauss_seidel", alpha=alpha, damp_gauss_seidel=damp, max_outer=1
+            )
+            state, _, _ = run_penalty(g, tr, cfg, stages=[1e-2])
+            runs[damp] = state.stack()
+        expected = alpha * runs[False] + (1.0 - alpha) * u0
+        assert runs[True].tobytes() == expected.tobytes()
+        assert not np.array_equal(runs[True], runs[False])
+
+
 class TestSemiImplicitStep:
     def test_all_zero_maps_to_zero(self):
         g = build_grid(7, 7, SQUARE)
@@ -301,6 +321,12 @@ class TestRunPenalty:
         }
         assert row["scheme"] == "semi_implicit"
         assert len(row["cg_iters"]) == 3
+
+    def test_report_history_is_the_history_rows(self):
+        g = build_grid(9, 9, SQUARE)
+        _, history, report = run_penalty(g, "bc4", PenaltyConfig(epsilon_target=1e-3))
+        assert report.history is history.to_jsonl_rows()
+        assert len(history) == report.iters
 
     def test_ex41_segregation_pattern_by_region_means(self):
         # the lobes segregate pairwise across y = 0, which already makes the
