@@ -32,12 +32,9 @@ def random_problem(grid, rng, eps_range=(-4.0, 0.0), load=False):
     return HelmholtzProblem(grid, w, eps, tr, load=f)
 
 
-def plain_pcg(p, rel_tol):
-    """Jacobi-PCG on the interior (ny - 2, nx - 2) array with 2-D slices.
-
-    The reference for the flat full-grid solver: same stopping test, zero
-    start.  Returns the full field and the iteration count.
-    """
+def plain_system(p):
+    """Diagonal, operator and right-hand side of the interior system, on
+    (ny - 2, nx - 2) arrays with 2-D slices."""
     g = p.grid
     ax, ay = 1.0 / g.hx**2, 1.0 / g.hy**2
     diag = 2.0 * ax + 2.0 * ay + p.weight[1:-1, 1:-1] / p.epsilon
@@ -56,9 +53,13 @@ def plain_pcg(p, rel_tol):
     b[:, -1] += ax * tr[1:-1, -1]
     b[0, :] += ay * tr[0, 1:-1]
     b[-1, :] += ay * tr[-1, 1:-1]
-    scale = np.sqrt(np.sum(b * b / diag))
+    return diag, apply_op, b
+
+
+def plain_cg(apply_op, rhs, diag, scale, rel_tol):
+    """Jacobi-PCG from zero, stopping at ||r||_{D^-1} <= rel_tol * scale."""
     x = np.zeros(diag.shape)
-    r = b.copy()
+    r = rhs.copy()
     z = r / diag
     d = z.copy()
     rz = np.sum(r * z)
@@ -73,9 +74,49 @@ def plain_pcg(p, rel_tol):
         d = z + (rz_new / rz) * d
         rz = rz_new
         iters += 1
-    full = boundary_only(g, tr)
-    full[1:-1, 1:-1] = x
-    return full, iters
+    return x, iters
+
+
+def full_field(p, interior):
+    full = boundary_only(p.grid, p.trace)
+    full[1:-1, 1:-1] = interior
+    return full
+
+
+def plain_pcg(p, rel_tol):
+    """Jacobi-PCG on the full interior system.
+
+    The reference for the full-grid solver (zero interior weight), and the
+    full-system iteration count the reduced solve is measured against: same
+    stopping test, zero start.  Returns the full field and the iteration
+    count.
+    """
+    diag, apply_op, b = plain_system(p)
+    x, iters = plain_cg(apply_op, b, diag, np.sqrt(np.sum(b * b / diag)), rel_tol)
+    return full_field(p, x), iters
+
+
+def plain_reduced_pcg(p, rel_tol):
+    """Jacobi-PCG on the red-black Schur complement, then red back-substitution.
+
+    Red nodes have even i + j.  For v zero on red nodes, S v is A v + A t on
+    black nodes with t = -(A v) / diag on red nodes; the reduced right-hand
+    side is b - A (b / diag on red) on black nodes.  The reference for the
+    reduced solver (nonzero interior weight): the stopping scale is the full
+    ||b||_{D^-1}, zero start.  Returns the full field and the iteration count.
+    """
+    diag, apply_op, b = plain_system(p)
+    jj, ii = np.indices(diag.shape)
+    red = (jj + ii) % 2 == 0
+
+    def schur(v):
+        av = apply_op(v)
+        return np.where(red, 0.0, av + apply_op(np.where(red, -av / diag, 0.0)))
+
+    rhs = np.where(red, 0.0, b - apply_op(np.where(red, b / diag, 0.0)))
+    x, iters = plain_cg(schur, rhs, diag, np.sqrt(np.sum(b * b / diag)), rel_tol)
+    x += np.where(red, (b - apply_op(x)) / diag, 0.0)
+    return full_field(p, x), iters
 
 
 class TestClosedForms:
@@ -161,7 +202,10 @@ class TestDenseOracle:
         b = dense_oracle_solve(p)
         assert np.abs(a.values - b.values).max() <= 1e-8
 
-    @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (9, 3), (11, 7), (8, 9), (12, 5)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 3), (3, 9), (9, 3), (11, 7), (8, 9), (12, 5), (9, 8), (11, 10), (4, 6), (3, 4)],
+    )
     @pytest.mark.parametrize("load", [False, True])
     def test_flat_cg_matches_oracle_on_rectangles(self, shape, load):
         ny, nx = shape
@@ -260,24 +304,54 @@ class TestSolverBehavior:
         assert info_warm.iterations < info_cold.iterations
 
     def test_warm_start_ring_is_replaced_by_trace(self):
-        g = build_grid(13, 10, SQUARE)
-        rng = np.random.default_rng(83)
-        p = random_problem(g, rng, load=True)
-        x0 = rng.uniform(2.0, 3.0, g.shape)  # ring far from the trace
-        warm, _ = solve_helmholtz_with_info(p, x0=x0)
-        b = g.boundary_mask()
-        assert np.array_equal(warm.values[b], p.trace[b])
-        assert np.abs(warm.values - solve_helmholtz(p).values).max() <= 1e-10
+        for nx, ny in [(13, 10), (12, 9)]:  # odd and even row width
+            g = build_grid(nx, ny, SQUARE)
+            rng = np.random.default_rng(83)
+            p = random_problem(g, rng, load=True)
+            x0 = rng.uniform(2.0, 3.0, g.shape)  # ring far from the trace
+            warm, _ = solve_helmholtz_with_info(p, x0=x0)
+            b = g.boundary_mask()
+            assert np.array_equal(warm.values[b], p.trace[b])
+            assert np.abs(warm.values - solve_helmholtz(p).values).max() <= 1e-10
 
-    def test_matches_plain_2d_pcg(self):
+    @staticmethod
+    def plain_comparison_problems():
         g = build_grid(19, 25, SQUARE)  # shape (25, 19), hx != hy
         rng = np.random.default_rng(87)
-        for k in range(6):
-            p = random_problem(g, rng, load=k % 2 == 1)
+        return [random_problem(g, rng, load=k % 2 == 1) for k in range(6)]
+
+    def test_matches_plain_2d_pcg(self):
+        # the same problems with zero interior weight take the full-grid path
+        for p in self.plain_comparison_problems():
+            p = HelmholtzProblem(p.grid, np.zeros(p.grid.shape), p.epsilon, p.trace, load=p.load)
             fld, info = solve_helmholtz_with_info(p)
             ref, ref_iters = plain_pcg(p, SolverControls().rel_tol)
             assert abs(info.iterations - ref_iters) <= 1
             assert np.abs(fld.values - ref).max() <= 1e-12
+
+    def test_matches_plain_reduced_pcg(self):
+        for p in self.plain_comparison_problems():
+            fld, info = solve_helmholtz_with_info(p)
+            ref, ref_iters = plain_reduced_pcg(p, SolverControls().rel_tol)
+            assert abs(info.iterations - ref_iters) <= 1
+            assert np.abs(fld.values - ref).max() <= 1e-12
+
+    def test_reduced_solve_takes_at_most_six_tenths_of_full_iterations(self):
+        for p in self.plain_comparison_problems():
+            _, info = solve_helmholtz_with_info(p)
+            _, full_iters = plain_pcg(p, SolverControls().rel_tol)
+            assert info.iterations <= 0.6 * full_iters
+
+    # NaN passes the sign check, and non-finite data would end CG with a nan residual
+    @pytest.mark.parametrize("name, node, value", [
+        ("weight", (2, 2), np.nan), ("trace", (0, 2), np.inf), ("load", (2, 2), -np.inf),
+    ])
+    def test_non_finite_input_rejected(self, name, node, value):
+        g = build_grid(5, 5, SQUARE)
+        data = {"weight": np.ones(g.shape), "trace": np.zeros(g.shape), "load": np.zeros(g.shape)}
+        data[name][node] = value
+        with pytest.raises(ValueError, match="finite"):
+            HelmholtzProblem(g, data["weight"], 1.0, data["trace"], load=data["load"])
 
     def test_dense_system_is_spd(self):
         g = build_grid(7, 7, SQUARE)
