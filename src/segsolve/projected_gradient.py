@@ -26,7 +26,7 @@ import numpy as np
 from .boundary import resolve_trace
 from .grid import Grid, SystemState, energy_of_stack, max_l2_step, node_weights
 from .linear_solver import SolverControls, harmonic_extension
-from .projection import project_stack_interior
+from .projection import project_and_pin
 from .reporting import SolveReport
 
 __all__ = [
@@ -130,7 +130,7 @@ class _Workspace:
         """out <- y + alpha * lap_h(y), then (. + eta*u)/(1 + eta) if eta > 0.
 
         Exact at interior nodes; ring nodes of `out` hold junk until
-        `project_into` re-pins them.  `out` must not share memory with `y`
+        `project_and_pin` re-pins them.  `out` must not share memory with `y`
         or `u`.
         """
         f = y.reshape(-1, copy=False)
@@ -154,20 +154,6 @@ class _Workspace:
             np.add(o, t, out=o)
             np.divide(o, 1.0 + eta, out=o)
 
-    def project_into(self, out, prev_k=None, tau=0.0):
-        """Project `out` in place, pin its ring to the trace; returns the (ny, nx) indices.
-
-        prev_k is a previous (ny, nx) result or None; entries on the ring
-        are meaningless.
-        """
-        _, k = project_stack_interior(out, prev_k, tau, out=out)
-        tr = self.tr
-        out[:, 0, :] = tr[:, 0, :]
-        out[:, -1, :] = tr[:, -1, :]
-        out[:, :, 0] = tr[:, :, 0]
-        out[:, :, -1] = tr[:, :, -1]
-        return k
-
     def energy(self, u) -> float:
         return energy_of_stack(self.grid, u, self.energy_work)
 
@@ -186,11 +172,11 @@ class _Workspace:
 def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Projected harmonic extensions with the trace pinned on the boundary.
 
-    Returns the stack and its (ny, nx) assignment, as `project_into` does.
+    Returns the stack and its (ny, nx) assignment, as `project_and_pin` does.
     """
     controls = SolverControls()
     u = np.stack([harmonic_extension(ws.grid, ws.tr[k], controls).values for k in range(3)])
-    return u, ws.project_into(u)
+    return u, project_and_pin(u, ws.tr)
 
 
 def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, SolveReport]:
@@ -209,7 +195,7 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
     iters = 0
     for k in range(cfg.max_iters):
         ws.step_into(new, u, alpha)
-        ws.project_into(new)
+        project_and_pin(new, ws.tr)
         step = ws.step_norm(new, u)
         u, new = new, u
         iters = k + 1
@@ -261,7 +247,7 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev_k):
     a = alpha
     while True:
         ws.step_into(out, y, a, u, cfg.eta)
-        k = ws.project_into(out, prev_k, cfg.tau)
+        k = project_and_pin(out, ws.tr, prev_k, cfg.tau)
         energy = ws.energy(out)
         if energy <= current_energy:
             return BacktrackResult(out, k, a, energy, False, shrinks)

@@ -24,6 +24,7 @@ __all__ = [
     "project_point",
     "project_field",
     "project_stack_interior",
+    "project_and_pin",
     "face_projections",
     "projection_selftest",
     "assignment_to_csv",
@@ -110,6 +111,24 @@ def project_stack_interior(
     return p, k
 
 
+def project_and_pin(
+    out: np.ndarray, tr: np.ndarray, prev_k: np.ndarray | None = None, tau: float = 0.0
+) -> np.ndarray:
+    """Project the (3, ny, nx) stack `out` in place and pin its ring to the trace `tr`.
+
+    The whole stack is projected as one contiguous block, which is faster
+    than the strided interior view; the ring values this produces are then
+    overwritten.  prev_k is a previous (ny, nx) result or None, and the
+    returned (ny, nx) indices, like prev_k's, are meaningless on the ring.
+    """
+    _, k = project_stack_interior(out, prev_k, tau, out=out)
+    out[:, 0, :] = tr[:, 0, :]
+    out[:, -1, :] = tr[:, -1, :]
+    out[:, :, 0] = tr[:, :, 0]
+    out[:, :, -1] = tr[:, :, -1]
+    return k
+
+
 def project_field(
     state: SystemState,
     trace: BoundaryTrace,
@@ -120,19 +139,14 @@ def project_field(
     grid = state.grid
     if trace.grid != grid:
         raise ValueError("trace grid does not match state grid")
-    tau = (controls or ProjectionControls()).tau
-    stack = state.stack()
-    prev_k = None
-    if prev is not None:
-        if prev.grid != grid:
-            raise ValueError("previous assignment grid does not match")
-        prev_k = prev.k[1:-1, 1:-1]
-    inner, k_inner = project_stack_interior(stack[:, 1:-1, 1:-1], prev_k, tau)
-    out = trace.phi.copy()
-    out[:, 1:-1, 1:-1] = inner
-    kfull = np.zeros(grid.shape, dtype=np.int8)
-    kfull[1:-1, 1:-1] = k_inner
-    return SystemState.from_stack(grid, out), PhaseAssignment(grid, kfull)
+    if prev is not None and prev.grid != grid:
+        raise ValueError("previous assignment grid does not match")
+    out = state.stack()
+    k = project_and_pin(
+        out, trace.phi, None if prev is None else prev.k, (controls or ProjectionControls()).tau
+    )
+    k[grid.boundary_mask()] = 0
+    return SystemState.from_stack(grid, out), PhaseAssignment(grid, k)
 
 
 def face_projections(v) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,19 @@ every file they write must hash to the value in `golden_artifacts.json`,
 and every run must end with the recorded exit code.  A refactor keeps the
 hashes.  An intended numeric change replaces the entries, with the reason
 in CHANGES.md: the failure message lists each differing path with its new
-hash.
+hash, and
+
+    PYTHONPATH=src python3 tests/test_golden_artifacts.py PREFIX [PREFIX ...]
+
+reruns the CLI and rewrites the exit codes and hashes of the runs and paths
+that start with a PREFIX (say `solve/penalty-`).  It writes nothing, and
+exits 1, if any other entry differs.
 """
 
 import hashlib
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,10 +33,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def produced(tmp_path_factory):
-    """(exit codes by run, SHA-256 by written file path relative to the root)."""
-    root = tmp_path_factory.mktemp("golden")
+def produce(root: Path) -> tuple[dict, dict]:
+    """Run the CLI into `root`: (exit codes by run, SHA-256 by written file path relative to root)."""
     codes = {}
     for bc in SOLVE_BCS:
         for algo in ALGORITHMS:
@@ -48,6 +54,16 @@ def produced(tmp_path_factory):
     return codes, hashes
 
 
+def _differing(new: dict, old: dict) -> list[str]:
+    """Sorted keys whose values differ, or that only one of the two holds."""
+    return [key for key in sorted(set(new) | set(old)) if new.get(key) != old.get(key)]
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    return produce(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -62,11 +78,28 @@ def test_every_artifact_hash(produced, golden):
     _, hashes = produced
     expected = golden["sha256"]
     assert len(expected) == 149  # 7 files for each of 12 solves and 9 bench cells, summary.csv, sheet
-    differing = {
-        path: hashes.get(path, "<not written>")
-        for path in sorted(set(expected) | set(hashes))
-        if hashes.get(path) != expected.get(path)
-    }
+    differing = {path: hashes.get(path, "<not written>") for path in _differing(hashes, expected)}
     assert not differing, "artifacts differ from golden_artifacts.json:\n" + "\n".join(
         f"  {path}: {new}" for path, new in differing.items()
     )
+
+
+def replace_entries(prefixes: list[str]) -> int:
+    """Rewrite the golden entries under `prefixes`; refuse if any other entry differs."""
+    golden = json.loads(GOLDEN.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        codes, hashes = produce(Path(tmp))
+    differing = _differing(codes, golden["exit_codes"]) + _differing(hashes, golden["sha256"])
+    outside = [key for key in differing if not key.startswith(tuple(prefixes))]
+    if outside:
+        print("not written; entries outside the prefixes differ:", *outside, sep="\n  ")
+        return 1
+    GOLDEN.write_text(json.dumps({"exit_codes": codes, "sha256": hashes}, indent=1) + "\n")
+    print(f"replaced {len(differing)} entries (runs and paths):", *differing, sep="\n  ")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    sys.exit(replace_entries(sys.argv[1:]))

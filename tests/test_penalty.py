@@ -1,11 +1,17 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from segsolve.boundary import BoundaryTrace, builtin_config, evaluate_bc, sup_bound
-from segsolve.grid import SystemState, build_grid, l2_diff
-from segsolve.linear_solver import harmonic_extension
+from segsolve.grid import SystemState, build_grid, l2_diff, max_l2_step, node_weights
+from segsolve.linear_solver import SolverControls, harmonic_extension
 from segsolve.penalty import (
     PenaltyConfig,
+    _gauss_seidel_sweep,
+    _picard_sweep,
+    _secant_ratio,
     gauss_seidel_step,
     phase_field_step,
     picard_step,
@@ -348,6 +354,12 @@ class TestRunPenalty:
         assert l2 <= np.sqrt(1e-6 * report.final_energy) * 1.05
         assert 0.0 <= state.u3.values.min() and state.u3.values.max() <= 0.25 + 1e-10
 
+    def test_damped_phase_field_converges_on_ex41(self):
+        g = build_grid(21, 21, SQUARE)
+        _, _, report = run_penalty(g, "ex41", PenaltyConfig(1e-4, scheme="phase_field"))
+        assert report.converged
+        assert [s["epsilon"] for s in report.meta["stages"]] == [1e-2, 1e-3, 1e-4]
+
     def test_nonconvergent_stage_recorded_and_run_continues(self):
         g = build_grid(21, 21, SQUARE)
         cfg = PenaltyConfig(epsilon_target=1e-4, scheme="picard", max_outer=3)
@@ -355,6 +367,85 @@ class TestRunPenalty:
         assert not report.converged
         assert len(report.meta["stages"]) == 3
         assert any(not s["converged"] for s in report.meta["stages"])
+
+
+def cold_start_run(grid, bc_id, cfg):
+    """run_penalty's loop with every CG solve started from the iterate.
+
+    Returns (final stack, sweeps per stage, total CG iterations).
+    """
+    tr = evaluate_bc(builtin_config(bc_id), grid).phi
+    controls = SolverControls(rel_tol=cfg.inner_rel_tol)
+    u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
+    weights = node_weights(grid)
+    sweeps, cg_total = [], 0
+    for eps in cfg.stages():
+        for it in range(1, cfg.max_outer + 1):
+            if cfg.scheme == "picard":
+                new, _, cg = _picard_sweep(grid, u, tr, eps, cfg.alpha, controls)
+            else:
+                new, _, cg = _gauss_seidel_sweep(grid, u, tr, eps, controls)
+            cg_total += sum(cg)
+            step, u = max_l2_step(weights, new, u), new
+            if step < cfg.outer_tol:
+                break
+        sweeps.append(it)
+    return u, sweeps, cg_total
+
+
+class TestSecantStart:
+    @pytest.mark.parametrize("scheme", ["picard", "gauss_seidel"])
+    @pytest.mark.parametrize("bc_id", ["ex41", "bc7"])
+    def test_same_answer_and_sweeps_as_cold_start(self, scheme, bc_id):
+        g = build_grid(21, 21, SQUARE)
+        cfg = PenaltyConfig(1e-4, scheme=scheme)
+        cold, cold_sweeps, _ = cold_start_run(g, bc_id, cfg)
+        state, _, report = run_penalty(g, bc_id, cfg)
+        assert [s["iterations"] for s in report.meta["stages"]] == cold_sweeps
+        assert np.abs(state.stack() - cold).max() <= cfg.outer_tol
+
+    def test_halves_the_cg_work(self):
+        g = build_grid(31, 31, SQUARE)
+        cfg = PenaltyConfig(1e-4)
+        _, _, cold_cg = cold_start_run(g, "ex41", cfg)
+        _, history, _ = run_penalty(g, "ex41", cfg)
+        assert sum(sum(r["cg_iters"]) for r in history.rows) <= 0.6 * cold_cg
+
+    def test_stage_cg_totals_and_maxima(self):
+        g = build_grid(15, 15, SQUARE)
+        _, history, report = run_penalty(g, "bc4", PenaltyConfig(1e-3))
+        for stage in report.meta["stages"]:
+            cg = [c for r in history.rows if r["stage_epsilon"] == stage["epsilon"] for c in r["cg_iters"]]
+            assert stage["cg_iterations"] == sum(cg)
+            assert stage["cg_max"] == max(cg)
+
+    def test_ratio_clips_alternating_steps_to_zero(self):
+        d0 = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 9, 9))
+        assert _secant_ratio(-d0, d0) == 0.0
+
+    def test_ratio_of_a_geometric_sequence(self):
+        d0 = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 9, 9))
+        assert _secant_ratio(0.8 * d0, d0) == pytest.approx(0.8, abs=1e-12)
+
+    def test_ratio_of_a_zero_step_is_zero(self):
+        d1 = np.random.default_rng(6).uniform(-1.0, 1.0, (3, 9, 9))
+        assert _secant_ratio(d1, np.zeros_like(d1)) == 0.0
+
+    def test_ratio_bits_do_not_depend_on_blas_threads(self, child_env):
+        code = (
+            "import numpy as np\n"
+            "from segsolve.penalty import _secant_ratio\n"
+            "d = np.random.default_rng(7).uniform(-1.0, 1.0, (2, 3, 101, 101))\n"
+            "print(_secant_ratio(d[0], d[1] + 0.5 * d[0]).hex())\n"
+        )
+        out = {
+            threads: subprocess.run(
+                [sys.executable, "-c", code], env={**child_env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert out["1"] and out["1"] == out["2"]
 
 
 class TestConfigValidation:
