@@ -43,7 +43,6 @@ from .linear_solver import (
 )
 from .penalty import (
     PenaltyConfig,
-    PenaltyHistory,
     gauss_seidel_step,
     phase_field_step,
     picard_step,
@@ -85,7 +84,6 @@ __all__ = [
     "harmonic_extension",
     "dense_oracle_solve",
     "PenaltyConfig",
-    "PenaltyHistory",
     "picard_step",
     "gauss_seidel_step",
     "semi_implicit_step",

@@ -19,7 +19,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -78,7 +79,6 @@ class RunConfig:
     out: str | None = None
     jobs: int = 1
     deterministic: bool = False
-    seed: int = 0
     custom_bc_csv: str | None = None
 
     def validate(self) -> None:
@@ -95,6 +95,8 @@ class RunConfig:
             raise ConfigError("bc 'custom' requires custom_bc_csv in the config file")
         if self.n < 3:
             raise ConfigError("resolution n must be >= 3")
+        if self.delta is not None and not self.delta > 0.0:
+            raise ConfigError("contour threshold delta must be positive")
 
 
 def _load_config_file(path: str) -> dict:
@@ -104,6 +106,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError("config file must hold a JSON object")
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]  # accept a previously written report.json
+    data.pop("seed", None)  # written by older versions; nothing reads it
     known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
     if unknown:
@@ -130,6 +133,11 @@ def _resolve_trace(cfg: RunConfig, grid):
     return evaluate_bc(builtin_config(cfg.bc), grid)
 
 
+def _given(**values) -> dict:
+    """The values that were set; the config classes supply the rest."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _run_single(cfg: RunConfig):
     """Run one (algorithm, bc) pair; returns (state, report, trace)."""
     grid = build_grid(cfg.n, cfg.n, (-1.0, 1.0, -1.0, 1.0))
@@ -141,24 +149,15 @@ def _run_single(cfg: RunConfig):
             epsilon_start=eps_start,
             continuation_factor=cfg.eps_factor,
             alpha=cfg.damping,
-            outer_tol=cfg.tol if cfg.tol is not None else 1e-8,
-            max_outer=cfg.max_iters if cfg.max_iters is not None else 500,
             scheme=_PENALTY_SCHEMES[cfg.algorithm],
+            **_given(outer_tol=cfg.tol, max_outer=cfg.max_iters),
         )
         state, _, report = run_penalty(grid, trace, pcfg)
     elif cfg.algorithm == "pgd":
-        pgd_cfg = PgdConfig(
-            alpha=cfg.alpha,
-            tol=cfg.tol if cfg.tol is not None else 1e-8,
-            max_iters=cfg.max_iters if cfg.max_iters is not None else 50000,
-        )
+        pgd_cfg = PgdConfig(**_given(alpha=cfg.alpha, tol=cfg.tol, max_iters=cfg.max_iters))
         state, report = pgd_run(grid, trace, pgd_cfg)
     else:
-        fista_cfg = FistaConfig(
-            alpha0=cfg.alpha,
-            tol=cfg.tol if cfg.tol is not None else 1e-8,
-            max_iters=cfg.max_iters if cfg.max_iters is not None else 20000,
-        )
+        fista_cfg = FistaConfig(**_given(alpha0=cfg.alpha, tol=cfg.tol, max_iters=cfg.max_iters))
         state, report = fista_run(grid, trace, fista_cfg)
     report.bc_id = cfg.bc
     report.meta["n"] = cfg.n
@@ -173,13 +172,17 @@ def _run_single(cfg: RunConfig):
     return state, report, trace
 
 
+def _delta_of_bound(m: float) -> float:
+    """Default contour threshold for fields bounded by m: 1e-3 * m, or 1e-3 if m = 0."""
+    return 1e-3 * m if m > 0.0 else 1e-3
+
+
 def _default_delta(cfg: RunConfig, trace) -> float:
     if cfg.delta is not None:
         return cfg.delta
     if cfg.algorithm in _PENALTY_SCHEMES:
         return float(np.sqrt(cfg.eps))
-    m = sup_bound(trace)
-    return 1e-3 * m if m > 0.0 else 1e-3
+    return _delta_of_bound(sup_bound(trace))
 
 
 def _write_artifacts(outdir: str, state: SystemState, report, delta: float) -> ContourSet:
@@ -232,7 +235,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _bench_worker(payload: dict):
-    """Run one bench cell; returns summary info and serialized contours."""
+    """Run one bench cell; returns summary info and its ContourSet."""
     cfg = RunConfig(**payload)
     try:
         state, report, trace = _run_single(cfg)
@@ -254,10 +257,7 @@ def _bench_worker(payload: dict):
         "final_energy": report.final_energy,
         "final_violation": report.final_violation_max,
         "wall_time_seconds": report.wall_time_seconds,
-        "polylines": {
-            k: [poly.tolist() for poly in contours.polylines[k]] for k in (1, 2, 3)
-        },
-        "delta": contours.delta,
+        "contours": contours,
     }
 
 
@@ -267,33 +267,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         algos = [a.strip() for a in (args.algos or "").split(",") if a.strip()]
         if not algos:
             raise ConfigError("at least one algorithm is required (--algos)")
-        for a in algos:
-            if a not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {a!r}")
-        if cfg.n < 3:
-            raise ConfigError("resolution n must be >= 3")
+        outroot = _output_dir(cfg, f"bench_n{cfg.n}")
+        cells = [
+            replace(cfg, bc=bc, algorithm=algo, out=outroot) for bc in BENCH_BCS for algo in algos
+        ]
+        for cell in cells:
+            cell.validate()
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    outroot = _output_dir(cfg, f"bench_n{cfg.n}")
     os.makedirs(outroot, exist_ok=True)
-    payloads = []
-    for bc in BENCH_BCS:
-        for algo in algos:
-            p = asdict(cfg)
-            p.update(bc=bc, algorithm=algo, out=outroot)
-            payloads.append(p)
-
-    results = {}
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for res in pool.map(_bench_worker, payloads):
-                results[(res["bc"], res["algorithm"])] = res
-    else:
-        for p in payloads:
-            res = _bench_worker(p)
-            results[(res["bc"], res["algorithm"])] = res
+    payloads = [asdict(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        runs = (pool.map if pool else map)(_bench_worker, payloads)
+        results = {(res["bc"], res["algorithm"]): res for res in runs}
 
     summary_path = os.path.join(outroot, "summary.csv")
     any_failed = False
@@ -318,13 +306,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for algo in algos:
         entries = []
         for bc in BENCH_BCS:
-            res = results[(bc, algo)]
-            cs = ContourSet(delta=res.get("delta", 0.0))
-            if res["ok"]:
-                cs.polylines = {
-                    k: [np.asarray(p) for p in res["polylines"][k]] for k in (1, 2, 3)
-                }
-            entries.append((bc, cs))
+            entries.append((bc, results[(bc, algo)].get("contours", ContourSet(delta=0.0))))
         with open(os.path.join(outroot, f"{algo}_sheet.svg"), "w") as fh:
             fh.write(render_tiled_svg(entries, grid))
 
@@ -352,6 +334,8 @@ def cmd_project_selftest(args: argparse.Namespace) -> int:
 
 def cmd_contours(args: argparse.Namespace) -> int:
     try:
+        if args.delta is not None and not args.delta > 0.0:
+            raise ValueError("contour threshold delta must be positive")
         comps = [field_from_csv(os.path.join(args.fields_dir, f"u{k}.csv")) for k in (1, 2, 3)]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -359,8 +343,7 @@ def cmd_contours(args: argparse.Namespace) -> int:
     state = SystemState(*comps)
     delta = args.delta
     if delta is None:
-        top = max(float(np.max(np.abs(c.values))) for c in comps)
-        delta = 1e-3 * top if top > 0.0 else 1e-3
+        delta = _delta_of_bound(max(float(np.max(np.abs(c.values))) for c in comps))
     outdir = args.out or args.fields_dir
     os.makedirs(outdir, exist_ok=True)
     contours = extract_contours(state, delta)
@@ -386,7 +369,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default under $SEGSOLVE_OUT)")
     p.add_argument("--jobs", type=int, help="parallel runs for bench (default 1)")
     p.add_argument("--deterministic", action="store_true", help="byte-reproducible artifacts")
-    p.add_argument("--seed", type=int, help="seed for randomized checks")
     p.add_argument("--config", help="JSON config file (RunConfig keys, or a report.json)")
 
 

@@ -22,10 +22,13 @@ Four fixed-point sweeps are provided:
 A run starts all components from their harmonic extensions and continues a
 geometrically decreasing ladder of penalty parameters, warm-starting each
 stage from the previous.  The sweeps and the loop work on raw (3, ny, nx)
-stacks; the loop stops a stage on :func:`segsolve.grid.max_l2_step` and
-records one history dict per sweep, which is also the report's history.
-Each stage summary in the report's meta also holds its total CG iterations
-(`cg_iterations`) and its largest single solve (`cg_max`).
+stacks; all sweeps share one signature, and `run_penalty` picks the sweep
+and its damping once per run (Gauss-Seidel is damped only with
+`damp_gauss_seidel`).  The loop stops a stage on
+:func:`segsolve.grid.max_l2_step`; its history is a plain list of one dict
+per sweep, which is also the report's history.  Each stage summary holds the
+values of the stage's last sweep, its total CG iterations (`cg_iterations`)
+and its largest single solve (`cg_max`).
 
 CG starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998): the three
 Helmholtz answers change slowly from sweep to sweep, so from the fourth sweep
@@ -37,18 +40,19 @@ solutions v0, v1, v2 of the stage's last three sweeps,
 one rho for the whole stack (rho = 0 when v1 = v0).  On oscillating sweeps
 rho clips to 0 and the start is the last solution.  The first three sweeps
 of a stage, and the public single-sweep functions, start from the iterate
-u.  Only the start moves: every solve still runs to `inner_rel_tol` under
-the same stopping test, so its answer differs from a cold start's only
-within that tolerance, and the discrete maximum principle the solves obey
-holds as before.  The saving is CG iterations, about half on ex41 with
-picard.  Loosening the inner tolerance instead saves as much but gives up
-the maximum principle: iterates then go negative by far more than rounding.
+u.  Only the start moves: every solve still runs to the default CG
+tolerance of :class:`segsolve.linear_solver.SolverControls` under the same
+stopping test, so its answer differs from a cold start's only within that
+tolerance, and the discrete maximum principle the solves obey holds as
+before.  The saving is CG iterations, about half on ex41 with picard.
+Loosening the inner tolerance instead saves as much but gives up the maximum
+principle: iterates then go negative by far more than rounding.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,7 +69,6 @@ from .reporting import SolveReport
 
 __all__ = [
     "PenaltyConfig",
-    "PenaltyHistory",
     "SCHEMES",
     "picard_step",
     "gauss_seidel_step",
@@ -87,7 +90,6 @@ class PenaltyConfig:
     max_outer: int = 500
     scheme: str = "picard"
     damp_gauss_seidel: bool = False
-    inner_rel_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.epsilon_target <= self.epsilon_start:
@@ -109,32 +111,15 @@ class PenaltyConfig:
         return ladder
 
 
-@dataclass
-class PenaltyHistory:
-    """History of a run, one dict per sweep.
-
-    Keys: stage_epsilon, iter, scheme, energy, penalty_energy, step_norm,
-    cg_iters.  The run's report holds this same list as its history.
-    """
-
-    rows: list[dict] = field(default_factory=list)
-
-    def to_jsonl_rows(self) -> list[dict]:
-        return self.rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 def _solve(grid, w, eps, trace_k, x0, controls, load=None):
     problem = HelmholtzProblem(grid, w, eps, trace_k, load=load)
     fld, info = solve_helmholtz_with_info(problem, controls, x0=x0)
     return fld.values, info.iterations
 
 
-# Every sweep takes the (3, ny, nx) iterate u and a stack x0 of CG starts
-# (default u) and returns (new stack, its CG solutions before damping or
-# clipping, CG iteration counts).
+# Every sweep takes the (3, ny, nx) iterate u, the damping weight alpha and a
+# stack x0 of CG starts (default u) and returns (new stack, its CG solutions
+# before damping or clipping, CG iteration counts).
 
 
 def _picard_sweep(grid, u, tr, eps, alpha, controls, x0=None):
@@ -150,7 +135,7 @@ def _picard_sweep(grid, u, tr, eps, alpha, controls, x0=None):
     return out, v, tuple(iters)
 
 
-def _gauss_seidel_sweep(grid, u, tr, eps, controls, alpha=1.0, x0=None):
+def _sequential_solves(grid, u, tr, eps, alpha, controls, x0):
     x0 = u if x0 is None else x0
     v1, i1 = _solve(grid, (u[1] * u[2]) ** 2, eps, tr[0], x0[0], controls)
     w2 = u[2] ** 2 * (u[0] ** 2 + v1**2) / 2.0
@@ -162,9 +147,17 @@ def _gauss_seidel_sweep(grid, u, tr, eps, controls, alpha=1.0, x0=None):
     return out, v, (i1, i2, i3)
 
 
-def _semi_implicit_sweep(grid, u, tr, eps, controls, x0=None):
-    """The undamped Gauss-Seidel sweep: its symmetrized coefficients are the same numbers."""
-    return _gauss_seidel_sweep(grid, u, tr, eps, controls, x0=x0)
+def _gauss_seidel_sweep(grid, u, tr, eps, alpha, controls, x0=None):
+    return _sequential_solves(grid, u, tr, eps, alpha, controls, x0)
+
+
+def _semi_implicit_sweep(grid, u, tr, eps, alpha, controls, x0=None):
+    """The Gauss-Seidel sweep: its symmetrized coefficients are the same numbers.
+
+    A def of its own rather than an alias of `_gauss_seidel_sweep`, so that a
+    tracer wrapping each sweep name records one span per sweep.
+    """
+    return _sequential_solves(grid, u, tr, eps, alpha, controls, x0)
 
 
 def _phase_field_sweep(grid, u, tr, eps, alpha, controls, x0=None):
@@ -212,7 +205,7 @@ def picard_step(
 
 def gauss_seidel_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:
     out, _, _ = _gauss_seidel_sweep(
-        state.grid, state.stack(), trace.phi, epsilon, SolverControls()
+        state.grid, state.stack(), trace.phi, epsilon, 1.0, SolverControls()
     )
     return SystemState.from_stack(state.grid, out)
 
@@ -234,18 +227,21 @@ def run_penalty(
     cfg: PenaltyConfig,
     stages: list[float] | None = None,
     iterate_hook: Callable[[float, int, np.ndarray], None] | None = None,
-) -> tuple[SystemState, PenaltyHistory, SolveReport]:
+) -> tuple[SystemState, list[dict], SolveReport]:
     """Continuation run of the configured scheme over the epsilon ladder.
 
-    bc may be a BoundaryConfig, a builtin id, or an evaluated BoundaryTrace.
-    `stages` overrides the geometric ladder (used by the scaling study).
-    A non-convergent stage is recorded and its last iterate seeds the next
-    stage; inner solver failures propagate.
+    Returns (state, history rows, report), where the rows (keys
+    stage_epsilon, iter, scheme, energy, penalty_energy, step_norm,
+    cg_iters) are `report.history` itself.  bc may be a BoundaryConfig, a
+    builtin id, or an evaluated BoundaryTrace.  `stages` overrides the
+    geometric ladder (used by the scaling study).  A non-convergent stage is
+    recorded and its last iterate seeds the next stage; inner solver
+    failures propagate.
     """
     t0 = time.perf_counter()
     trace = resolve_trace(bc, grid)
     tr = trace.phi
-    controls = SolverControls(rel_tol=cfg.inner_rel_tol)
+    controls = SolverControls()
 
     u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
 
@@ -253,39 +249,42 @@ def run_penalty(
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("epsilon ladder must be strictly decreasing")
 
+    # looked up per run, so that wrappers installed on the module names apply
+    sweep = {
+        "picard": _picard_sweep,
+        "gauss_seidel": _gauss_seidel_sweep,
+        "semi_implicit": _semi_implicit_sweep,
+        "phase_field": _phase_field_sweep,
+    }[cfg.scheme]
+    undamped = cfg.scheme == "semi_implicit" or (
+        cfg.scheme == "gauss_seidel" and not cfg.damp_gauss_seidel
+    )
+    alpha = 1.0 if undamped else cfg.alpha
+
     weights = node_weights(grid)
-    history = PenaltyHistory()
+    history = []
     stage_summaries = []
-    total_iters = 0
     for eps in ladder:
-        converged = False
-        iters_this_stage = 0
         cg_total = cg_max = 0
         solves = []  # CG solutions of this stage's last three sweeps
         for it in range(1, cfg.max_outer + 1):
             x0 = _secant_start(*solves) if len(solves) == 3 else None
-            if cfg.scheme == "picard":
-                new, v, cg = _picard_sweep(grid, u, tr, eps, cfg.alpha, controls, x0)
-            elif cfg.scheme == "gauss_seidel":
-                gs_alpha = cfg.alpha if cfg.damp_gauss_seidel else 1.0
-                new, v, cg = _gauss_seidel_sweep(grid, u, tr, eps, controls, gs_alpha, x0)
-            elif cfg.scheme == "semi_implicit":
-                new, v, cg = _semi_implicit_sweep(grid, u, tr, eps, controls, x0)
-            else:
-                new, v, cg = _phase_field_sweep(grid, u, tr, eps, cfg.alpha, controls, x0)
+            new, v, cg = sweep(grid, u, tr, eps, alpha, controls, x0)
             solves = solves[-2:] + [v]
             cg_total += sum(cg)
             cg_max = max(cg_max, *cg)
 
             sn = max_l2_step(weights, new, u)
             u = new
-            prod_l2 = l2_norm(grid, u[0] * u[1] * u[2])
-            history.rows.append(
+            prod = u[0] * u[1] * u[2]
+            prod_l2 = l2_norm(grid, prod)
+            energy = energy_of_stack(grid, u)
+            history.append(
                 {
                     "stage_epsilon": eps,
                     "iter": it,
                     "scheme": cfg.scheme,
-                    "energy": energy_of_stack(grid, u),
+                    "energy": energy,
                     "penalty_energy": prod_l2**2 / eps,
                     "step_norm": sn,
                     "cg_iters": list(cg),
@@ -293,36 +292,30 @@ def run_penalty(
             )
             if iterate_hook is not None:
                 iterate_hook(eps, it, u)
-            iters_this_stage = it
             if sn < cfg.outer_tol:
-                converged = True
                 break
-        total_iters += iters_this_stage
-        prod_l2 = l2_norm(grid, u[0] * u[1] * u[2])
         stage_summaries.append(
             {
                 "epsilon": eps,
-                "iterations": iters_this_stage,
-                "converged": converged,
+                "iterations": it,
+                "converged": sn < cfg.outer_tol,
                 "product_l2": prod_l2,
-                "energy": energy_of_stack(grid, u),
+                "energy": energy,
                 "cg_iterations": cg_total,
                 "cg_max": cg_max,
             }
         )
 
-    state = SystemState.from_stack(grid, u)
-    prod = u[0] * u[1] * u[2]
     report = SolveReport(
         algorithm=f"penalty-{cfg.scheme}",
         bc_id=trace.config_id,
         h=grid.hx,
-        iters=total_iters,
+        iters=len(history),
         converged=all(s["converged"] for s in stage_summaries),
-        final_energy=energy_of_stack(grid, u),
+        final_energy=energy,
         final_violation_max=float(np.max(np.abs(prod))),
         wall_time_seconds=time.perf_counter() - t0,
-        history=history.rows,
+        history=history,
         meta={"stages": stage_summaries, "epsilon_target": ladder[-1]},
     )
-    return state, history, report
+    return SystemState.from_stack(grid, u), history, report

@@ -80,6 +80,21 @@ class TestSolve:
         assert f.grid.nx == 15 and f.grid.ny == 15
         assert np.all(np.isfinite(f.values))
 
+    @pytest.mark.parametrize("delta", ["-1", "0"])
+    def test_nonpositive_delta_exits_1_before_solving(self, tmp_path, capsys, delta):
+        out = tmp_path / "run"
+        code = run_cli(
+            "solve", "--algo", "fista", "--bc", "bc4", "--n", "11",
+            "--delta", delta, "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_seed_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run_cli("solve", "--algo", "fista", "--seed", "1", "--out", str(tmp_path / "x"))
+
     def test_output_root_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEGSOLVE_OUT", str(tmp_path))
         code = run_cli("solve", "--algo", "fista", "--bc", "bc4", "--n", "11")
@@ -142,6 +157,22 @@ class TestConfigFile:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+    def test_old_report_with_seed_loads(self, tmp_path):
+        out1 = tmp_path / "a"
+        out2 = tmp_path / "b"
+        args = ["solve", "--algo", "pgd", "--bc", "bc4", "--n", "11", "--deterministic"]
+        assert run_cli(*args, "--out", str(out1)) == 0
+        # reports written before the seed was dropped echo it in their config
+        old = json.loads((out1 / "report.json").read_text())
+        assert "seed" not in old["config"]
+        old["config"]["seed"] = 7
+        old_path = tmp_path / "old_report.json"
+        old_path.write_text(json.dumps(old))
+        assert run_cli("solve", "--config", str(old_path), "--deterministic", "--out", str(out2)) == 0
+        for name in SOLVE_ARTIFACTS:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 class TestBench:
     def test_bench_fista_small(self, tmp_path):
         out = tmp_path / "bench"
@@ -182,6 +213,14 @@ class TestBench:
         assert (seq / "summary.csv").read_text() == (par / "summary.csv").read_text()
         assert (seq / "fista_sheet.svg").read_bytes() == (par / "fista_sheet.svg").read_bytes()
 
+    @pytest.mark.parametrize("delta", ["-1", "0"])
+    def test_nonpositive_delta_exits_1_before_solving(self, tmp_path, capsys, delta):
+        out = tmp_path / "bench"
+        code = run_cli("bench", "--algos", "pgd", "--n", "9", "--delta", delta, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_empty_algorithm_list_exits_1(self, tmp_path):
         assert run_cli("bench", "--algos", "", "--out", str(tmp_path / "x")) == 1
 
@@ -203,6 +242,13 @@ class TestSelftestAndContours:
         assert code == 0
         assert (out2 / "contours.svg").exists()
         assert (out2 / "contours.csv").exists()
+
+    def test_contours_nonpositive_delta_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli("solve", "--algo", "fista", "--bc", "bc4", "--n", "9", "--out", str(out))
+        assert run_cli("contours", str(out), "--delta", "0", "--out", str(tmp_path / "re")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "re").exists()
 
     def test_contours_missing_fields_exits_1(self, tmp_path):
         assert run_cli("contours", str(tmp_path)) == 1

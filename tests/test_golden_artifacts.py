@@ -4,17 +4,19 @@ Six algorithms on ex41 and bc7 (`solve --n 21 --eps 1e-4 --deterministic`)
 and one tiled PGD bench sweep (`bench --algos pgd --n 11`) run in-process;
 every file they write must hash to the value in `golden_artifacts.json`,
 and every run must end with the recorded exit code.  A refactor keeps the
-hashes.  An intended numeric change replaces the entries, with the reason
-in CHANGES.md: the failure message lists each differing path with its new
-hash, and
+hashes.  An intended change of artifact bytes replaces the entries, with the
+reason in CHANGES.md: the failure message lists each differing path with
+its new hash, and
 
-    PYTHONPATH=src python3 tests/test_golden_artifacts.py PREFIX [PREFIX ...]
+    PYTHONPATH=src python3 tests/test_golden_artifacts.py PATTERN [PATTERN ...]
 
 reruns the CLI and rewrites the exit codes and hashes of the runs and paths
-that start with a PREFIX (say `solve/penalty-`).  It writes nothing, and
-exits 1, if any other entry differs.
+that match a shell-style PATTERN (`fnmatch`; say `'*/report.json'` or
+`'solve/penalty-*'`).  It writes nothing, and exits 1, if any other entry
+differs.
 """
 
+import fnmatch
 import hashlib
 import json
 import sys
@@ -84,15 +86,33 @@ def test_every_artifact_hash(produced, golden):
     )
 
 
-def replace_entries(prefixes: list[str]) -> int:
-    """Rewrite the golden entries under `prefixes`; refuse if any other entry differs."""
+def _unmatched(keys: list[str], patterns: list[str]) -> list[str]:
+    """The keys that match none of the shell-style patterns."""
+    return [key for key in keys if not any(fnmatch.fnmatchcase(key, pat) for pat in patterns)]
+
+
+def test_patterns_select_runs_and_paths(golden):
+    keys = list(golden["exit_codes"]) + list(golden["sha256"])
+    reports = set(keys) - set(_unmatched(keys, ["*/report.json"]))
+    assert len(reports) == 21  # 12 solve runs and 9 bench cells
+    assert all(key.endswith("/report.json") for key in reports)
+    picard = set(keys) - set(_unmatched(keys, ["solve/penalty-picard_*"]))
+    assert picard == {"solve/penalty-picard_ex41", "solve/penalty-picard_bc7"} | {
+        f"solve/penalty-picard_{bc}/{name}" for bc in SOLVE_BCS for name in (
+            "u1.csv", "u2.csv", "u3.csv", "report.json", "history.jsonl", "contours.svg", "contours.csv"
+        )
+    }
+
+
+def replace_entries(patterns: list[str]) -> int:
+    """Rewrite the golden entries matching `patterns`; refuse if any other entry differs."""
     golden = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         codes, hashes = produce(Path(tmp))
     differing = _differing(codes, golden["exit_codes"]) + _differing(hashes, golden["sha256"])
-    outside = [key for key in differing if not key.startswith(tuple(prefixes))]
+    outside = _unmatched(differing, patterns)
     if outside:
-        print("not written; entries outside the prefixes differ:", *outside, sep="\n  ")
+        print("not written; entries matching no pattern differ:", *outside, sep="\n  ")
         return 1
     GOLDEN.write_text(json.dumps({"exit_codes": codes, "sha256": hashes}, indent=1) + "\n")
     print(f"replaced {len(differing)} entries (runs and paths):", *differing, sep="\n  ")

@@ -1,5 +1,7 @@
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +208,7 @@ class TestSemiImplicitStep:
         runs = {}
         for scheme in ("gauss_seidel", "semi_implicit"):
             state, history, _ = run_penalty(g, bc_id, PenaltyConfig(1e-4, scheme=scheme))
-            rows = [{k: v for k, v in r.items() if k != "scheme"} for r in history.to_jsonl_rows()]
+            rows = [{k: v for k, v in r.items() if k != "scheme"} for r in history]
             runs[scheme] = (state.stack(), rows)
         gs, semi = runs["gauss_seidel"], runs["semi_implicit"]
         assert np.array_equal(gs[0], semi[0])
@@ -306,7 +308,7 @@ class TestRunPenalty:
         cfg = PenaltyConfig(epsilon_target=1e-3, scheme="picard")
         _, h1, _ = run_penalty(g, "bc4", cfg)
         _, h2, _ = run_penalty(g, "bc4", cfg)
-        assert h1.to_jsonl_rows() == h2.to_jsonl_rows()
+        assert h1 == h2
 
     def test_explicit_stage_ladder(self):
         g = build_grid(11, 11, SQUARE)
@@ -320,7 +322,7 @@ class TestRunPenalty:
         g = build_grid(9, 9, SQUARE)
         cfg = PenaltyConfig(epsilon_target=1e-2, scheme="semi_implicit")
         _, history, _ = run_penalty(g, "bc4", cfg)
-        row = history.to_jsonl_rows()[0]
+        row = history[0]
         assert set(row) == {
             "stage_epsilon", "iter", "scheme", "energy",
             "penalty_energy", "step_norm", "cg_iters",
@@ -331,7 +333,7 @@ class TestRunPenalty:
     def test_report_history_is_the_history_rows(self):
         g = build_grid(9, 9, SQUARE)
         _, history, report = run_penalty(g, "bc4", PenaltyConfig(epsilon_target=1e-3))
-        assert report.history is history.to_jsonl_rows()
+        assert report.history is history
         assert len(history) == report.iters
 
     def test_ex41_segregation_pattern_by_region_means(self):
@@ -375,7 +377,7 @@ def cold_start_run(grid, bc_id, cfg):
     Returns (final stack, sweeps per stage, total CG iterations).
     """
     tr = evaluate_bc(builtin_config(bc_id), grid).phi
-    controls = SolverControls(rel_tol=cfg.inner_rel_tol)
+    controls = SolverControls()
     u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
     weights = node_weights(grid)
     sweeps, cg_total = [], 0
@@ -384,7 +386,7 @@ def cold_start_run(grid, bc_id, cfg):
             if cfg.scheme == "picard":
                 new, _, cg = _picard_sweep(grid, u, tr, eps, cfg.alpha, controls)
             else:
-                new, _, cg = _gauss_seidel_sweep(grid, u, tr, eps, controls)
+                new, _, cg = _gauss_seidel_sweep(grid, u, tr, eps, 1.0, controls)
             cg_total += sum(cg)
             step, u = max_l2_step(weights, new, u), new
             if step < cfg.outer_tol:
@@ -409,13 +411,13 @@ class TestSecantStart:
         cfg = PenaltyConfig(1e-4)
         _, _, cold_cg = cold_start_run(g, "ex41", cfg)
         _, history, _ = run_penalty(g, "ex41", cfg)
-        assert sum(sum(r["cg_iters"]) for r in history.rows) <= 0.6 * cold_cg
+        assert sum(sum(r["cg_iters"]) for r in history) <= 0.6 * cold_cg
 
     def test_stage_cg_totals_and_maxima(self):
         g = build_grid(15, 15, SQUARE)
         _, history, report = run_penalty(g, "bc4", PenaltyConfig(1e-3))
         for stage in report.meta["stages"]:
-            cg = [c for r in history.rows if r["stage_epsilon"] == stage["epsilon"] for c in r["cg_iters"]]
+            cg = [c for r in history if r["stage_epsilon"] == stage["epsilon"] for c in r["cg_iters"]]
             assert stage["cg_iterations"] == sum(cg)
             assert stage["cg_max"] == max(cg)
 
@@ -446,6 +448,53 @@ class TestSecantStart:
             for threads in ("1", "2")
         }
         assert out["1"] and out["1"] == out["2"]
+
+
+# Runs in a child process: bench/tracing.py wraps the module functions of
+# segsolve in place.  Prints, per scheme, the outer iterations of the report,
+# the penalty.sweep spans, those of them nested in another penalty.sweep
+# span, and the linear_solver.solve spans.
+TRACED_RUNS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from segsolve import penalty
+from segsolve.grid import build_grid
+
+rec = tracing.Recorder(sys.argv[2])
+tracing.install(rec)
+grid = build_grid(11, 11, (-1.0, 1.0, -1.0, 1.0))
+out = {}
+for scheme in penalty.SCHEMES:
+    start = len(rec.names)
+    cfg = penalty.PenaltyConfig(1e-3, scheme=scheme)
+    _, _, report = penalty.run_penalty(grid, "ex41", cfg, stages=[1e-2, 1e-3])
+    spans = range(start, len(rec.names))
+    sweeps = [k for k in spans if rec.names[k] == "penalty.sweep"]
+    out[scheme] = {
+        "iters": report.iters,
+        "sweeps": len(sweeps),
+        "nested": sum(rec.parents[k] >= 0 and rec.names[rec.parents[k]] == "penalty.sweep"
+                      for k in sweeps),
+        "solves": sum(rec.names[k] == "linear_solver.solve" for k in spans),
+    }
+print(json.dumps(out))
+"""
+
+
+def test_tracer_records_one_span_per_sweep(tmp_path, child_env):
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    res = subprocess.run(
+        [sys.executable, "-c", TRACED_RUNS, str(bench), str(tmp_path)],
+        env=child_env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    counts = json.loads(res.stdout)
+    assert sorted(counts) == sorted(("picard", "gauss_seidel", "semi_implicit", "phase_field"))
+    for scheme, c in counts.items():
+        assert c["sweeps"] == c["iters"] > 0, scheme
+        assert c["nested"] == 0, scheme
+        assert c["solves"] == 3 * c["sweeps"] + 3, scheme  # three harmonic extensions first
 
 
 class TestConfigValidation:
