@@ -57,6 +57,19 @@ vectors half as long.
     them the projected-gradient trajectories that start from them, do not
     move: those trajectories amplify last-bit changes of the initial state.
 
+The set-up of the red-black solve that does not depend on the interior
+weight lives in a plan (`_RedBlackPlan`), built once per run for each
+component trace and passed to every penalized solve of that component.  It
+holds the ring mask, the maps from the padded layout's red and black halves
+to flat grid indices, the CG buffers and the operator's views into them, and
+the trace-side right-hand side with its halves.  That right-hand side is -A
+applied to the ring-only field: the field is zero at interior nodes, so the
+weighted diagonal multiplies zeros and only the neighbour couplings remain.
+A solve then forms only its diagonal, Jacobi inverse, scale, load part and
+initial residual.  A penalized solve without a plan builds a one-off plan,
+so there is one red-black path; its bits are those of the set-up done per
+solve.
+
 A dense factorization of the reduced interior system, assembled separately
 from the interior right-hand side, is an independent oracle for small grids.
 """
@@ -209,106 +222,49 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget):
     return iters, res, history
 
 
-def _red_black_solve(shape, diag, dinv, b, x, q, scale, rel_tol, budget):
-    """Solve on the red-black reduced system; writes the interior of x.
+def _minus_trace_coupling(grid: Grid, trace_only: np.ndarray) -> np.ndarray:
+    """-A times the ring-only field, times hx^2, on the flat full grid.
 
-    diag, dinv and b are the flat full-grid diagonal, Jacobi inverse and
-    right-hand side (system times hx^2, y-neighbour coefficient q); the
-    interior of x is the start.  Returns what _jacobi_pcg returns.
+    At interior nodes this is the boundary coupling of the right-hand side.
+    The diagonal term multiplies the zero interior of trace_only, so the
+    result does not depend on the interior weight; ring nodes get finite junk
+    that the zero Jacobi inverse on the ring discards.
     """
-    ny, nx = shape
-    w = nx + 1 - nx % 2  # odd row width
-    h = w // 2
-    # dinv, diag, b and the interior start on the padded layout, split into
-    # their red (even flat index) and black (odd) halves
-    padded = np.zeros((4, ny, w))
-    for row, a in zip(padded, (dinv, diag, b)):
-        row[:, :nx] = a.reshape(ny, nx)
-    padded[3, 1:-1, 1 : nx - 1] = x.reshape(ny, nx)[1:-1, 1:-1]
-    flat = padded.reshape(4, -1)
-    (dinv_r, _, b_r, _), (dinv_b, diag_b, b_b, x_b) = flat[:, 0::2].copy(), flat[:, 1::2].copy()
-    nr, nb = dinv_r.size, dinv_b.size
-
-    pair = np.zeros((2, nb))  # (v, -S v) on black nodes
-    xr = np.empty((2, nb))
-    v, minus_sv = pair
-    t = np.zeros(nr)  # red nodes: D_r^-1 N v, or the red unknowns after back_substitute
-    # spans holding every interior node of one colour, all four neighbours in range
-    lo, hi = h + 1, nb - h
-    red_x, red_y = (v[lo - 1 : hi - 1], v[lo:hi]), (v[lo - h - 1 : hi - h - 1], v[lo + h : hi + h])
-    t_span, dr, tmp_r = t[lo:hi], dinv_r[lo:hi], np.empty(hi - lo)
-    lo, hi = h, nr - h - 1
-    black_x, black_y = (t[lo:hi], t[lo + 1 : hi + 1]), (t[lo - h : hi - h], t[lo + h + 1 : hi + h + 1])
-    out, centre, db, tmp_b = minus_sv[lo:hi], v[lo:hi], diag_b[lo:hi], np.empty(hi - lo)
-
-    def to_red() -> None:
-        """t <- D_r^-1 N v: zero on the red ring."""
-        np.add(*red_x, out=t_span)
-        np.add(*red_y, out=tmp_r)
-        np.multiply(tmp_r, q, out=tmp_r)
-        np.add(t_span, tmp_r, out=t_span)
-        np.multiply(t_span, dr, out=t_span)
-
-    def to_black() -> None:
-        """minus_sv <- N^T t - D_b v: exact at interior nodes, finite junk on the ring."""
-        np.add(*black_x, out=out)
-        np.add(*black_y, out=tmp_b)
-        np.multiply(tmp_b, q, out=tmp_b)
-        np.add(out, tmp_b, out=out)
-        np.multiply(db, centre, out=tmp_b)
-        np.subtract(out, tmp_b, out=out)
-
-    def negative_schur() -> None:
-        to_red()
-        to_black()
-
-    c_r = b_r * dinv_r
-
-    def back_substitute() -> None:
-        """t <- D_r^-1 (b_r + N v): the red unknowns that zero the red residual."""
-        to_red()
-        np.add(t, c_r, out=t)
-
-    xr[0] = x_b
-    v[:] = x_b
-    back_substitute()
-    to_black()
-    np.add(b_b, minus_sv, out=xr[1])  # residual of the full system at black nodes
-    result = _jacobi_pcg(pair, xr, dinv_b, negative_schur, scale, rel_tol, budget)
-
-    v[:] = xr[0]
-    back_substitute()
-    solution = np.empty((ny, w))
-    solution.reshape(-1)[0::2] = t
-    solution.reshape(-1)[1::2] = xr[0]
-    x.reshape(ny, nx)[1:-1, 1:-1] = solution[1:-1, 1 : nx - 1]
-    return result
+    nx, size = grid.nx, grid.ny * grid.nx
+    q = grid.hx**2 / grid.hy**2
+    lo, hi = nx + 1, size - nx - 1  # interior nodes lie in [lo, hi), their neighbours in the array
+    c = trace_only
+    minus = np.zeros(size)
+    out = minus[lo:hi]
+    np.add(c[lo - nx : hi - nx], c[lo + nx : hi + nx], out=out)
+    np.multiply(out, q, out=out)
+    t = c[lo - 1 : hi - 1] + c[lo + 1 : hi + 1]
+    np.add(out, t, out=out)
+    np.multiply(2.0 + 2.0 * q, c[lo:hi], out=t)
+    np.subtract(out, t, out=out)
+    return minus
 
 
-def solve_helmholtz_with_info(
-    p: HelmholtzProblem,
-    controls: SolverControls | None = None,
-    x0: np.ndarray | ScalarField | None = None,
-) -> tuple[ScalarField, SolveInfo]:
-    """Preconditioned CG solve; returns the field and convergence info.
+def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
+    """Jacobi-PCG on the flat full grid, for zero interior weight.
 
-    The stopping test is on the diagonally preconditioned residual norm
-    relative to the preconditioned right-hand side.  x0 (full-shape array or
-    field) warm-starts the iteration; only its interior values are used.
-    Penalized problems are solved on the red-black reduced system, harmonic
-    extensions on the full grid (module docstring).
+    x0 is a flat start or None.  Returns (x, iterations, final relative
+    residual, residual history), x the flat solution field.
     """
-    controls = controls or SolverControls()
     g = p.grid
     nx, size = g.nx, g.ny * g.nx
     hx2 = g.hx**2
     q = hx2 / g.hy**2
+    d = 2.0 + 2.0 * q  # the diagonal: the interior weight is zero
     ring = g.boundary_mask().reshape(-1)
-    # the system times hx^2: x-neighbour coefficient 1, y-neighbour coefficient q
-    diag = 2.0 + 2.0 * q + np.where(ring, 0.0, p.weight.reshape(-1)) * (hx2 / p.epsilon)
-    dinv = np.where(ring, 0.0, 1.0 / diag)
-    load = 0.0 if p.load is None else np.where(ring, 0.0, p.load.reshape(-1) * hx2)
+    dinv = np.where(ring, 0.0, 1.0 / d)
     trace_only = np.where(ring, p.trace.reshape(-1), 0.0)
+    load = 0.0 if p.load is None else np.where(ring, 0.0, p.load.reshape(-1) * hx2)
+    b = load + _minus_trace_coupling(g, trace_only)
+    bz = float(b.dot(b * dinv))
+    if bz == 0.0:
+        # zero data: unique solution is zero (coefficient is nonnegative)
+        return trace_only, 0, 0.0, [0.0]
 
     # pair holds the operand v (the search direction p in the loop) and -A v;
     # xr holds x and r.  Both CG updates are then one pass: xr += alpha * pair.
@@ -316,10 +272,10 @@ def solve_helmholtz_with_info(
     xr = np.empty((2, size))
     v, minus_ap = pair
     x, r = xr
-    lo, hi = nx + 1, size - nx - 1  # interior nodes lie in [lo, hi), their neighbours in the array
+    lo, hi = nx + 1, size - nx - 1
     centre, left, right = v[lo:hi], v[lo - 1 : hi - 1], v[lo + 1 : hi + 1]
     down, up = v[lo - nx : hi - nx], v[lo + nx : hi + nx]
-    d, out = diag[lo:hi], minus_ap[lo:hi]
+    out = minus_ap[lo:hi]
     t = np.empty(hi - lo)
 
     def negative_apply() -> None:
@@ -331,31 +287,180 @@ def solve_helmholtz_with_info(
         np.multiply(d, centre, out=t)
         np.subtract(out, t, out=out)
 
-    # interior right-hand side: load plus the coupling to the boundary ring
-    v[:] = trace_only
+    x[:] = trace_only if x0 is None else np.where(ring, trace_only, x0)
+    v[:] = x
     negative_apply()
-    b = load + minus_ap
-    bz = float(b.dot(b * dinv))
-    if bz == 0.0:
-        # zero data: unique solution is zero (coefficient is nonnegative)
-        return ScalarField(g, trace_only.reshape(g.shape)), SolveInfo(0, 0.0, True, [0.0])
+    np.add(load, minus_ap, out=r)
+    iters, res, history = _jacobi_pcg(pair, xr, dinv, negative_apply, math.sqrt(bz), rel_tol, budget)
+    return x, iters, res, history
 
-    if x0 is None:
-        x[:] = trace_only
-    else:
-        x0v = x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=float)
-        x[:] = np.where(ring, trace_only, x0v.reshape(-1))
-    scale = math.sqrt(bz)
-    budget = controls.budget(g)
-    if np.any(p.weight[1:-1, 1:-1] != 0.0):
-        iters, res, history = _red_black_solve(
-            g.shape, diag, dinv, b, x, q, scale, controls.rel_tol, budget
+
+class _RedBlackPlan:
+    """The set-up of red-black solves on one grid with one boundary trace.
+
+    Built once per run for each component trace and passed to every penalized
+    solve of that component (module docstring).  It holds the ring mask, the
+    maps from the red and black halves of the padded layout to flat grid
+    indices, the CG buffers with the operator's views into them, and the
+    trace-side right-hand side with its halves.  A solve forms only its
+    diagonal, Jacobi inverse, scale, load part and initial residual.
+    """
+
+    def __init__(self, grid: Grid, trace: np.ndarray):
+        ny, nx = grid.shape
+        size = ny * nx
+        w = nx + 1 - nx % 2  # odd row width
+        h = w // 2
+        self.grid = grid
+        self.hx2 = grid.hx**2
+        self.q = q = self.hx2 / grid.hy**2
+        self.ring = ring = grid.boundary_mask().reshape(-1)
+        self.trace_only = np.where(ring, np.asarray(trace, dtype=float).reshape(-1), 0.0)
+        self.minus_trace = _minus_trace_coupling(grid, self.trace_only)
+        # padded flat position -> flat grid index; the padding column, and
+        # for the start every ring node, map to index `size`, a zero slot
+        jj, ii = np.divmod(np.arange(ny * w), w)
+        to_grid = np.where(ii < nx, jj * nx + ii, size)
+        self.red, self.black = to_grid[0::2], to_grid[1::2]
+        inner = (jj > 0) & (jj < ny - 1) & (ii > 0) & (ii < nx - 1)
+        self.black_inner = np.where(inner, to_grid, size)[1::2]
+        self.staged = np.zeros((3, size + 1))  # dinv, diag, b on grid indices, then the zero slot
+        self.x_staged = np.zeros(size + 1)
+        nr, nb = self.red.size, self.black.size
+        self.rows_r, self.rows_b = np.zeros((3, nr)), np.zeros((3, nb))  # halves of staged
+        self.b_trace = 0.0 + self.minus_trace  # the right-hand side without load
+        b_ext = np.append(self.b_trace, 0.0)
+        self.b_trace_r, self.b_trace_b = b_ext[self.red], b_ext[self.black]
+        self.c_r = np.zeros(nr)
+        self.solution = np.empty((ny, w))
+
+        self.pair = pair = np.zeros((2, nb))  # (v, -S v) on black nodes
+        self.xr = np.empty((2, nb))  # (x, r) on black nodes
+        v, minus_sv = pair
+        # red nodes: D_r^-1 N v, or the red unknowns after back_substitute
+        self.t = t = np.zeros(nr)
+        c_r = self.c_r
+        # spans holding every interior node of one colour, all four neighbours in range
+        lo, hi = h + 1, nb - h
+        red_x, red_y = (v[lo - 1 : hi - 1], v[lo:hi]), (v[lo - h - 1 : hi - h - 1], v[lo + h : hi + h])
+        t_span, dr, tmp_r = t[lo:hi], self.rows_r[0, lo:hi], np.empty(hi - lo)
+        lo, hi = h, nr - h - 1
+        black_x, black_y = (t[lo:hi], t[lo + 1 : hi + 1]), (t[lo - h : hi - h], t[lo + h + 1 : hi + h + 1])
+        out, centre, db, tmp_b = minus_sv[lo:hi], v[lo:hi], self.rows_b[1, lo:hi], np.empty(hi - lo)
+
+        def to_red() -> None:
+            """t <- D_r^-1 N v: zero on the red ring."""
+            np.add(*red_x, out=t_span)
+            np.add(*red_y, out=tmp_r)
+            np.multiply(tmp_r, q, out=tmp_r)
+            np.add(t_span, tmp_r, out=t_span)
+            np.multiply(t_span, dr, out=t_span)
+
+        def to_black() -> None:
+            """minus_sv <- N^T t - D_b v: exact at interior nodes, finite junk on the ring."""
+            np.add(*black_x, out=out)
+            np.add(*black_y, out=tmp_b)
+            np.multiply(tmp_b, q, out=tmp_b)
+            np.add(out, tmp_b, out=out)
+            np.multiply(db, centre, out=tmp_b)
+            np.subtract(out, tmp_b, out=out)
+
+        def negative_schur() -> None:
+            to_red()
+            to_black()
+
+        def back_substitute() -> None:
+            """t <- D_r^-1 (b_r + N v): the red unknowns that zero the red residual."""
+            to_red()
+            np.add(t, c_r, out=t)
+
+        self.to_black, self.negative_schur, self.back_substitute = to_black, negative_schur, back_substitute
+
+    def check(self, p: HelmholtzProblem) -> None:
+        if p.grid != self.grid or not np.array_equal(p.trace.reshape(-1)[self.ring], self.trace_only[self.ring]):
+            raise ValueError("red-black plan was built for another grid or boundary trace")
+
+    def solve(self, p: HelmholtzProblem, x0, rel_tol, budget):
+        """Solve p on the red-black reduced system; x0 is a flat start or None.
+
+        Returns (x, iterations, final relative residual, residual history),
+        x a new flat solution field.
+        """
+        staged, rows_r, rows_b = self.staged, self.rows_r, self.rows_b
+        dinv, diag, b = staged[0, :-1], staged[1, :-1], staged[2, :-1]
+        # the system times hx^2: x-neighbour coefficient 1, y-neighbour coefficient q
+        np.multiply(np.where(self.ring, 0.0, p.weight.reshape(-1)), self.hx2 / p.epsilon, out=diag)
+        np.add(2.0 + 2.0 * self.q, diag, out=diag)
+        np.divide(1.0, diag, out=dinv)
+        np.copyto(dinv, 0.0, where=self.ring)
+        if p.load is not None:
+            np.add(np.where(self.ring, 0.0, p.load.reshape(-1) * self.hx2), self.minus_trace, out=b)
+        np.take(staged, self.red, axis=1, out=rows_r, mode="clip")
+        np.take(staged, self.black, axis=1, out=rows_b, mode="clip")
+        if p.load is None:
+            b, b_r, b_b = self.b_trace, self.b_trace_r, self.b_trace_b
+        else:
+            b_r, b_b = rows_r[2], rows_b[2]
+        bz = float(b.dot(b * dinv))
+        if bz == 0.0:
+            # zero data: unique solution is zero (coefficient is nonnegative)
+            return self.trace_only.copy(), 0, 0.0, [0.0]
+
+        np.multiply(b_r, rows_r[0], out=self.c_r)
+        v, minus_sv = self.pair
+        x_b, r = self.xr
+        if x0 is None:
+            x_b.fill(0.0)
+        else:
+            self.x_staged[:-1] = x0
+            np.take(self.x_staged, self.black_inner, out=x_b, mode="clip")
+        v[:] = x_b
+        self.back_substitute()
+        self.to_black()
+        np.add(b_b, minus_sv, out=r)  # residual of the full system at black nodes
+        result = _jacobi_pcg(
+            self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), rel_tol, budget
         )
+
+        v[:] = x_b
+        self.back_substitute()
+        ny, nx = self.grid.shape
+        flat = self.solution.reshape(-1)
+        flat[0::2] = self.t
+        flat[1::2] = x_b
+        x = self.trace_only.copy()
+        x.reshape(ny, nx)[1:-1, 1:-1] = self.solution[1:-1, 1 : nx - 1]
+        return (x, *result)
+
+
+def solve_helmholtz_with_info(
+    p: HelmholtzProblem,
+    controls: SolverControls | None = None,
+    x0: np.ndarray | ScalarField | None = None,
+    *,
+    plan: _RedBlackPlan | None = None,
+) -> tuple[ScalarField, SolveInfo]:
+    """Preconditioned CG solve; returns the field and convergence info.
+
+    The stopping test is on the diagonally preconditioned residual norm
+    relative to the preconditioned right-hand side.  x0 (full-shape array or
+    field) warm-starts the iteration; only its interior values are used.
+    Penalized problems are solved on the red-black reduced system through
+    `plan`, a `_RedBlackPlan` of p's grid and trace (a one-off plan if None);
+    harmonic extensions on the full grid (module docstring).
+    """
+    controls = controls or SolverControls()
+    if x0 is not None:
+        x0 = (x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=float)).reshape(-1)
+    budget = controls.budget(p.grid)
+    if np.any(p.weight[1:-1, 1:-1] != 0.0):
+        if plan is None:
+            plan = _RedBlackPlan(p.grid, p.trace)
+        else:
+            plan.check(p)
+        x, iters, res, history = plan.solve(p, x0, controls.rel_tol, budget)
     else:
-        v[:] = x
-        negative_apply()
-        np.add(load, minus_ap, out=r)
-        iters, res, history = _jacobi_pcg(pair, xr, dinv, negative_apply, scale, controls.rel_tol, budget)
+        x, iters, res, history = _full_grid_solve(p, x0, controls.rel_tol, budget)
 
     info = SolveInfo(iters, res, res <= controls.rel_tol, history)
     if not info.converged:
@@ -365,7 +470,7 @@ def solve_helmholtz_with_info(
             iterations=iters,
             rel_residual=res,
         )
-    return ScalarField(g, x.reshape(g.shape)), info
+    return ScalarField(p.grid, x.reshape(p.grid.shape)), info
 
 
 def solve_helmholtz(

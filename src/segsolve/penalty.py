@@ -62,6 +62,7 @@ from .grid import Grid, SystemState, energy_of_stack, l2_norm, max_l2_step, node
 from .linear_solver import (
     HelmholtzProblem,
     SolverControls,
+    _RedBlackPlan,
     harmonic_extension,
     solve_helmholtz_with_info,
 )
@@ -111,9 +112,9 @@ class PenaltyConfig:
         return ladder
 
 
-def _solve(grid, w, eps, trace_k, x0, controls, load=None):
+def _solve(grid, w, eps, trace_k, x0, controls, plan, load=None):
     problem = HelmholtzProblem(grid, w, eps, trace_k, load=load)
-    fld, info = solve_helmholtz_with_info(problem, controls, x0=x0)
+    fld, info = solve_helmholtz_with_info(problem, controls, x0=x0, plan=plan)
     return fld.values, info.iterations
 
 
@@ -122,45 +123,45 @@ def _solve(grid, w, eps, trace_k, x0, controls, load=None):
 # before damping or clipping, CG iteration counts).
 
 
-def _picard_sweep(grid, u, tr, eps, alpha, controls, x0=None):
+def _picard_sweep(grid, u, tr, eps, alpha, controls, x0=None, plans=(None,) * 3):
     x0 = u if x0 is None else x0
     weights = ((u[1] * u[2]) ** 2, (u[0] * u[2]) ** 2, (u[0] * u[1]) ** 2)
     out = np.empty_like(u)
     v = np.empty_like(u)
     iters = []
     for k in range(3):
-        v[k], it = _solve(grid, weights[k], eps, tr[k], x0[k], controls)
+        v[k], it = _solve(grid, weights[k], eps, tr[k], x0[k], controls, plans[k])
         out[k] = alpha * v[k] + (1.0 - alpha) * u[k]
         iters.append(it)
     return out, v, tuple(iters)
 
 
-def _sequential_solves(grid, u, tr, eps, alpha, controls, x0):
+def _sequential_solves(grid, u, tr, eps, alpha, controls, x0, plans):
     x0 = u if x0 is None else x0
-    v1, i1 = _solve(grid, (u[1] * u[2]) ** 2, eps, tr[0], x0[0], controls)
+    v1, i1 = _solve(grid, (u[1] * u[2]) ** 2, eps, tr[0], x0[0], controls, plans[0])
     w2 = u[2] ** 2 * (u[0] ** 2 + v1**2) / 2.0
-    v2, i2 = _solve(grid, w2, eps, tr[1], x0[1], controls)
+    v2, i2 = _solve(grid, w2, eps, tr[1], x0[1], controls, plans[1])
     w3 = ((u[0] * u[1]) ** 2 + (v1 * v2) ** 2) / 2.0
-    v3, i3 = _solve(grid, w3, eps, tr[2], x0[2], controls)
+    v3, i3 = _solve(grid, w3, eps, tr[2], x0[2], controls, plans[2])
     v = np.stack([v1, v2, v3])
     out = v if alpha == 1.0 else alpha * v + (1.0 - alpha) * u
     return out, v, (i1, i2, i3)
 
 
-def _gauss_seidel_sweep(grid, u, tr, eps, alpha, controls, x0=None):
-    return _sequential_solves(grid, u, tr, eps, alpha, controls, x0)
+def _gauss_seidel_sweep(grid, u, tr, eps, alpha, controls, x0=None, plans=(None,) * 3):
+    return _sequential_solves(grid, u, tr, eps, alpha, controls, x0, plans)
 
 
-def _semi_implicit_sweep(grid, u, tr, eps, alpha, controls, x0=None):
+def _semi_implicit_sweep(grid, u, tr, eps, alpha, controls, x0=None, plans=(None,) * 3):
     """The Gauss-Seidel sweep: its symmetrized coefficients are the same numbers.
 
     A def of its own rather than an alias of `_gauss_seidel_sweep`, so that a
     tracer wrapping each sweep name records one span per sweep.
     """
-    return _sequential_solves(grid, u, tr, eps, alpha, controls, x0)
+    return _sequential_solves(grid, u, tr, eps, alpha, controls, x0, plans)
 
 
-def _phase_field_sweep(grid, u, tr, eps, alpha, controls, x0=None):
+def _phase_field_sweep(grid, u, tr, eps, alpha, controls, x0=None, plans=(None,) * 3):
     x0 = u if x0 is None else x0
     out = np.empty_like(u)
     v = np.empty_like(u)
@@ -169,7 +170,7 @@ def _phase_field_sweep(grid, u, tr, eps, alpha, controls, x0=None):
         others = [u[m] for m in range(3) if m != k]
         w = (others[0] * others[1]) ** 2
         load = -(w / (2.0 * eps)) * u[k]
-        v[k], it = _solve(grid, w / 2.0, eps, tr[k], x0[k], controls, load=load)
+        v[k], it = _solve(grid, w / 2.0, eps, tr[k], x0[k], controls, plans[k], load=load)
         out[k] = alpha * np.maximum(v[k], 0.0) + (1.0 - alpha) * u[k]
         iters.append(it)
     return out, v, tuple(iters)
@@ -244,6 +245,7 @@ def run_penalty(
     controls = SolverControls()
 
     u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
+    plans = [_RedBlackPlan(grid, tr[k]) for k in range(3)]
 
     ladder = list(stages) if stages is not None else cfg.stages()
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -269,7 +271,7 @@ def run_penalty(
         solves = []  # CG solutions of this stage's last three sweeps
         for it in range(1, cfg.max_outer + 1):
             x0 = _secant_start(*solves) if len(solves) == 3 else None
-            new, v, cg = sweep(grid, u, tr, eps, alpha, controls, x0)
+            new, v, cg = sweep(grid, u, tr, eps, alpha, controls, x0, plans)
             solves = solves[-2:] + [v]
             cg_total += sum(cg)
             cg_max = max(cg_max, *cg)

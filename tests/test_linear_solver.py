@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from segsolve.boundary import builtin_config, evaluate_bc
 from segsolve.grid import build_grid, l2_norm
 from segsolve.linear_solver import (
     HelmholtzProblem,
     LinearSolveError,
     SolverControls,
+    _RedBlackPlan,
     dense_interior_system,
     dense_oracle_solve,
     harmonic_extension,
@@ -360,3 +362,78 @@ class TestSolverBehavior:
         A, _ = dense_interior_system(p)
         assert np.array_equal(A, A.T)
         assert np.linalg.eigvalsh(A)[0] > 0.0
+
+
+def sweep_problems(grid, bc_id="ex41", seed=97):
+    """Penalized problems of one component as the penalty sweeps pose them.
+
+    Component 1 of bc_id's trace, with the Picard weight, a Gauss-Seidel
+    weight, and the phase-field weight and load, at two values of eps, around
+    a perturbed stack of harmonic extensions.  Returns (problems, iterate).
+    """
+    tr = evaluate_bc(builtin_config(bc_id), grid).phi
+    rng = np.random.default_rng(seed)
+    u = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
+    u[:, 1:-1, 1:-1] *= rng.uniform(0.8, 1.2, (3, grid.ny - 2, grid.nx - 2))
+    v1 = 0.9 * u[0]
+    picard = (u[1] * u[2]) ** 2
+    problems = []
+    for eps in (1e-2, 1e-4):
+        problems += [
+            HelmholtzProblem(grid, picard, eps, tr[0]),
+            HelmholtzProblem(grid, u[2] ** 2 * (u[0] ** 2 + v1**2) / 2.0, eps, tr[0]),
+            HelmholtzProblem(grid, picard / 2.0, eps, tr[0], load=-(picard / (2.0 * eps)) * u[0]),
+        ]
+    return problems, u
+
+
+class TestRedBlackPlan:
+    @pytest.mark.parametrize("start", [False, True])
+    def test_plan_solves_match_the_dense_oracle(self, start):
+        g = build_grid(21, 21, SQUARE)  # 361 interior nodes
+        problems, u = sweep_problems(g)
+        plan = _RedBlackPlan(g, problems[0].trace)
+        for p in problems:
+            fld, _ = solve_helmholtz_with_info(p, x0=u[0] if start else None, plan=plan)
+            # CG stops at a relative residual of 1e-10, the error may be a little larger
+            assert np.abs(fld.values - dense_oracle_solve(p).values).max() <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(21, 21), (12, 9), (9, 12)])
+    def test_reused_plan_gives_the_bits_of_a_fresh_one(self, shape):
+        ny, nx = shape
+        g = build_grid(nx, ny, SQUARE)  # hx != hy off the diagonal shape
+        problems, u = sweep_problems(g, "bc7")
+        shared = _RedBlackPlan(g, problems[0].trace)
+        for k, p in enumerate(problems * 2):
+            x0 = u[0] if k % 2 else None
+            fld, info = solve_helmholtz_with_info(p, x0=x0, plan=shared)
+            ref, ref_info = solve_helmholtz_with_info(p, x0=x0, plan=_RedBlackPlan(g, p.trace))
+            assert fld.values.tobytes() == ref.values.tobytes()
+            assert info.residual_norms == ref_info.residual_norms
+
+    def test_plan_of_another_trace_is_refused(self):
+        g = build_grid(11, 11, SQUARE)
+        problems, _ = sweep_problems(g)
+        p = problems[0]
+        plan = _RedBlackPlan(g, p.trace + 1.0)
+        with pytest.raises(ValueError, match="plan"):
+            solve_helmholtz_with_info(p, plan=plan)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_or_start_raises(self, value):
+        g = build_grid(11, 11, SQUARE)
+        problems, u = sweep_problems(g)
+        p = problems[0]
+        plan = _RedBlackPlan(g, p.trace)
+        weight = p.weight.copy()
+        weight[4, 5] = value
+        with pytest.raises(ValueError, match="finite"):
+            HelmholtzProblem(g, weight, p.epsilon, p.trace)
+        x0 = u[0].copy()
+        x0[4, 5] = value
+        with pytest.raises(LinearSolveError), np.errstate(invalid="ignore"):
+            solve_helmholtz_with_info(p, x0=x0, plan=plan)
+        # the plan is still good for the next solve
+        fld, _ = solve_helmholtz_with_info(p, plan=plan)
+        ref, _ = solve_helmholtz_with_info(p)
+        assert fld.values.tobytes() == ref.values.tobytes()
