@@ -138,13 +138,11 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _run_single(cfg: RunConfig):
-    """Run one (algorithm, bc) pair; returns (state, report, trace)."""
-    grid = build_grid(cfg.n, cfg.n, (-1.0, 1.0, -1.0, 1.0))
-    trace = _resolve_trace(cfg, grid)
+def _solver_config(cfg: RunConfig, grid) -> PenaltyConfig | PgdConfig | FistaConfig:
+    """The solver's own config, step sizes checked on grid; ValueError for values it rejects."""
     if cfg.algorithm in _PENALTY_SCHEMES:
         eps_start = cfg.eps_start if cfg.eps_start is not None else max(1e-2, cfg.eps)
-        pcfg = PenaltyConfig(
+        return PenaltyConfig(
             epsilon_target=cfg.eps,
             epsilon_start=eps_start,
             continuation_factor=cfg.eps_factor,
@@ -152,13 +150,26 @@ def _run_single(cfg: RunConfig):
             scheme=_PENALTY_SCHEMES[cfg.algorithm],
             **_given(outer_tol=cfg.tol, max_outer=cfg.max_iters),
         )
-        state, _, report = run_penalty(grid, trace, pcfg)
-    elif cfg.algorithm == "pgd":
+    if cfg.algorithm == "pgd":
         pgd_cfg = PgdConfig(**_given(alpha=cfg.alpha, tol=cfg.tol, max_iters=cfg.max_iters))
-        state, report = pgd_run(grid, trace, pgd_cfg)
+        pgd_cfg.resolve_alpha(grid)
+        return pgd_cfg
+    fista_cfg = FistaConfig(**_given(alpha0=cfg.alpha, tol=cfg.tol, max_iters=cfg.max_iters))
+    fista_cfg.resolve_alphas(grid)
+    return fista_cfg
+
+
+def _run_single(cfg: RunConfig):
+    """Run one (algorithm, bc) pair; returns (state, report, trace)."""
+    grid = build_grid(cfg.n, cfg.n, (-1.0, 1.0, -1.0, 1.0))
+    trace = _resolve_trace(cfg, grid)
+    solver_cfg = _solver_config(cfg, grid)
+    if cfg.algorithm in _PENALTY_SCHEMES:
+        state, _, report = run_penalty(grid, trace, solver_cfg)
+    elif cfg.algorithm == "pgd":
+        state, report = pgd_run(grid, trace, solver_cfg)
     else:
-        fista_cfg = FistaConfig(**_given(alpha0=cfg.alpha, tol=cfg.tol, max_iters=cfg.max_iters))
-        state, report = fista_run(grid, trace, fista_cfg)
+        state, report = fista_run(grid, trace, solver_cfg)
     report.bc_id = cfg.bc
     report.meta["n"] = cfg.n
     # machine-local fields stay out of the echo so identical runs into
@@ -273,7 +284,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ]
         for cell in cells:
             cell.validate()
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+            # the solver values, too, are checked before any cell runs
+            _solver_config(cell, build_grid(cell.n, cell.n, (-1.0, 1.0, -1.0, 1.0)))
+    except (ValueError, OSError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

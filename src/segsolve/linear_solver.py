@@ -70,6 +70,30 @@ initial residual.  A penalized solve without a plan builds a one-off plan,
 so there is one red-black path; its bits are those of the set-up done per
 solve.
 
+Galerkin starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).  A
+plan also keeps the black halves of the solutions its caller hands to
+`keep` (the penalty loop: the current stage's solutions) and forgets them on
+`clear`.  With two or more kept, a solve ignores x0 and starts CG at the
+last one, x, plus the step D c, where the columns of D are the steps between
+the last up to START_DEPTH + 1 kept solutions and c solves the Galerkin
+system (D^T S D) c = D^T r of the current Schur operator, r = b - S x.  That
+start is the best in the S-norm over x + span(D).
+
+  * S = D_b - N^T D_r^-1 N, so D^T S D = D^T D_b D - (N D)^T D_r^-1 (N D).
+    N D does not depend on the weight and is formed once per kept step, so
+    the Galerkin matrix costs no Schur application.  The residual is then
+    updated, r <- r - S (D c): one Schur application per start.
+  * The sums are einsum loops, not BLAS dot products, so their bits do not
+    depend on the BLAS thread count.
+  * The small system is factored one column at a time, newest first; a
+    column that depends on those taken (pivot at most DEPENDENT times its
+    diagonal, for example a repeated solution) is dropped.  The step is
+    kept only if the quadratic model x^T S x / 2 - b^T x decreases;
+    otherwise CG starts from the last solution.
+  * The start changes where CG begins, not where it stops: the stopping
+    test is the same, so every solve still meets its tolerance and obeys
+    the discrete maximum principle as a cold solve does.
+
 A dense factorization of the reduced interior system, assembled separately
 from the interior right-hand side, is an independent oracle for small grids.
 """
@@ -97,6 +121,8 @@ __all__ = [
 ]
 
 DENSE_ORACLE_CAP = 400
+START_DEPTH = 3  # steps between kept solutions that a Galerkin start projects on
+DEPENDENT = 1e-10  # a step whose pivot is at most this share of its S-norm^2 is dropped
 
 
 class LinearSolveError(RuntimeError):
@@ -169,12 +195,16 @@ class SolveInfo:
     red-black reduced system for penalized problems, the full interior system
     for harmonic extensions.  residual_norms[k] is the relative
     Jacobi-preconditioned residual of the full system after k iterations.
+    start_applies counts the operator passes spent on a Galerkin start: one
+    neighbour sum per newly kept step and one Schur complement application
+    when the step is taken (0 without a start).
     """
 
     iterations: int
     rel_residual: float
     converged: bool
     residual_norms: list[float] = field(default_factory=list)
+    start_applies: int = 0
 
 
 def _interior_rhs(p: HelmholtzProblem) -> np.ndarray:
@@ -249,7 +279,7 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     """Jacobi-PCG on the flat full grid, for zero interior weight.
 
     x0 is a flat start or None.  Returns (x, iterations, final relative
-    residual, residual history), x the flat solution field.
+    residual, residual history, 0), x the flat solution field.
     """
     g = p.grid
     nx, size = g.nx, g.ny * g.nx
@@ -264,7 +294,7 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     bz = float(b.dot(b * dinv))
     if bz == 0.0:
         # zero data: unique solution is zero (coefficient is nonnegative)
-        return trace_only, 0, 0.0, [0.0]
+        return trace_only, 0, 0.0, [0.0], 0
 
     # pair holds the operand v (the search direction p in the loop) and -A v;
     # xr holds x and r.  Both CG updates are then one pass: xr += alpha * pair.
@@ -292,7 +322,46 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     negative_apply()
     np.add(load, minus_ap, out=r)
     iters, res, history = _jacobi_pcg(pair, xr, dinv, negative_apply, math.sqrt(bz), rel_tol, budget)
-    return x, iters, res, history
+    return x, iters, res, history, 0
+
+
+def _galerkin_coefficients(gram: list, g: list) -> list[float]:
+    """c minimizing the model c.G c / 2 - c.g; zeros if the model does not decrease.
+
+    A Cholesky factorization of G built one column at a time, newest (last)
+    first; a column whose pivot is at most DEPENDENT times its diagonal
+    depends on the columns taken and gets coefficient 0.
+    """
+    cols, factor = [], []  # the columns taken, rows of their Cholesky factor
+    for j in range(len(g) - 1, -1, -1):
+        row = []
+        for i, lrow in zip(cols, factor):
+            s = gram[i][j]
+            for a, b in zip(lrow, row):
+                s -= a * b
+            row.append(s / lrow[-1])
+        pivot = gram[j][j]
+        for a in row:
+            pivot -= a * a
+        if pivot > DEPENDENT * gram[j][j]:
+            cols.append(j)
+            factor.append(row + [math.sqrt(pivot)])
+    y = []  # L y = g, then L^T y = y, on the columns taken
+    for i, lrow in zip(cols, factor):
+        s = g[i]
+        for a, b in zip(lrow, y):
+            s -= a * b
+        y.append(s / lrow[-1])
+    for m in range(len(cols) - 1, -1, -1):
+        for l in range(m + 1, len(cols)):
+            y[m] -= factor[l][m] * y[l]
+        y[m] /= factor[m][m]
+    c = [0.0] * len(g)
+    model = 0.0
+    for i, ci in zip(cols, y):
+        c[i] = ci
+        model += ci * (0.5 * sum(gram[i][j] * cj for j, cj in zip(cols, y)) - g[i])
+    return c if model < 0.0 else [0.0] * len(g)
 
 
 class _RedBlackPlan:
@@ -304,6 +373,11 @@ class _RedBlackPlan:
     indices, the CG buffers with the operator's views into them, and the
     trace-side right-hand side with its halves.  A solve forms only its
     diagonal, Jacobi inverse, scale, load part and initial residual.
+
+    It also holds the black halves of the solutions given to `keep` since the
+    last `clear`, as the last one and the steps between the last
+    START_DEPTH + 1; with two or more, a solve starts from a Galerkin
+    projection onto them instead of x0 (module docstring).
     """
 
     def __init__(self, grid: Grid, trace: np.ndarray):
@@ -315,7 +389,10 @@ class _RedBlackPlan:
         self.hx2 = grid.hx**2
         self.q = q = self.hx2 / grid.hy**2
         self.ring = ring = grid.boundary_mask().reshape(-1)
+        self.interior = np.where(ring, 0.0, 1.0)
         self.trace_only = np.where(ring, np.asarray(trace, dtype=float).reshape(-1), 0.0)
+        self.ring_nodes = np.flatnonzero(ring)
+        self.ring_trace = self.trace_only[self.ring_nodes]
         self.minus_trace = _minus_trace_coupling(grid, self.trace_only)
         # padded flat position -> flat grid index; the padding column, and
         # for the start every ring node, map to index `size`, a zero slot
@@ -333,6 +410,14 @@ class _RedBlackPlan:
         self.b_trace_r, self.b_trace_b = b_ext[self.red], b_ext[self.black]
         self.c_r = np.zeros(nr)
         self.solution = np.empty((ny, w))
+        self.kept = 0
+        self.last = np.zeros(nb)
+        # rows (step d, N d): the steps between kept solutions on black nodes,
+        # newest last, and their red neighbour sums
+        self.basis = np.zeros((START_DEPTH, nb + nr))
+        self.stale = 0  # newest rows whose N d is not computed yet
+        self.weights = np.empty(nb + nr)  # (D_b, -D_r^-1) of the current solve
+        self.weighted = np.empty((START_DEPTH, nb + nr))  # basis rows times weights
 
         self.pair = pair = np.zeros((2, nb))  # (v, -S v) on black nodes
         self.xr = np.empty((2, nb))  # (x, r) on black nodes
@@ -348,19 +433,29 @@ class _RedBlackPlan:
         black_x, black_y = (t[lo:hi], t[lo + 1 : hi + 1]), (t[lo - h : hi - h], t[lo + h + 1 : hi + h + 1])
         out, centre, db, tmp_b = minus_sv[lo:hi], v[lo:hi], self.rows_b[1, lo:hi], np.empty(hi - lo)
 
-        def to_red() -> None:
-            """t <- D_r^-1 N v: zero on the red ring."""
+        # y-neighbour sums are scaled by q; on square cells (q = 1) the product
+        # is exact, so it is skipped with the same bits
+        scaled = q != 1.0
+
+        def red_sums() -> None:
+            """t <- N v on the red span: weight-free, finite junk on the red ring."""
             np.add(*red_x, out=t_span)
             np.add(*red_y, out=tmp_r)
-            np.multiply(tmp_r, q, out=tmp_r)
+            if scaled:
+                np.multiply(tmp_r, q, out=tmp_r)
             np.add(t_span, tmp_r, out=t_span)
+
+        def to_red() -> None:
+            """t <- D_r^-1 N v: zero on the red ring."""
+            red_sums()
             np.multiply(t_span, dr, out=t_span)
 
         def to_black() -> None:
             """minus_sv <- N^T t - D_b v: exact at interior nodes, finite junk on the ring."""
             np.add(*black_x, out=out)
             np.add(*black_y, out=tmp_b)
-            np.multiply(tmp_b, q, out=tmp_b)
+            if scaled:
+                np.multiply(tmp_b, q, out=tmp_b)
             np.add(out, tmp_b, out=out)
             np.multiply(db, centre, out=tmp_b)
             np.subtract(out, tmp_b, out=out)
@@ -374,25 +469,79 @@ class _RedBlackPlan:
             to_red()
             np.add(t, c_r, out=t)
 
-        self.to_black, self.negative_schur, self.back_substitute = to_black, negative_schur, back_substitute
+        self.red_sums, self.to_black = red_sums, to_black
+        self.negative_schur, self.back_substitute = negative_schur, back_substitute
+
+    def clear(self) -> None:
+        """Forget the kept solutions."""
+        self.kept = self.stale = 0
+
+    def keep(self, x: np.ndarray) -> None:
+        """Keep the black half of the full-shape field x for the next starts."""
+        self.x_staged[:-1] = x.reshape(-1)
+        xb = np.take(self.x_staged, self.black_inner, mode="clip")
+        if self.kept:
+            self.basis[:-1] = self.basis[1:]
+            np.subtract(xb, self.last, out=self.basis[-1, : xb.size])
+            self.stale = min(self.stale + 1, START_DEPTH)
+        self.last = xb
+        self.kept += 1
+
+    def galerkin_start(self) -> int:
+        """Move x_b, the last kept solution, and its residual r by the Galerkin step.
+
+        The step D c minimizes the S-norm error of x_b + D c over the span of
+        the last kept steps D: (D^T S D) c = D^T r.  It is taken only if the
+        quadratic model decreases.  Returns the operator passes spent: one
+        neighbour sum N d per new step, one S application per step taken.
+        """
+        k = min(self.kept - 1, START_DEPTH)
+        v, minus_sv = self.pair
+        x_b, r = self.xr
+        nb = v.size
+        basis = self.basis[-k:]
+        passes = min(self.stale, k)
+        for row in basis[k - passes :]:
+            v[:] = row[:nb]
+            self.red_sums()
+            row[nb:] = self.t
+        self.stale = 0
+        # D^T S D = D^T D_b D - (N D)^T D_r^-1 (N D) and D^T r; einsum loops,
+        # not BLAS, so the bits do not depend on the BLAS thread count
+        np.copyto(self.weights[:nb], self.rows_b[1])
+        np.negative(self.rows_r[0], out=self.weights[nb:])
+        weighted = np.multiply(basis, self.weights, out=self.weighted[-k:])
+        gram = np.einsum("ik,jk->ij", basis, weighted)
+        steps = basis[:, :nb]
+        c = _galerkin_coefficients(gram.tolist(), np.einsum("ik,k->i", steps, r).tolist())
+        if not any(c):
+            return passes
+        np.multiply(steps[0], c[0], out=v)
+        for cj, d in zip(c[1:], steps[1:]):
+            v += cj * d
+        x_b += v
+        self.negative_schur()
+        r += minus_sv  # r - S D c; finite junk on the ring, where D c is zero
+        return passes + 1
 
     def check(self, p: HelmholtzProblem) -> None:
-        if p.grid != self.grid or not np.array_equal(p.trace.reshape(-1)[self.ring], self.trace_only[self.ring]):
+        ring_trace = p.trace.reshape(-1).take(self.ring_nodes)
+        if p.grid != self.grid or not np.array_equal(ring_trace, self.ring_trace):
             raise ValueError("red-black plan was built for another grid or boundary trace")
 
     def solve(self, p: HelmholtzProblem, x0, rel_tol, budget):
         """Solve p on the red-black reduced system; x0 is a flat start or None.
 
-        Returns (x, iterations, final relative residual, residual history),
-        x a new flat solution field.
+        Returns (x, iterations, final relative residual, residual history,
+        operator passes of the start), x a new flat solution field.
         """
         staged, rows_r, rows_b = self.staged, self.rows_r, self.rows_b
         dinv, diag, b = staged[0, :-1], staged[1, :-1], staged[2, :-1]
         # the system times hx^2: x-neighbour coefficient 1, y-neighbour coefficient q
-        np.multiply(np.where(self.ring, 0.0, p.weight.reshape(-1)), self.hx2 / p.epsilon, out=diag)
+        np.multiply(p.weight.reshape(-1), self.interior, out=diag)  # zero on the ring
+        np.multiply(diag, self.hx2 / p.epsilon, out=diag)
         np.add(2.0 + 2.0 * self.q, diag, out=diag)
-        np.divide(1.0, diag, out=dinv)
-        np.copyto(dinv, 0.0, where=self.ring)
+        np.divide(self.interior, diag, out=dinv)  # zero on the ring
         if p.load is not None:
             np.add(np.where(self.ring, 0.0, p.load.reshape(-1) * self.hx2), self.minus_trace, out=b)
         np.take(staged, self.red, axis=1, out=rows_r, mode="clip")
@@ -404,12 +553,14 @@ class _RedBlackPlan:
         bz = float(b.dot(b * dinv))
         if bz == 0.0:
             # zero data: unique solution is zero (coefficient is nonnegative)
-            return self.trace_only.copy(), 0, 0.0, [0.0]
+            return self.trace_only.copy(), 0, 0.0, [0.0], 0
 
         np.multiply(b_r, rows_r[0], out=self.c_r)
         v, minus_sv = self.pair
         x_b, r = self.xr
-        if x0 is None:
+        if self.kept >= 2:
+            x_b[:] = self.last
+        elif x0 is None:
             x_b.fill(0.0)
         else:
             self.x_staged[:-1] = x0
@@ -418,7 +569,8 @@ class _RedBlackPlan:
         self.back_substitute()
         self.to_black()
         np.add(b_b, minus_sv, out=r)  # residual of the full system at black nodes
-        result = _jacobi_pcg(
+        applies = self.galerkin_start() if self.kept >= 2 else 0
+        iters, res, history = _jacobi_pcg(
             self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), rel_tol, budget
         )
 
@@ -430,7 +582,7 @@ class _RedBlackPlan:
         flat[1::2] = x_b
         x = self.trace_only.copy()
         x.reshape(ny, nx)[1:-1, 1:-1] = self.solution[1:-1, 1 : nx - 1]
-        return (x, *result)
+        return x, iters, res, history, applies
 
 
 def solve_helmholtz_with_info(
@@ -447,7 +599,9 @@ def solve_helmholtz_with_info(
     field) warm-starts the iteration; only its interior values are used.
     Penalized problems are solved on the red-black reduced system through
     `plan`, a `_RedBlackPlan` of p's grid and trace (a one-off plan if None);
-    harmonic extensions on the full grid (module docstring).
+    a plan that has kept two or more solutions replaces x0 by a Galerkin
+    start.  Harmonic extensions are solved on the full grid from x0 (module
+    docstring).
     """
     controls = controls or SolverControls()
     if x0 is not None:
@@ -458,11 +612,11 @@ def solve_helmholtz_with_info(
             plan = _RedBlackPlan(p.grid, p.trace)
         else:
             plan.check(p)
-        x, iters, res, history = plan.solve(p, x0, controls.rel_tol, budget)
+        x, iters, res, history, applies = plan.solve(p, x0, controls.rel_tol, budget)
     else:
-        x, iters, res, history = _full_grid_solve(p, x0, controls.rel_tol, budget)
+        x, iters, res, history, applies = _full_grid_solve(p, x0, controls.rel_tol, budget)
 
-    info = SolveInfo(iters, res, res <= controls.rel_tol, history)
+    info = SolveInfo(iters, res, res <= controls.rel_tol, history, applies)
     if not info.converged:
         raise LinearSolveError(
             f"CG did not reach rel_tol={controls.rel_tol:g} in {iters} iterations "

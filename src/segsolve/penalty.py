@@ -27,26 +27,29 @@ and its damping once per run (Gauss-Seidel is damped only with
 `damp_gauss_seidel`).  The loop stops a stage on
 :func:`segsolve.grid.max_l2_step`; its history is a plain list of one dict
 per sweep, which is also the report's history.  Each stage summary holds the
-values of the stage's last sweep, its total CG iterations (`cg_iterations`)
-and its largest single solve (`cg_max`).
+values of the stage's last sweep, its total CG iterations (`cg_iterations`),
+its largest single solve (`cg_max`) and the operator passes of its CG starts
+(`start_applies`).
 
 CG starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998): the three
-Helmholtz answers change slowly from sweep to sweep, so from the fourth sweep
-of a stage on the CG solves start from a secant prediction built from the
-solutions v0, v1, v2 of the stage's last three sweeps,
-
-    x0 = v2 + rho (v2 - v1),   rho = clip(<v2 - v1, v1 - v0> / |v1 - v0|^2, 0, 1),
-
-one rho for the whole stack (rho = 0 when v1 = v0).  On oscillating sweeps
-rho clips to 0 and the start is the last solution.  The first three sweeps
-of a stage, and the public single-sweep functions, start from the iterate
-u.  Only the start moves: every solve still runs to the default CG
-tolerance of :class:`segsolve.linear_solver.SolverControls` under the same
-stopping test, so its answer differs from a cold start's only within that
-tolerance, and the discrete maximum principle the solves obey holds as
-before.  The saving is CG iterations, about half on ex41 with picard.
-Loosening the inner tolerance instead saves as much but gives up the maximum
-principle: iterates then go negative by far more than rounding.
+Helmholtz answers change slowly from sweep to sweep.  `run_penalty` builds
+one red-black plan per component trace (see :mod:`segsolve.linear_solver`)
+and every solve of that component goes through it; the plan keeps the
+stage's solutions and is cleared at each new eps.  The first two sweeps of a
+stage start from the iterate u.  From the third on, CG starts from the last
+solution plus the Galerkin correction in the span of the steps between the
+last (up to four) solutions: the start that is best in the energy norm of
+the current operator over that span.  The public single-sweep functions make
+one-off plans and start from u.  Only the start moves: every solve still
+runs to the default CG tolerance of
+:class:`segsolve.linear_solver.SolverControls` under the same stopping test,
+so its answer differs from a cold start's only within that tolerance, and
+the discrete maximum principle the solves obey holds as before.  The saving
+is CG iterations, about half of those of the earlier secant starts on ex41
+with picard; each stage summary also counts the operator passes the starts
+spent (`start_applies`).  Loosening the inner tolerance instead saves as
+much but gives up the maximum principle: iterates then go negative by far
+more than rounding.
 """
 
 from __future__ import annotations
@@ -113,99 +116,82 @@ class PenaltyConfig:
 
 
 def _solve(grid, w, eps, trace_k, x0, controls, plan, load=None):
+    """One solve; the plan, if any, keeps its answer for the next starts."""
     problem = HelmholtzProblem(grid, w, eps, trace_k, load=load)
     fld, info = solve_helmholtz_with_info(problem, controls, x0=x0, plan=plan)
-    return fld.values, info.iterations
+    if plan is not None:
+        plan.keep(fld.values)
+    return fld.values, info
 
 
-# Every sweep takes the (3, ny, nx) iterate u, the damping weight alpha and a
-# stack x0 of CG starts (default u) and returns (new stack, its CG solutions
-# before damping or clipping, CG iteration counts).
+# Every sweep takes the (3, ny, nx) iterate u, the damping weight alpha and
+# one red-black plan per component (none: one-off plans) and returns (new
+# stack, SolveInfo of each solve).  CG starts from u, or from the plan's kept
+# solutions once it holds two.
+
+_NO_PLANS = (None, None, None)
 
 
-def _picard_sweep(grid, u, tr, eps, alpha, controls, x0=None, plans=(None,) * 3):
-    x0 = u if x0 is None else x0
+def _picard_sweep(grid, u, tr, eps, alpha, controls, plans=_NO_PLANS):
     weights = ((u[1] * u[2]) ** 2, (u[0] * u[2]) ** 2, (u[0] * u[1]) ** 2)
     out = np.empty_like(u)
-    v = np.empty_like(u)
-    iters = []
+    infos = []
     for k in range(3):
-        v[k], it = _solve(grid, weights[k], eps, tr[k], x0[k], controls, plans[k])
-        out[k] = alpha * v[k] + (1.0 - alpha) * u[k]
-        iters.append(it)
-    return out, v, tuple(iters)
+        v, info = _solve(grid, weights[k], eps, tr[k], u[k], controls, plans[k])
+        out[k] = alpha * v + (1.0 - alpha) * u[k]
+        infos.append(info)
+    return out, infos
 
 
-def _sequential_solves(grid, u, tr, eps, alpha, controls, x0, plans):
-    x0 = u if x0 is None else x0
-    v1, i1 = _solve(grid, (u[1] * u[2]) ** 2, eps, tr[0], x0[0], controls, plans[0])
+def _sequential_solves(grid, u, tr, eps, alpha, controls, plans):
+    v1, i1 = _solve(grid, (u[1] * u[2]) ** 2, eps, tr[0], u[0], controls, plans[0])
     w2 = u[2] ** 2 * (u[0] ** 2 + v1**2) / 2.0
-    v2, i2 = _solve(grid, w2, eps, tr[1], x0[1], controls, plans[1])
+    v2, i2 = _solve(grid, w2, eps, tr[1], u[1], controls, plans[1])
     w3 = ((u[0] * u[1]) ** 2 + (v1 * v2) ** 2) / 2.0
-    v3, i3 = _solve(grid, w3, eps, tr[2], x0[2], controls, plans[2])
+    v3, i3 = _solve(grid, w3, eps, tr[2], u[2], controls, plans[2])
     v = np.stack([v1, v2, v3])
     out = v if alpha == 1.0 else alpha * v + (1.0 - alpha) * u
-    return out, v, (i1, i2, i3)
+    return out, [i1, i2, i3]
 
 
-def _gauss_seidel_sweep(grid, u, tr, eps, alpha, controls, x0=None, plans=(None,) * 3):
-    return _sequential_solves(grid, u, tr, eps, alpha, controls, x0, plans)
+def _gauss_seidel_sweep(grid, u, tr, eps, alpha, controls, plans=_NO_PLANS):
+    return _sequential_solves(grid, u, tr, eps, alpha, controls, plans)
 
 
-def _semi_implicit_sweep(grid, u, tr, eps, alpha, controls, x0=None, plans=(None,) * 3):
+def _semi_implicit_sweep(grid, u, tr, eps, alpha, controls, plans=_NO_PLANS):
     """The Gauss-Seidel sweep: its symmetrized coefficients are the same numbers.
 
     A def of its own rather than an alias of `_gauss_seidel_sweep`, so that a
     tracer wrapping each sweep name records one span per sweep.
     """
-    return _sequential_solves(grid, u, tr, eps, alpha, controls, x0, plans)
+    return _sequential_solves(grid, u, tr, eps, alpha, controls, plans)
 
 
-def _phase_field_sweep(grid, u, tr, eps, alpha, controls, x0=None, plans=(None,) * 3):
-    x0 = u if x0 is None else x0
+def _phase_field_sweep(grid, u, tr, eps, alpha, controls, plans=_NO_PLANS):
     out = np.empty_like(u)
-    v = np.empty_like(u)
-    iters = []
+    infos = []
     for k in range(3):
         others = [u[m] for m in range(3) if m != k]
         w = (others[0] * others[1]) ** 2
         load = -(w / (2.0 * eps)) * u[k]
-        v[k], it = _solve(grid, w / 2.0, eps, tr[k], x0[k], controls, plans[k], load=load)
-        out[k] = alpha * np.maximum(v[k], 0.0) + (1.0 - alpha) * u[k]
-        iters.append(it)
-    return out, v, tuple(iters)
-
-
-def _secant_ratio(d1: np.ndarray, d0: np.ndarray) -> float:
-    """clip(sum(d1 * d0) / sum(d0 * d0), 0, 1); 0 when d0 is zero.
-
-    The sums are numpy reductions, not BLAS dot products, whose last bits
-    depend on the BLAS thread count for long vectors.
-    """
-    den = float(np.sum(d0 * d0))
-    if den == 0.0:
-        return 0.0
-    return min(max(float(np.sum(d1 * d0)) / den, 0.0), 1.0)
-
-
-def _secant_start(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """CG starts for the next sweep from the solutions of the last three: v2 + rho (v2 - v1)."""
-    d1 = v2 - v1
-    return v2 + _secant_ratio(d1, v1 - v0) * d1
+        v, info = _solve(grid, w / 2.0, eps, tr[k], u[k], controls, plans[k], load=load)
+        out[k] = alpha * np.maximum(v, 0.0) + (1.0 - alpha) * u[k]
+        infos.append(info)
+    return out, infos
 
 
 def picard_step(
     state: SystemState, trace: BoundaryTrace, epsilon: float, alpha: float
 ) -> SystemState:
     """One damped decoupled sweep: alpha * solve(w_i(u^k)) + (1 - alpha) * u^k."""
-    out, _, _ = _picard_sweep(
+    out, _ = _picard_sweep(
         state.grid, state.stack(), trace.phi, epsilon, alpha, SolverControls()
     )
     return SystemState.from_stack(state.grid, out)
 
 
 def gauss_seidel_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:
-    out, _, _ = _gauss_seidel_sweep(
+    out, _ = _gauss_seidel_sweep(
         state.grid, state.stack(), trace.phi, epsilon, 1.0, SolverControls()
     )
     return SystemState.from_stack(state.grid, out)
@@ -216,7 +202,7 @@ semi_implicit_step = gauss_seidel_step
 
 def phase_field_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:
     """One undamped phase-field sweep; `run_penalty` damps it with `alpha`."""
-    out, _, _ = _phase_field_sweep(
+    out, _ = _phase_field_sweep(
         state.grid, state.stack(), trace.phi, epsilon, 1.0, SolverControls()
     )
     return SystemState.from_stack(state.grid, out)
@@ -267,14 +253,15 @@ def run_penalty(
     history = []
     stage_summaries = []
     for eps in ladder:
-        cg_total = cg_max = 0
-        solves = []  # CG solutions of this stage's last three sweeps
+        cg_total = cg_max = start_applies = 0
+        for plan in plans:
+            plan.clear()  # starts project on this stage's solutions only
         for it in range(1, cfg.max_outer + 1):
-            x0 = _secant_start(*solves) if len(solves) == 3 else None
-            new, v, cg = sweep(grid, u, tr, eps, alpha, controls, x0, plans)
-            solves = solves[-2:] + [v]
+            new, infos = sweep(grid, u, tr, eps, alpha, controls, plans)
+            cg = [info.iterations for info in infos]
             cg_total += sum(cg)
             cg_max = max(cg_max, *cg)
+            start_applies += sum(info.start_applies for info in infos)
 
             sn = max_l2_step(weights, new, u)
             u = new
@@ -289,7 +276,7 @@ def run_penalty(
                     "energy": energy,
                     "penalty_energy": prod_l2**2 / eps,
                     "step_norm": sn,
-                    "cg_iters": list(cg),
+                    "cg_iters": cg,
                 }
             )
             if iterate_hook is not None:
@@ -305,6 +292,7 @@ def run_penalty(
                 "energy": energy,
                 "cg_iterations": cg_total,
                 "cg_max": cg_max,
+                "start_applies": start_applies,
             }
         )
 

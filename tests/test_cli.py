@@ -224,6 +224,21 @@ class TestBench:
     def test_empty_algorithm_list_exits_1(self, tmp_path):
         assert run_cli("bench", "--algos", "", "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("algos, bad", [
+        ("penalty-picard", ["--eps", "0"]),
+        ("pgd,penalty-gs", ["--eps-factor", "1.5"]),
+        ("penalty-phasefield", ["--max-iters", "0"]),
+        ("pgd", ["--alpha", "1"]),
+        ("fista", ["--alpha", "-1"]),
+    ])
+    def test_invalid_solver_value_exits_1_before_solving(self, tmp_path, capsys, algos, bad):
+        # the solver configs are built for every cell before the output directory
+        out = tmp_path / "bench"
+        code = run_cli("bench", "--algos", algos, "--n", "9", *bad, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestSelftestAndContours:
     def test_selftest_passes(self, capsys):

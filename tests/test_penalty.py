@@ -8,12 +8,17 @@ import pytest
 
 from segsolve.boundary import BoundaryTrace, builtin_config, evaluate_bc, sup_bound
 from segsolve.grid import SystemState, build_grid, l2_diff, max_l2_step, node_weights
-from segsolve.linear_solver import SolverControls, harmonic_extension
+from segsolve.linear_solver import (
+    HelmholtzProblem,
+    SolverControls,
+    _RedBlackPlan,
+    harmonic_extension,
+    solve_helmholtz_with_info,
+)
 from segsolve.penalty import (
     PenaltyConfig,
     _gauss_seidel_sweep,
     _picard_sweep,
-    _secant_ratio,
     gauss_seidel_step,
     phase_field_step,
     picard_step,
@@ -384,10 +389,10 @@ def cold_start_run(grid, bc_id, cfg):
     for eps in cfg.stages():
         for it in range(1, cfg.max_outer + 1):
             if cfg.scheme == "picard":
-                new, _, cg = _picard_sweep(grid, u, tr, eps, cfg.alpha, controls)
+                new, infos = _picard_sweep(grid, u, tr, eps, cfg.alpha, controls)
             else:
-                new, _, cg = _gauss_seidel_sweep(grid, u, tr, eps, 1.0, controls)
-            cg_total += sum(cg)
+                new, infos = _gauss_seidel_sweep(grid, u, tr, eps, 1.0, controls)
+            cg_total += sum(info.iterations for info in infos)
             step, u = max_l2_step(weights, new, u), new
             if step < cfg.outer_tol:
                 break
@@ -396,6 +401,9 @@ def cold_start_run(grid, bc_id, cfg):
 
 
 class TestSecantStart:
+    """CG starts from the stage's earlier solutions (secant predictions at
+    first, now Galerkin projections) against cold starts from the iterate."""
+
     @pytest.mark.parametrize("scheme", ["picard", "gauss_seidel"])
     @pytest.mark.parametrize("bc_id", ["ex41", "bc7"])
     def test_same_answer_and_sweeps_as_cold_start(self, scheme, bc_id):
@@ -421,33 +429,98 @@ class TestSecantStart:
             assert stage["cg_iterations"] == sum(cg)
             assert stage["cg_max"] == max(cg)
 
-    def test_ratio_clips_alternating_steps_to_zero(self):
-        d0 = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 9, 9))
-        assert _secant_ratio(-d0, d0) == 0.0
+    def test_stage_start_applies(self):
+        # every sweep from the third on starts all three solves from the plans;
+        # each start costs one neighbour sum and at most one Schur application
+        g = build_grid(15, 15, SQUARE)
+        _, _, report = run_penalty(g, "bc4", PenaltyConfig(1e-3))
+        for stage in report.meta["stages"]:
+            starts = 3 * max(stage["iterations"] - 2, 0)
+            assert starts <= stage["start_applies"] <= 2 * starts
 
-    def test_ratio_of_a_geometric_sequence(self):
-        d0 = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 9, 9))
-        assert _secant_ratio(0.8 * d0, d0) == pytest.approx(0.8, abs=1e-12)
 
-    def test_ratio_of_a_zero_step_is_zero(self):
-        d1 = np.random.default_rng(6).uniform(-1.0, 1.0, (3, 9, 9))
-        assert _secant_ratio(d1, np.zeros_like(d1)) == 0.0
+def penalized_problem(grid, bc_id="ex41", eps=1e-3):
+    """Component 1's Picard problem around the harmonic extensions."""
+    tr = evaluate_bc(builtin_config(bc_id), grid).phi
+    u = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
+    return HelmholtzProblem(grid, (u[1] * u[2]) ** 2, eps, tr[0])
 
-    def test_ratio_bits_do_not_depend_on_blas_threads(self, child_env):
-        code = (
-            "import numpy as np\n"
-            "from segsolve.penalty import _secant_ratio\n"
-            "d = np.random.default_rng(7).uniform(-1.0, 1.0, (2, 3, 101, 101))\n"
-            "print(_secant_ratio(d[0], d[1] + 0.5 * d[0]).hex())\n"
-        )
+
+def interior_noise(grid, rng, scale):
+    out = np.zeros(grid.shape)
+    out[1:-1, 1:-1] = scale * rng.standard_normal((grid.ny - 2, grid.nx - 2))
+    return out
+
+
+# Runs in a child process: a short n=101 penalty run from the initial stack
+# in argv[2] (harmonic extensions at n=101 change bits with the BLAS thread
+# count, see ROADMAP; the sweeps and their starts must not).  Prints the
+# SHA-256 of the final stack and the start applications per stage.
+THREADED_RUN = """
+import hashlib, sys
+import numpy as np
+from segsolve import penalty
+from segsolve.grid import ScalarField, build_grid
+
+grid = build_grid(101, 101, (-1.0, 1.0, -1.0, 1.0))
+u0 = iter(np.load(sys.argv[1]))
+penalty.harmonic_extension = lambda grid, trace, controls=None: ScalarField(grid, next(u0))
+cfg = penalty.PenaltyConfig(1e-3, max_outer=8)
+state, _, report = penalty.run_penalty(grid, "ex41", cfg, stages=[1e-2, 1e-3])
+print(hashlib.sha256(state.stack().tobytes()).hexdigest(), [s["start_applies"] for s in report.meta["stages"]])
+"""
+
+
+class TestGalerkinStart:
+    def test_answer_in_the_span_is_hit_with_no_cg_iterations(self):
+        g = build_grid(21, 21, SQUARE)
+        p = penalized_problem(g)
+        answer, _ = solve_helmholtz_with_info(p)
+        rng = np.random.default_rng(11)
+        steps = [interior_noise(g, rng, 1e-2) for _ in range(3)]
+        # kept solutions s0..s3 whose steps are the three above, with the
+        # answer at s3 + 0.7 d1 - 1.5 d2 + 2.0 d3
+        kept = [answer.values - 0.7 * steps[0] + 1.5 * steps[1] - 2.0 * steps[2]]
+        for d in reversed(steps):
+            kept.insert(0, kept[0] - d)
+        plan = _RedBlackPlan(g, p.trace)
+        for x in kept:
+            plan.keep(x)
+        fld, info = solve_helmholtz_with_info(p, plan=plan)
+        assert info.iterations == 0
+        assert info.start_applies == 4  # three neighbour sums and the residual update
+        # hit up to the rounding of the projection, well inside the CG tolerance
+        assert np.abs(fld.values - answer.values).max() <= 1e-10
+
+    @pytest.mark.parametrize("repeats", [2, 4])
+    def test_repeated_solution_falls_back_to_the_last_solution(self, repeats):
+        g = build_grid(21, 21, SQUARE)
+        p = penalized_problem(g)
+        last = harmonic_extension(g, p.trace).values
+        plan = _RedBlackPlan(g, p.trace)
+        for _ in range(repeats):
+            plan.keep(last)
+        fld, info = solve_helmholtz_with_info(p, x0=np.zeros(g.shape), plan=plan)
+        ref, ref_info = solve_helmholtz_with_info(p, x0=last)
+        assert info.iterations == ref_info.iterations > 0
+        assert fld.values.tobytes() == ref.values.tobytes()
+        assert info.start_applies == min(repeats - 1, 3)  # neighbour sums, no update
+
+    def test_run_bits_do_not_depend_on_blas_threads(self, tmp_path, child_env):
+        g = build_grid(101, 101, SQUARE)
+        tr = evaluate_bc(builtin_config("ex41"), g).phi
+        u0 = tmp_path / "u0.npy"
+        np.save(u0, np.stack([harmonic_extension(g, tr[k]).values for k in range(3)]))
         out = {
             threads: subprocess.run(
-                [sys.executable, "-c", code], env={**child_env, "OPENBLAS_NUM_THREADS": threads},
-                capture_output=True, text=True, check=True, timeout=60,
+                [sys.executable, "-c", THREADED_RUN, str(u0)],
+                env={**child_env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True, timeout=120,
             ).stdout
             for threads in ("1", "2")
         }
         assert out["1"] and out["1"] == out["2"]
+        assert "[0, 0]" not in out["1"]  # the starts ran
 
 
 # Runs in a child process: bench/tracing.py wraps the module functions of
