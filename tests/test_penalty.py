@@ -401,8 +401,8 @@ def cold_start_run(grid, bc_id, cfg):
 
 
 class TestSecantStart:
-    """CG starts from the stage's earlier solutions (secant predictions at
-    first, now Galerkin projections) against cold starts from the iterate."""
+    """Runs whose CG solves start from the stage's earlier solutions, against
+    cold starts from the iterate."""
 
     @pytest.mark.parametrize("scheme", ["picard", "gauss_seidel"])
     @pytest.mark.parametrize("bc_id", ["ex41", "bc7"])
