@@ -66,9 +66,11 @@ the trace-side right-hand side with its halves.  That right-hand side is -A
 applied to the ring-only field: the field is zero at interior nodes, so the
 weighted diagonal multiplies zeros and only the neighbour couplings remain.
 A solve then forms only its diagonal, Jacobi inverse, scale, load part and
-initial residual.  A penalized solve without a plan builds a one-off plan,
-so there is one red-black path; its bits are those of the set-up done per
-solve.
+initial residual.  Only the trace side and the kept solutions below belong
+to one trace; the plans of a run's three components share the rest
+(`sibling`), which each solve sets up afresh.  A penalized solve without a
+plan builds a one-off plan, so there is one red-black path; its bits are
+those of the set-up done per solve.
 
 Galerkin starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).  A
 plan also keeps the black halves of the solutions its caller hands to
@@ -85,11 +87,12 @@ start is the best in the S-norm over x + span(D).
     updated, r <- r - S (D c): one Schur application per start.
   * The sums are einsum loops, not BLAS dot products, so their bits do not
     depend on the BLAS thread count.
-  * The small system is factored one column at a time, newest first; a
-    column that depends on those taken (pivot at most DEPENDENT times its
-    diagonal, for example a repeated solution) is dropped.  The step is
-    kept only if the quadratic model x^T S x / 2 - b^T x decreases;
-    otherwise CG starts from the last solution.
+  * The small system is solved by Gauss-Jordan elimination, newest step
+    first; a step whose pivot is at most DEPENDENT times its diagonal
+    depends on those taken (for example a repeated solution) and gets
+    coefficient 0.  If every step is dropped, CG starts from the last
+    solution.  (numpy.linalg.lstsq does the same job but adds about 1 MB
+    of LAPACK code to a run's peak memory.)
   * The start changes where CG begins, not where it stops: the stopping
     test is the same, so every solve still meets its tolerance and obeys
     the discrete maximum principle as a cold solve does.
@@ -100,6 +103,7 @@ from the interior right-hand side, is an independent oracle for small grids.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -122,7 +126,7 @@ __all__ = [
 
 DENSE_ORACLE_CAP = 400
 START_DEPTH = 3  # steps between kept solutions that a Galerkin start projects on
-DEPENDENT = 1e-10  # a step whose pivot is at most this share of its S-norm^2 is dropped
+DEPENDENT = 1e-10  # a step whose pivot is at most this share of its diagonal is dropped
 
 
 class LinearSolveError(RuntimeError):
@@ -325,53 +329,31 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     return x, iters, res, history, 0
 
 
-def _galerkin_coefficients(gram: list, g: list) -> list[float]:
-    """c minimizing the model c.G c / 2 - c.g; zeros if the model does not decrease.
-
-    A Cholesky factorization of G built one column at a time, newest (last)
-    first; a column whose pivot is at most DEPENDENT times its diagonal
-    depends on the columns taken and gets coefficient 0.
-    """
-    cols, factor = [], []  # the columns taken, rows of their Cholesky factor
-    for j in range(len(g) - 1, -1, -1):
-        row = []
-        for i, lrow in zip(cols, factor):
-            s = gram[i][j]
-            for a, b in zip(lrow, row):
-                s -= a * b
-            row.append(s / lrow[-1])
-        pivot = gram[j][j]
-        for a in row:
-            pivot -= a * a
-        if pivot > DEPENDENT * gram[j][j]:
-            cols.append(j)
-            factor.append(row + [math.sqrt(pivot)])
-    y = []  # L y = g, then L^T y = y, on the columns taken
-    for i, lrow in zip(cols, factor):
-        s = g[i]
-        for a, b in zip(lrow, y):
-            s -= a * b
-        y.append(s / lrow[-1])
-    for m in range(len(cols) - 1, -1, -1):
-        for l in range(m + 1, len(cols)):
-            y[m] -= factor[l][m] * y[l]
-        y[m] /= factor[m][m]
-    c = [0.0] * len(g)
-    model = 0.0
-    for i, ci in zip(cols, y):
-        c[i] = ci
-        model += ci * (0.5 * sum(gram[i][j] * cj for j, cj in zip(cols, y)) - g[i])
-    return c if model < 0.0 else [0.0] * len(g)
+def _galerkin_coefficients(gram: np.ndarray, rhs: np.ndarray) -> list[float]:
+    """c solving gram c = rhs on the steps taken, 0 on the dropped ones (module docstring)."""
+    k = len(rhs)
+    a = [row + [b] for row, b in zip(gram.tolist(), rhs.tolist())]
+    taken = []
+    for j in reversed(range(k)):
+        if a[j][j] <= DEPENDENT * gram[j, j]:
+            continue
+        taken.append(j)
+        for i in range(k):
+            if i != j:
+                f = a[i][j] / a[j][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    return [a[j][k] / a[j][j] if j in taken else 0.0 for j in range(k)]
 
 
 class _RedBlackPlan:
     """The set-up of red-black solves on one grid with one boundary trace.
 
-    Built once per run for each component trace and passed to every penalized
-    solve of that component (module docstring).  It holds the ring mask, the
-    maps from the red and black halves of the padded layout to flat grid
-    indices, the CG buffers with the operator's views into them, and the
-    trace-side right-hand side with its halves.  A solve forms only its
+    Built once per run for each component trace, the later ones as siblings
+    of the first, and passed to every penalized solve of that component
+    (module docstring).  It holds the ring mask, the maps from the red and
+    black halves of the padded layout to flat grid indices, the CG buffers
+    with the operator's views into them, and the trace-side right-hand side
+    with its halves.  A solve forms only its
     diagonal, Jacobi inverse, scale, load part and initial residual.
 
     It also holds the black halves of the solutions given to `keep` since the
@@ -390,10 +372,7 @@ class _RedBlackPlan:
         self.q = q = self.hx2 / grid.hy**2
         self.ring = ring = grid.boundary_mask().reshape(-1)
         self.interior = np.where(ring, 0.0, 1.0)
-        self.trace_only = np.where(ring, np.asarray(trace, dtype=float).reshape(-1), 0.0)
         self.ring_nodes = np.flatnonzero(ring)
-        self.ring_trace = self.trace_only[self.ring_nodes]
-        self.minus_trace = _minus_trace_coupling(grid, self.trace_only)
         # padded flat position -> flat grid index; the padding column, and
         # for the start every ring node, map to index `size`, a zero slot
         jj, ii = np.divmod(np.arange(ny * w), w)
@@ -405,17 +384,8 @@ class _RedBlackPlan:
         self.x_staged = np.zeros(size + 1)
         nr, nb = self.red.size, self.black.size
         self.rows_r, self.rows_b = np.zeros((3, nr)), np.zeros((3, nb))  # halves of staged
-        self.b_trace = 0.0 + self.minus_trace  # the right-hand side without load
-        b_ext = np.append(self.b_trace, 0.0)
-        self.b_trace_r, self.b_trace_b = b_ext[self.red], b_ext[self.black]
         self.c_r = np.zeros(nr)
         self.solution = np.empty((ny, w))
-        self.kept = 0
-        self.last = np.zeros(nb)
-        # rows (step d, N d): the steps between kept solutions on black nodes,
-        # newest last, and their red neighbour sums
-        self.basis = np.zeros((START_DEPTH, nb + nr))
-        self.stale = 0  # newest rows whose N d is not computed yet
         self.weights = np.empty(nb + nr)  # (D_b, -D_r^-1) of the current solve
         self.weighted = np.empty((START_DEPTH, nb + nr))  # basis rows times weights
 
@@ -433,16 +403,11 @@ class _RedBlackPlan:
         black_x, black_y = (t[lo:hi], t[lo + 1 : hi + 1]), (t[lo - h : hi - h], t[lo + h + 1 : hi + h + 1])
         out, centre, db, tmp_b = minus_sv[lo:hi], v[lo:hi], self.rows_b[1, lo:hi], np.empty(hi - lo)
 
-        # y-neighbour sums are scaled by q; on square cells (q = 1) the product
-        # is exact, so it is skipped with the same bits
-        scaled = q != 1.0
-
         def red_sums() -> None:
             """t <- N v on the red span: weight-free, finite junk on the red ring."""
             np.add(*red_x, out=t_span)
             np.add(*red_y, out=tmp_r)
-            if scaled:
-                np.multiply(tmp_r, q, out=tmp_r)
+            np.multiply(tmp_r, q, out=tmp_r)
             np.add(t_span, tmp_r, out=t_span)
 
         def to_red() -> None:
@@ -454,8 +419,7 @@ class _RedBlackPlan:
             """minus_sv <- N^T t - D_b v: exact at interior nodes, finite junk on the ring."""
             np.add(*black_x, out=out)
             np.add(*black_y, out=tmp_b)
-            if scaled:
-                np.multiply(tmp_b, q, out=tmp_b)
+            np.multiply(tmp_b, q, out=tmp_b)
             np.add(out, tmp_b, out=out)
             np.multiply(db, centre, out=tmp_b)
             np.subtract(out, tmp_b, out=out)
@@ -471,6 +435,33 @@ class _RedBlackPlan:
 
         self.red_sums, self.to_black = red_sums, to_black
         self.negative_schur, self.back_substitute = negative_schur, back_substitute
+        self._set_trace(trace)
+
+    def _set_trace(self, trace: np.ndarray) -> None:
+        """Set the trace-side right-hand side and an empty history."""
+        self.trace_only = np.where(self.ring, np.asarray(trace, dtype=float).reshape(-1), 0.0)
+        self.ring_trace = self.trace_only[self.ring_nodes]
+        self.minus_trace = _minus_trace_coupling(self.grid, self.trace_only)
+        self.b_trace = 0.0 + self.minus_trace  # the right-hand side without load
+        b_ext = np.append(self.b_trace, 0.0)
+        self.b_trace_r, self.b_trace_b = b_ext[self.red], b_ext[self.black]
+        self.kept = 0
+        self.last = np.zeros(self.black.size)
+        # rows (step d, N d): the steps between kept solutions on black nodes,
+        # newest last, and their red neighbour sums
+        self.basis = np.zeros((START_DEPTH, self.black.size + self.red.size))
+        self.stale = 0  # newest rows whose N d is not computed yet
+
+    def sibling(self, trace: np.ndarray) -> _RedBlackPlan:
+        """A plan for another trace on the same grid that shares this plan's buffers.
+
+        Every solve sets the buffers up afresh, so plans whose solves run one
+        after another can share them; only the trace side and the kept
+        solutions are the sibling's own.
+        """
+        plan = copy.copy(self)
+        plan._set_trace(trace)
+        return plan
 
     def clear(self) -> None:
         """Forget the kept solutions."""
@@ -491,9 +482,9 @@ class _RedBlackPlan:
         """Move x_b, the last kept solution, and its residual r by the Galerkin step.
 
         The step D c minimizes the S-norm error of x_b + D c over the span of
-        the last kept steps D: (D^T S D) c = D^T r.  It is taken only if the
-        quadratic model decreases.  Returns the operator passes spent: one
-        neighbour sum N d per new step, one S application per step taken.
+        the last kept steps D: (D^T S D) c = D^T r.  Returns the operator
+        passes spent: one neighbour sum N d per new step, one S application
+        unless c is zero.
         """
         k = min(self.kept - 1, START_DEPTH)
         v, minus_sv = self.pair
@@ -513,7 +504,7 @@ class _RedBlackPlan:
         weighted = np.multiply(basis, self.weights, out=self.weighted[-k:])
         gram = np.einsum("ik,jk->ij", basis, weighted)
         steps = basis[:, :nb]
-        c = _galerkin_coefficients(gram.tolist(), np.einsum("ik,k->i", steps, r).tolist())
+        c = _galerkin_coefficients(gram, np.einsum("ik,k->i", steps, r))
         if not any(c):
             return passes
         np.multiply(steps[0], c[0], out=v)

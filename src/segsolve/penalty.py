@@ -33,15 +33,15 @@ its largest single solve (`cg_max`) and the operator passes of its CG starts
 
 CG starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998): the three
 Helmholtz answers change slowly from sweep to sweep.  `run_penalty` builds
-one red-black plan per component trace (see :mod:`segsolve.linear_solver`)
-and every solve of that component goes through it; the plan keeps the
-stage's solutions and is cleared at each new eps.  The first two sweeps of a
-stage start from the iterate u.  From the third on, CG starts from the last
-solution plus the Galerkin correction in the span of the steps between the
-last (up to four) solutions: the start that is best in the energy norm of
-the current operator over that span.  The public single-sweep functions make
-one-off plans and start from u.  Only the start moves: every solve still
-runs to the default CG tolerance of
+one red-black plan per component trace (see :mod:`segsolve.linear_solver`;
+the three share their buffers) and every solve of that component goes
+through it; the plan keeps the stage's solutions and is cleared at each new
+eps.  The first two sweeps of a stage start from the iterate u.  From the
+third on, CG starts from the last solution plus the Galerkin correction in
+the span of the steps between the last (up to four) solutions: the start
+that is best in the energy norm of the current operator over that span.
+The public single-sweep functions make one-off plans and start from u.  Only
+the start moves: every solve still runs to the default CG tolerance of
 :class:`segsolve.linear_solver.SolverControls` under the same stopping test,
 so its answer differs from a cold start's only within that tolerance, and
 the discrete maximum principle the solves obey holds as before.  The saving
@@ -231,7 +231,8 @@ def run_penalty(
     controls = SolverControls()
 
     u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
-    plans = [_RedBlackPlan(grid, tr[k]) for k in range(3)]
+    plans = [_RedBlackPlan(grid, tr[0])]
+    plans += [plans[0].sibling(tr[k]) for k in (1, 2)]
 
     ladder = list(stages) if stages is not None else cfg.stages()
     if any(b >= a for a, b in zip(ladder, ladder[1:])):

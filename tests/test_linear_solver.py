@@ -411,6 +411,28 @@ class TestRedBlackPlan:
             assert fld.values.tobytes() == ref.values.tobytes()
             assert info.residual_norms == ref_info.residual_norms
 
+    def test_sibling_plans_give_the_bits_of_separate_plans(self):
+        g = build_grid(15, 12, SQUARE)
+        tr = evaluate_bc(builtin_config("bc7"), g).phi
+        u = np.stack([harmonic_extension(g, tr[k]).values for k in range(3)])
+        rng = np.random.default_rng(5)
+        first = _RedBlackPlan(g, tr[0])
+        shared = [first, first.sibling(tr[1]), first.sibling(tr[2])]
+        own = [_RedBlackPlan(g, tr[k]) for k in range(3)]
+        for _ in range(4):  # from the third round on, the kept solutions start the solves
+            for k in range(3):
+                p = HelmholtzProblem(g, rng.uniform(0.0, 1.0, g.shape), 1e-3, tr[k])
+                fld, info = solve_helmholtz_with_info(p, x0=u[k], plan=shared[k])
+                ref, ref_info = solve_helmholtz_with_info(p, x0=u[k], plan=own[k])
+                assert fld.values.tobytes() == ref.values.tobytes()
+                assert info.residual_norms == ref_info.residual_norms
+                assert info.start_applies == ref_info.start_applies
+                shared[k].keep(fld.values)
+                own[k].keep(ref.values)
+        assert info.start_applies > 0
+        with pytest.raises(ValueError, match="plan"):
+            solve_helmholtz_with_info(HelmholtzProblem(g, np.ones(g.shape), 1e-3, tr[0]), plan=shared[1])
+
     def test_plan_of_another_trace_is_refused(self):
         g = build_grid(11, 11, SQUARE)
         problems, _ = sweep_problems(g)
