@@ -247,24 +247,40 @@ def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
     difference gradient anchored at the lower-left corner of each cell.
     Nonnegative, and zero exactly for componentwise-constant states.
 
-    `work` may supply two float arrays of shape (3, ny - 1, nx - 1) to hold
-    the gradients, so repeated calls allocate nothing; the value is the same
-    bit for bit as without them.
+    The differences are taken on the flat C-ordered stack `f`, as one
+    contiguous pass each: f[p+1] - f[p] and f[p+nx] - f[p].  At every cell
+    corner p these are the x- and y-differences of the plain (3, ny-1, nx-1)
+    form; the other entries straddle a row or component edge and are never
+    read.  Each cell entry gets the same operations (difference, division by
+    hx or hy, squaring, one addition) and is copied into one contiguous
+    (3, ny-1, nx-1) block, whose components are summed as one contiguous
+    pairwise sum each and added in the order k = 0, 1, 2.  The value is
+    therefore bit for bit the plain per-component cell sum; contiguous
+    passes only make it cheaper than strided views.
+
+    `work` may supply a float array of shape (2, 3*ny*nx) to hold the
+    differences and the cell block, so repeated calls allocate nothing; the
+    value is the same bit for bit as without it.
     """
+    ny, nx = grid.ny, grid.nx
     if work is None:
-        shape_cells = (3, grid.ny - 1, grid.nx - 1)
-        work = (np.empty(shape_cells), np.empty(shape_cells))
-    gx, gy = work
-    np.subtract(arr[:, :-1, 1:], arr[:, :-1, :-1], out=gx)
+        work = np.empty((2, 3 * ny * nx))
+    f = arr.reshape(-1)
+    m = f.size - nx  # every cell corner p has p + nx < f.size
+    g = work[:, :m]
+    gx, gy = g
+    np.subtract(f[1 : m + 1], f[:m], out=gx)
     np.divide(gx, grid.hx, out=gx)
-    np.subtract(arr[:, 1:, :-1], arr[:, :-1, :-1], out=gy)
+    np.subtract(f[nx:], f[:m], out=gy)
     np.divide(gy, grid.hy, out=gy)
-    np.multiply(gx, gx, out=gx)
-    np.multiply(gy, gy, out=gy)
+    np.multiply(g, g, out=g)
     np.add(gx, gy, out=gx)
+    cells = work[1, : 3 * (ny - 1) * (nx - 1)].reshape(3, ny - 1, nx - 1)
+    np.copyto(cells, work[0].reshape(3, ny, nx)[:, :-1, :-1])
+    sums = cells.sum(axis=(1, 2))
     total = 0.0
     for k in range(3):
-        total += float(np.sum(gx[k]))
+        total += float(sums[k])
     return 0.5 * total * grid.hx * grid.hy
 
 

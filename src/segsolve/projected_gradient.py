@@ -102,10 +102,17 @@ class _Workspace:
 
     The step, projection, energy, step norm and violation use the same
     floating-point operations, in the same order, as the plain array
-    expressions, so the iterates and reported numbers match them bit for bit.  The stencil and
-    the projection sweep the whole (3, ny, nx) stack as one contiguous run,
-    which is faster than strided interior views; the boundary ring this
-    spoils is re-pinned to the trace after the projection.
+    expressions, so the iterates and reported numbers match them bit for
+    bit.  Every pass runs on contiguous memory, which at the benchmark sizes
+    costs less than the strided interior views:
+    - the stencil and the projection sweep the whole (3, ny, nx) stack as
+      one run; the boundary ring this spoils is re-pinned to the trace after
+      the projection;
+    - the energy forms its differences on the flat stack and gathers the
+      cell entries into one contiguous block before summing
+      (:func:`segsolve.grid.energy_of_stack`);
+    - the projection zeroes each component from preallocated boolean masks
+      and builds the index array only for callers that read it.
     """
 
     def __init__(self, grid: Grid, tr: np.ndarray):
@@ -122,8 +129,10 @@ class _Workspace:
         self.span = slice(nx + 1, 3 * grid.ny * nx - nx - 1)
         self.shifts = (nx + 2, nx, 2 * nx + 1, 1)  # right, left, down, up
         self.tmp = np.empty(self.span.stop - self.span.start)
-        shape_cells = (3, grid.ny - 1, grid.nx - 1)
-        self.energy_work = (np.empty(shape_cells), np.empty(shape_cells))
+        self.energy_work = np.empty((2, tr.size))
+        self.project_work = (
+            np.empty(tr.shape, bool), np.empty(tr.shape, bool), np.empty(grid.shape)
+        )
         self.prod = np.empty(grid.shape)
 
     def step_into(self, out, y, alpha, u=None, eta=0.0):
@@ -154,6 +163,10 @@ class _Workspace:
             np.add(o, t, out=o)
             np.divide(o, 1.0 + eta, out=o)
 
+    def project(self, out, prev_k=None, tau=0.0, indices=True):
+        """`project_and_pin` of `out` with this workspace's buffers."""
+        return project_and_pin(out, self.tr, prev_k, tau, self.project_work, indices)
+
     def energy(self, u) -> float:
         return energy_of_stack(self.grid, u, self.energy_work)
 
@@ -176,7 +189,7 @@ def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """
     controls = SolverControls()
     u = np.stack([harmonic_extension(ws.grid, ws.tr[k], controls).values for k in range(3)])
-    return u, project_and_pin(u, ws.tr)
+    return u, ws.project(u)
 
 
 def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, SolveReport]:
@@ -195,7 +208,7 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
     iters = 0
     for k in range(cfg.max_iters):
         ws.step_into(new, u, alpha)
-        project_and_pin(new, ws.tr)
+        ws.project(new, indices=False)
         step = ws.step_norm(new, u)
         u, new = new, u
         iters = k + 1
@@ -247,7 +260,7 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev_k):
     a = alpha
     while True:
         ws.step_into(out, y, a, u, cfg.eta)
-        k = project_and_pin(out, ws.tr, prev_k, cfg.tau)
+        k = ws.project(out, prev_k, cfg.tau)
         energy = ws.energy(out)
         if energy <= current_energy:
             return BacktrackResult(out, k, a, energy, False, shrinks)

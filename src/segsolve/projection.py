@@ -76,52 +76,85 @@ def project_point(v, prev: int | None = None, tau: float = 0.0):
     return out, k + 1
 
 
+_INDICES = np.arange(1, 4, dtype=np.int8).reshape(3, 1, 1)
+
+
 def project_stack_interior(
     values: np.ndarray,
     prev_k: np.ndarray | None = None,
     tau: float = 0.0,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    indices: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized projection of a (3, m, n) block of interior triples.
 
     prev_k holds previous 1-based indices (0 where undefined).  Returns the
-    projected block and the new 1-based index array.  With `out` given the
-    block is written there (it may be `values` itself) and no stack-sized
-    array is allocated.
+    projected block and the new 1-based index array; with `indices` false
+    and no prev_k the index array is not built and None takes its place.
+    With `out` given the block is written there (it may be `values` itself)
+    and no stack-sized array is allocated.
+
+    Each component is zeroed straight from a boolean mask: the comparisons
+    of the smallest positive part (ties to the smallest index), or, with
+    prev_k, the masks of the final index array.  `work` may supply two bool
+    arrays of the block's shape and one float (m, n) array for the masks and
+    the hysteresis threshold, so that repeated calls allocate at most the
+    index array; the results are the same bit for bit as without them.
     """
     p = np.maximum(values, 0.0, out=out)
     p0, p1, p2 = p
+    if work is None:
+        work = (np.empty(p.shape, bool), np.empty(p.shape, bool), np.empty(p0.shape))
+    zero, keep, thr = work
+    z0, z1, z2 = zero
     # smallest positive part, ties to the smallest index (argmin's rule)
-    z0 = (p0 <= p1) & (p0 <= p2)
-    z1 = (p1 <= p2) & ~z0
-    k = np.full(p0.shape, 3, dtype=np.int8)
-    k[z1] = 2
-    k[z0] = 1
-    if prev_k is not None:
+    np.less_equal(p0, p1, out=z0)
+    np.less_equal(p0, p2, out=z2)
+    np.logical_and(z0, z2, out=z0)
+    np.less_equal(p1, p2, out=z1)
+    np.greater(z1, z0, out=z1)  # p1 <= p2 and not z0
+    k = None
+    if indices or prev_k is not None:
+        k = np.full(p0.shape, 3, dtype=np.int8)
+        k[z1] = 2
+        k[z0] = 1
+    if prev_k is None:
+        np.logical_or(z0, z1, out=z2)
+        np.logical_not(z2, out=z2)
+    else:
         # keep the previous index where its positive part is within tau of the minimum
-        thr = np.minimum(p0, p1)
+        np.minimum(p0, p1, out=thr)
         np.minimum(thr, p2, out=thr)
         thr += tau
-        keep = (prev_k == 1) & (p0 <= thr)
-        keep |= (prev_k == 2) & (p1 <= thr)
-        keep |= (prev_k == 3) & (p2 <= thr)
-        np.copyto(k, prev_k, where=keep, casting="unsafe")
-    for i in range(3):
-        np.copyto(p[i], 0.0, where=k == i + 1)
+        np.equal(prev_k, _INDICES, out=keep)
+        np.less_equal(p, thr, out=zero)
+        np.logical_and(keep, zero, out=keep)
+        kept = np.logical_or(keep[0], keep[1], out=z0)
+        np.logical_or(kept, keep[2], out=kept)
+        np.copyto(k, prev_k, where=kept, casting="unsafe")
+        np.equal(k, _INDICES, out=zero)
+    np.copyto(p, 0.0, where=zero)
     return p, k
 
 
 def project_and_pin(
-    out: np.ndarray, tr: np.ndarray, prev_k: np.ndarray | None = None, tau: float = 0.0
-) -> np.ndarray:
+    out: np.ndarray,
+    tr: np.ndarray,
+    prev_k: np.ndarray | None = None,
+    tau: float = 0.0,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    indices: bool = True,
+) -> np.ndarray | None:
     """Project the (3, ny, nx) stack `out` in place and pin its ring to the trace `tr`.
 
     The whole stack is projected as one contiguous block, which is faster
     than the strided interior view; the ring values this produces are then
     overwritten.  prev_k is a previous (ny, nx) result or None, and the
     returned (ny, nx) indices, like prev_k's, are meaningless on the ring.
+    `work` and `indices` are passed to :func:`project_stack_interior`.
     """
-    _, k = project_stack_interior(out, prev_k, tau, out=out)
+    _, k = project_stack_interior(out, prev_k, tau, out, work, indices)
     out[:, 0, :] = tr[:, 0, :]
     out[:, -1, :] = tr[:, -1, :]
     out[:, :, 0] = tr[:, :, 0]

@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -289,6 +294,131 @@ class TestFistaRun:
             assert np.array_equal(comp.values[b], tr.phi[k][b])
 
 
+def plain_project(v, prev=None, tau=0.0):
+    """Projection of a (3, m, n) block by argmin, with project_point's hysteresis rule."""
+    p = np.maximum(v, 0.0)
+    k = np.argmin(p, axis=0)  # ties to the smallest index
+    if prev is not None:
+        at_prev = np.take_along_axis(p, np.maximum(prev - 1, 0)[None].astype(np.intp), 0)[0]
+        k = np.where((prev > 0) & (at_prev <= p.min(axis=0) + tau), prev - 1, k)
+    np.put_along_axis(p, k[None], 0.0, 0)
+    return p, k + 1
+
+
+def plain_energy(grid, u):
+    total = 0.0
+    for v in u:
+        gx = (v[:-1, 1:] - v[:-1, :-1]) / grid.hx
+        gy = (v[1:, :-1] - v[:-1, :-1]) / grid.hy
+        total += float(np.sum(gx * gx + gy * gy))
+    return 0.5 * total * grid.hx * grid.hy
+
+
+def plain_violation(u):
+    return float(np.max(np.abs(u[0] * u[1] * u[2])))
+
+
+def plain_gradient_step(grid, y, alpha):
+    """Interior of y + alpha * lap_h(y)."""
+    c = y[:, 1:-1, 1:-1]
+    lap = (y[:, 1:-1, 2:] - 2.0 * c + y[:, 1:-1, :-2]) / grid.hx**2 + (
+        y[:, 2:, 1:-1] - 2.0 * c + y[:, :-2, 1:-1]
+    ) / grid.hy**2
+    return c + alpha * lap
+
+
+def pinned(tr, inner):
+    u = tr.copy()
+    u[:, 1:-1, 1:-1] = inner
+    return u
+
+
+def plain_start(grid, tr):
+    """Projected harmonic extensions and their interior indices."""
+    u = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
+    inner, k = plain_project(u[:, 1:-1, 1:-1])
+    return pinned(tr, inner), k
+
+
+class TestReferenceLoops:
+    """pgd_run and fista_run against their iterations written out with plain
+    array expressions, at a benchmark grid size: every history row and the
+    final stack are bitwise equal."""
+
+    def test_pgd_on_ex41_at_n61(self):
+        g = build_grid(61, 61, SQUARE)
+        tr = evaluate_bc(builtin_config("ex41"), g).phi
+        cfg = PgdConfig(max_iters=300)
+        state, report = pgd_run(g, "ex41", cfg)
+        alpha = cfg.resolve_alpha(g)
+
+        u, _ = plain_start(g, tr)
+        history = []
+        for it in range(cfg.max_iters):
+            new = pinned(tr, plain_project(plain_gradient_step(g, u, alpha))[0])
+            step = plain_max_l2_step(g, new, u)
+            u = new
+            history.append({"iter": it + 1, "energy": plain_energy(g, u), "step_norm": step,
+                            "violation_max": plain_violation(u), "pg_residual": step / alpha})
+        assert len(report.history) == len(history) == 300
+        for got, expected in zip(report.history, history):
+            assert got == expected
+        assert state.stack().tobytes() == u.tobytes()
+        assert report.final_energy == plain_energy(g, u)
+
+    @pytest.mark.parametrize(
+        "a0, amin, tau",
+        [(None, None, 1e-10), (0.3, None, 1e-3), (0.2, 0.2, 1e-10)],
+        ids=["defaults", "shrinks-and-hysteresis", "restarts"],
+    )
+    def test_fista_on_bc7_at_n31(self, a0, amin, tau):
+        g = build_grid(31, 31, SQUARE)
+        tr = evaluate_bc(builtin_config("bc7"), g).phi
+        h2 = g.hx**2
+        cfg = FistaConfig(
+            alpha0=a0 and a0 * h2, alpha_min=amin and amin * h2, tau=tau, max_iters=200
+        )
+        state, report = fista_run(g, "bc7", cfg)
+        alpha0, alpha_min = cfg.resolve_alphas(g)
+
+        u, k_prev = plain_start(g, tr)
+        energy_u = plain_energy(g, u)
+        t, y, alpha = 1.0, u.copy(), alpha0
+        history = []
+        for it in range(cfg.max_iters):
+            a = alpha
+            while True:  # backtracking
+                inner = plain_gradient_step(g, y, a)
+                inner = (inner + cfg.eta * u[:, 1:-1, 1:-1]) / (1.0 + cfg.eta)
+                inner, k = plain_project(inner, k_prev, cfg.tau)
+                cand = pinned(tr, inner)
+                energy = plain_energy(g, cand)
+                restart = energy > energy_u and a <= alpha_min * (1.0 + 1e-12)
+                if energy <= energy_u or restart:
+                    break
+                a = max(cfg.rho * a, alpha_min)
+            if restart:
+                t, y, alpha = 1.0, u.copy(), alpha0
+                history.append({"iter": it + 1, "energy": energy_u, "step_norm": None,
+                                "violation_max": plain_violation(u), "alpha": a,
+                                "restarted": True})
+                continue
+            step = plain_max_l2_step(g, cand, u)
+            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y = cand + (t - 1.0) / t_new * (cand - u)
+            t, u, k_prev, energy_u, alpha = t_new, cand, k, energy, a
+            history.append({"iter": it + 1, "energy": energy_u, "step_norm": step,
+                            "violation_max": plain_violation(u), "alpha": alpha,
+                            "restarted": False})
+            if step < cfg.tol:
+                break
+        assert len(report.history) == len(history) == 200
+        for got, expected in zip(report.history, history):
+            assert got == expected
+        assert state.stack().tobytes() == u.tobytes()
+        assert report.final_energy == plain_energy(g, u)
+
+
 class TestStepNormWeighting:
     def test_step_norm_uses_domain_quadrature(self):
         # one unit change at a single interior node: step = sqrt(hx*hy)
@@ -298,3 +428,59 @@ class TestStepNormWeighting:
         d[0, 5, 5] = 1.0
         norm = np.sqrt(np.max(np.sum(w * d * d, axis=(1, 2))))
         assert norm == pytest.approx(np.sqrt(g.hx * g.hy))
+
+
+# Runs in a child process: bench/tracing.py wraps the module functions of
+# segsolve in place.  Prints, per algorithm, the iterations of the report,
+# the traced backtracking trials (FISTA), the step_into spans, the
+# grid.energy_of_stack and projection.project_stack_interior spans, and
+# those of them nested in a span of either name.
+TRACED_RUNS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from segsolve import projected_gradient as pg
+from segsolve.grid import build_grid
+
+rec = tracing.Recorder(sys.argv[2])
+tracing.install(rec)
+grid = build_grid(21, 21, (-1.0, 1.0, -1.0, 1.0))
+layers = ("grid.energy_of_stack", "projection.project_stack_interior")
+out = {}
+for name, run in (("pgd", pg.pgd_run), ("fista", pg.fista_run)):
+    start = len(rec.names)
+    trials = rec.counts.get("projected_gradient.backtrack_trials", 0)
+    _, report = run(grid, "ex41")
+    spans = range(start, len(rec.names))
+    out[name] = {
+        "iters": report.iters,
+        "trials": rec.counts.get("projected_gradient.backtrack_trials", 0) - trials,
+        "steps": sum(rec.names[k].endswith("step_into") for k in spans),
+        "energy": sum(rec.names[k] == layers[0] for k in spans),
+        "project": sum(rec.names[k] == layers[1] for k in spans),
+        "nested": sum(rec.names[k] in layers and rec.parents[k] >= 0
+                      and rec.names[rec.parents[k]] in layers for k in spans),
+    }
+print(json.dumps(out))
+"""
+
+
+def test_tracer_records_one_span_per_kernel_call(tmp_path, child_env):
+    # the spans behind grid.energy_ms and projection.project_ms: one per
+    # iteration (PGD) or backtracking trial (FISTA), plus the projection of
+    # the initial state, the final energy and FISTA's initial energy
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    res = subprocess.run(
+        [sys.executable, "-c", TRACED_RUNS, str(bench), str(tmp_path)],
+        env=child_env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    counts = json.loads(res.stdout)
+    pgd, fista = counts["pgd"], counts["fista"]
+    assert pgd["iters"] > 0 and pgd["steps"] == pgd["iters"]
+    assert pgd["energy"] == pgd["iters"] + 1
+    assert pgd["project"] == pgd["iters"] + 1
+    assert fista["trials"] >= fista["iters"] > 0 and fista["steps"] == fista["trials"]
+    assert fista["energy"] == fista["trials"] + 2
+    assert fista["project"] == fista["trials"] + 1
+    assert pgd["nested"] == fista["nested"] == 0

@@ -206,6 +206,43 @@ class TestProjectStackInterior:
             assert fresh.tobytes() == block.tobytes()
             assert np.array_equal(k, k_fresh) and k.dtype == np.int8
 
+    def _tie_block(self, seed):
+        # two- and three-way ties, exact zeros against -0.0, near-ties inside
+        # and just outside the hysteresis band, and negative entries
+        rng = np.random.default_rng(seed)
+        shape = (3, 17, 13)
+        values = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0], size=shape)
+        values[:, :4] += rng.uniform(-1.0, 2.0, (3, 4, 13))
+        values[1, 4:6] = values[0, 4:6] + 1e-12
+        values[2, 6:8] = values[0, 6:8] + 3e-10
+        prev_k = rng.integers(0, 4, shape[1:]).astype(np.int8)
+        return values, prev_k
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-10])
+    @pytest.mark.parametrize("with_prev", [False, True])
+    def test_values_and_indices_are_the_pointwise_bits(self, tau, with_prev):
+        values, prev_k = self._tie_block(31 + int(with_prev))
+        prev = prev_k if with_prev else None
+        work = (np.empty(values.shape, bool), np.empty(values.shape, bool),
+                np.empty(values.shape[1:]))
+        out, k = project_stack_interior(values, prev, tau)
+        block = values.copy()
+        p, k_work = project_stack_interior(block, prev, tau, out=block, work=work)
+        assert p.tobytes() == out.tobytes() and np.array_equal(k_work, k)
+        for j in range(values.shape[1]):
+            for i in range(values.shape[2]):
+                pp = (int(prev_k[j, i]) or None) if with_prev else None
+                expected, k_exp = project_point(values[:, j, i], prev=pp, tau=tau)
+                assert out[:, j, i].tobytes() == expected.tobytes()
+                assert k[j, i] == k_exp
+
+    def test_without_indices_the_values_are_the_same_bytes(self):
+        values, _ = self._tie_block(33)
+        out, k = project_stack_interior(values)
+        bare, none = project_stack_interior(values, indices=False)
+        assert none is None and bare.tobytes() == out.tobytes()
+        assert np.array_equal(k, np.argmin(np.maximum(values, 0.0), axis=0) + 1)
+
 
 class TestControls:
     def test_negative_tau_rejected(self):
