@@ -130,10 +130,9 @@ class _Workspace:
         self.shifts = (nx + 2, nx, 2 * nx + 1, 1)  # right, left, down, up
         self.tmp = np.empty(self.span.stop - self.span.start)
         self.energy_work = np.empty((2, tr.size))
-        self.project_work = (
-            np.empty(tr.shape, bool), np.empty(tr.shape, bool), np.empty(grid.shape)
-        )
         self.prod = np.empty(grid.shape)
+        # the projection's threshold plane is scratch within one call, like prod
+        self.project_work = (np.empty(tr.shape, bool), np.empty(tr.shape, bool), self.prod)
 
     def step_into(self, out, y, alpha, u=None, eta=0.0):
         """out <- y + alpha * lap_h(y), then (. + eta*u)/(1 + eta) if eta > 0.
