@@ -18,7 +18,8 @@ flattened full (ny, nx) field, not on the interior block:
     working array is returned as the solution field.
   * The operator is the diagonal term plus four contiguous shifted slices of
     the flat array (offsets +-1 and +-nx), one pass each, over the span of
-    flat nodes whose four neighbours lie in the array.  That span covers every
+    flat nodes whose four neighbours lie in the array; one closure
+    (`_negative_operator`) holds it for CG and for the boundary coupling.  That span covers every
     interior node; at ring nodes inside it the shifts wrap across rows and
     leave finite junk.
   * The Jacobi inverse is zero on the ring, so whatever lands in the ring
@@ -60,17 +61,19 @@ vectors half as long.
 The set-up of the red-black solve that does not depend on the interior
 weight lives in a plan (`_RedBlackPlan`), built once per run for each
 component trace and passed to every penalized solve of that component.  It
-holds the ring mask, the maps from the padded layout's red and black halves
-to flat grid indices, the CG buffers and the operator's views into them, and
-the trace-side right-hand side with its halves.  That right-hand side is -A
-applied to the ring-only field: the field is zero at interior nodes, so the
-weighted diagonal multiplies zeros and only the neighbour couplings remain.
-A solve then forms only its diagonal, Jacobi inverse, scale, load part and
-initial residual.  Only the trace side and the kept solutions below belong
-to one trace; the plans of a run's three components share the rest
-(`sibling`), which each solve sets up afresh.  A penalized solve without a
-plan builds a one-off plan, so there is one red-black path; its bits are
-those of the set-up done per solve.
+records its trace and holds the ring mask, the maps from the padded layout's
+red and black halves to flat grid indices, the CG buffers and the operator's
+views into them, and the trace-side right-hand side on the flat grid.  That
+right-hand side is -A applied to the ring-only field: the field is zero at
+interior nodes, so the weighted diagonal multiplies zeros and only the
+neighbour couplings remain.  A solve forms its diagonal, Jacobi inverse,
+right-hand side (load part, 0.0 without a load, plus the trace side), scale
+and initial residual; the gather of its staged rows splits the right-hand
+side into its red and black halves.  Only the trace and the kept solutions
+below belong to one trace; the plans of a run's three components share the
+rest (`sibling`), which each solve sets up afresh.  A penalized solve
+without a plan (`solve_helmholtz`) builds a one-off plan, so there is one
+red-black path; its bits are those of the set-up done per solve.
 
 Galerkin starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).  A
 plan also keeps the black halves of the solutions its caller hands to
@@ -256,6 +259,33 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget):
     return iters, res, history
 
 
+def _negative_operator(grid: Grid, v: np.ndarray, out: np.ndarray):
+    """The closure out <- -A v, times hx^2, on the flat full grid, zero interior weight.
+
+    Exact at interior nodes; ring nodes inside the span of nodes whose four
+    neighbours lie in the array get finite junk, and out is not written
+    outside that span.
+    """
+    nx, size = grid.nx, grid.ny * grid.nx
+    q = grid.hx**2 / grid.hy**2
+    d = 2.0 + 2.0 * q  # the diagonal: the interior weight is zero
+    lo, hi = nx + 1, size - nx - 1  # interior nodes lie in [lo, hi), their neighbours in the array
+    centre, left, right = v[lo:hi], v[lo - 1 : hi - 1], v[lo + 1 : hi + 1]
+    down, up = v[lo - nx : hi - nx], v[lo + nx : hi + nx]
+    o = out[lo:hi]
+    t = np.empty(hi - lo)
+
+    def negative_apply() -> None:
+        np.add(down, up, out=o)
+        np.multiply(o, q, out=o)
+        np.add(left, right, out=t)
+        np.add(o, t, out=o)
+        np.multiply(d, centre, out=t)
+        np.subtract(o, t, out=o)
+
+    return negative_apply
+
+
 def _minus_trace_coupling(grid: Grid, trace_only: np.ndarray) -> np.ndarray:
     """-A times the ring-only field, times hx^2, on the flat full grid.
 
@@ -264,18 +294,8 @@ def _minus_trace_coupling(grid: Grid, trace_only: np.ndarray) -> np.ndarray:
     result does not depend on the interior weight; ring nodes get finite junk
     that the zero Jacobi inverse on the ring discards.
     """
-    nx, size = grid.nx, grid.ny * grid.nx
-    q = grid.hx**2 / grid.hy**2
-    lo, hi = nx + 1, size - nx - 1  # interior nodes lie in [lo, hi), their neighbours in the array
-    c = trace_only
-    minus = np.zeros(size)
-    out = minus[lo:hi]
-    np.add(c[lo - nx : hi - nx], c[lo + nx : hi + nx], out=out)
-    np.multiply(out, q, out=out)
-    t = c[lo - 1 : hi - 1] + c[lo + 1 : hi + 1]
-    np.add(out, t, out=out)
-    np.multiply(2.0 + 2.0 * q, c[lo:hi], out=t)
-    np.subtract(out, t, out=out)
+    minus = np.zeros(grid.ny * grid.nx)
+    _negative_operator(grid, trace_only, minus)()
     return minus
 
 
@@ -286,12 +306,11 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     residual, residual history, 0), x the flat solution field.
     """
     g = p.grid
-    nx, size = g.nx, g.ny * g.nx
+    size = g.ny * g.nx
     hx2 = g.hx**2
     q = hx2 / g.hy**2
-    d = 2.0 + 2.0 * q  # the diagonal: the interior weight is zero
     ring = g.boundary_mask().reshape(-1)
-    dinv = np.where(ring, 0.0, 1.0 / d)
+    dinv = np.where(ring, 0.0, 1.0 / (2.0 + 2.0 * q))
     trace_only = np.where(ring, p.trace.reshape(-1), 0.0)
     load = 0.0 if p.load is None else np.where(ring, 0.0, p.load.reshape(-1) * hx2)
     b = load + _minus_trace_coupling(g, trace_only)
@@ -306,21 +325,7 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     xr = np.empty((2, size))
     v, minus_ap = pair
     x, r = xr
-    lo, hi = nx + 1, size - nx - 1
-    centre, left, right = v[lo:hi], v[lo - 1 : hi - 1], v[lo + 1 : hi + 1]
-    down, up = v[lo - nx : hi - nx], v[lo + nx : hi + nx]
-    out = minus_ap[lo:hi]
-    t = np.empty(hi - lo)
-
-    def negative_apply() -> None:
-        """minus_ap <- -A v: exact at interior nodes, finite junk on the ring."""
-        np.add(down, up, out=out)
-        np.multiply(out, q, out=out)
-        np.add(left, right, out=t)
-        np.add(out, t, out=out)
-        np.multiply(d, centre, out=t)
-        np.subtract(out, t, out=out)
-
+    negative_apply = _negative_operator(g, v, minus_ap)
     x[:] = trace_only if x0 is None else np.where(ring, trace_only, x0)
     v[:] = x
     negative_apply()
@@ -350,11 +355,12 @@ class _RedBlackPlan:
 
     Built once per run for each component trace, the later ones as siblings
     of the first, and passed to every penalized solve of that component
-    (module docstring).  It holds the ring mask, the maps from the red and
-    black halves of the padded layout to flat grid indices, the CG buffers
-    with the operator's views into them, and the trace-side right-hand side
-    with its halves.  A solve forms only its
-    diagonal, Jacobi inverse, scale, load part and initial residual.
+    (module docstring).  It records its trace and holds the ring mask, the
+    maps from the red and black halves of the padded layout to flat grid
+    indices, the CG buffers with the operator's views into them, and the
+    trace-side right-hand side on the flat grid.  A solve forms its diagonal,
+    Jacobi inverse, right-hand side, scale and initial residual; the halves
+    come from the gather of the staged rows.
 
     It also holds the black halves of the solutions given to `keep` since the
     last `clear`, as the last one and the steps between the last
@@ -438,13 +444,11 @@ class _RedBlackPlan:
         self._set_trace(trace)
 
     def _set_trace(self, trace: np.ndarray) -> None:
-        """Set the trace-side right-hand side and an empty history."""
-        self.trace_only = np.where(self.ring, np.asarray(trace, dtype=float).reshape(-1), 0.0)
+        """Record the trace, set the trace-side right-hand side and an empty history."""
+        self.trace = np.asarray(trace, dtype=float)
+        self.trace_only = np.where(self.ring, self.trace.reshape(-1), 0.0)
         self.ring_trace = self.trace_only[self.ring_nodes]
         self.minus_trace = _minus_trace_coupling(self.grid, self.trace_only)
-        self.b_trace = 0.0 + self.minus_trace  # the right-hand side without load
-        b_ext = np.append(self.b_trace, 0.0)
-        self.b_trace_r, self.b_trace_b = b_ext[self.red], b_ext[self.black]
         self.kept = 0
         self.last = np.zeros(self.black.size)
         # rows (step d, N d): the steps between kept solutions on black nodes,
@@ -533,20 +537,16 @@ class _RedBlackPlan:
         np.multiply(diag, self.hx2 / p.epsilon, out=diag)
         np.add(2.0 + 2.0 * self.q, diag, out=diag)
         np.divide(self.interior, diag, out=dinv)  # zero on the ring
-        if p.load is not None:
-            np.add(np.where(self.ring, 0.0, p.load.reshape(-1) * self.hx2), self.minus_trace, out=b)
+        load = 0.0 if p.load is None else np.where(self.ring, 0.0, p.load.reshape(-1) * self.hx2)
+        np.add(load, self.minus_trace, out=b)
         np.take(staged, self.red, axis=1, out=rows_r, mode="clip")
         np.take(staged, self.black, axis=1, out=rows_b, mode="clip")
-        if p.load is None:
-            b, b_r, b_b = self.b_trace, self.b_trace_r, self.b_trace_b
-        else:
-            b_r, b_b = rows_r[2], rows_b[2]
         bz = float(b.dot(b * dinv))
         if bz == 0.0:
             # zero data: unique solution is zero (coefficient is nonnegative)
             return self.trace_only.copy(), 0, 0.0, [0.0], 0
 
-        np.multiply(b_r, rows_r[0], out=self.c_r)
+        np.multiply(rows_r[2], rows_r[0], out=self.c_r)
         v, minus_sv = self.pair
         x_b, r = self.xr
         if self.kept >= 2:
@@ -559,7 +559,7 @@ class _RedBlackPlan:
         v[:] = x_b
         self.back_substitute()
         self.to_black()
-        np.add(b_b, minus_sv, out=r)  # residual of the full system at black nodes
+        np.add(rows_b[2], minus_sv, out=r)  # residual of the full system at black nodes
         applies = self.galerkin_start() if self.kept >= 2 else 0
         iters, res, history = _jacobi_pcg(
             self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), rel_tol, budget

@@ -22,8 +22,8 @@ Four fixed-point sweeps are provided:
 A run starts all components from their harmonic extensions and continues a
 geometrically decreasing ladder of penalty parameters, warm-starting each
 stage from the previous.  The sweeps and the loop work on raw (3, ny, nx)
-stacks; all sweeps share one signature, and `run_penalty` picks the sweep
-and its damping once per run (Gauss-Seidel is damped only with
+stacks; all sweeps share one signature (u, eps, alpha, plans), and
+`run_penalty` picks the sweep and its damping once per run (Gauss-Seidel is damped only with
 `damp_gauss_seidel`).  The loop stops a stage on
 :func:`segsolve.grid.max_l2_step`; its history is a plain list of one dict
 per sweep, which is also the report's history.  Each stage summary holds the
@@ -34,15 +34,17 @@ its largest single solve (`cg_max`) and the operator passes of its CG starts
 CG starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998): the three
 Helmholtz answers change slowly from sweep to sweep.  `run_penalty` builds
 one red-black plan per component trace (see :mod:`segsolve.linear_solver`;
-the three share their buffers) and every solve of that component goes
-through it; the plan keeps the stage's solutions and is cleared at each new
-eps.  The first two sweeps of a stage start from the iterate u.  From the
+the three share their buffers), and the plans are the whole solver set-up a
+sweep gets: every solve of a component goes through its plan, which records
+the trace, keeps the stage's solutions and is cleared at each new eps.  The first two sweeps of a stage start from the iterate u.  From the
 third on, CG starts from the last solution plus the Galerkin correction in
 the span of the steps between the last (up to four) solutions: the start
 that is best in the energy norm of the current operator over that span.
-The public single-sweep functions make one-off plans and start from u.  Only
-the start moves: every solve still runs to the default CG tolerance of
-:class:`segsolve.linear_solver.SolverControls` under the same stopping test,
+The public single-sweep functions build such plans for their one sweep;
+each keeps a single solution, so CG starts from u.  Only the start moves:
+every solve still runs to the default CG tolerance of
+:func:`segsolve.linear_solver.solve_helmholtz_with_info` under the same
+stopping test,
 so its answer differs from a cold start's only within that tolerance, and
 the discrete maximum principle the solves obey holds as before.  The saving
 is CG iterations, about half of those of the earlier secant starts on ex41
@@ -64,7 +66,6 @@ from .boundary import BoundaryTrace, resolve_trace
 from .grid import Grid, SystemState, energy_of_stack, l2_norm, max_l2_step, node_weights
 from .linear_solver import (
     HelmholtzProblem,
-    SolverControls,
     _RedBlackPlan,
     harmonic_extension,
     solve_helmholtz_with_info,
@@ -115,86 +116,89 @@ class PenaltyConfig:
         return ladder
 
 
-def _solve(grid, w, eps, trace_k, x0, controls, plan, load=None):
-    """One solve; the plan, if any, keeps its answer for the next starts."""
-    problem = HelmholtzProblem(grid, w, eps, trace_k, load=load)
-    fld, info = solve_helmholtz_with_info(problem, controls, x0=x0, plan=plan)
-    if plan is not None:
-        plan.keep(fld.values)
+def _plans(grid, tr):
+    """One red-black plan per component trace; the three share their buffers."""
+    plans = [_RedBlackPlan(grid, tr[0])]
+    return plans + [plans[0].sibling(tr[k]) for k in (1, 2)]
+
+
+def _solve(plan, w, eps, x0, load=None):
+    """One solve through the plan, which keeps its answer for the next starts."""
+    problem = HelmholtzProblem(plan.grid, w, eps, plan.trace, load=load)
+    fld, info = solve_helmholtz_with_info(problem, x0=x0, plan=plan)
+    plan.keep(fld.values)
     return fld.values, info
 
 
 # Every sweep takes the (3, ny, nx) iterate u, the damping weight alpha and
-# one red-black plan per component (none: one-off plans) and returns (new
-# stack, SolveInfo of each solve).  CG starts from u, or from the plan's kept
+# the run's red-black plans, one per component, and returns (new stack,
+# SolveInfo of each solve).  CG starts from u, or from the plan's kept
 # solutions once it holds two.
 
-_NO_PLANS = (None, None, None)
 
-
-def _picard_sweep(grid, u, tr, eps, alpha, controls, plans=_NO_PLANS):
+def _picard_sweep(u, eps, alpha, plans):
     weights = ((u[1] * u[2]) ** 2, (u[0] * u[2]) ** 2, (u[0] * u[1]) ** 2)
     out = np.empty_like(u)
     infos = []
     for k in range(3):
-        v, info = _solve(grid, weights[k], eps, tr[k], u[k], controls, plans[k])
+        v, info = _solve(plans[k], weights[k], eps, u[k])
         out[k] = alpha * v + (1.0 - alpha) * u[k]
         infos.append(info)
     return out, infos
 
 
-def _sequential_solves(grid, u, tr, eps, alpha, controls, plans):
-    v1, i1 = _solve(grid, (u[1] * u[2]) ** 2, eps, tr[0], u[0], controls, plans[0])
+def _sequential_solves(u, eps, alpha, plans):
+    v1, i1 = _solve(plans[0], (u[1] * u[2]) ** 2, eps, u[0])
     w2 = u[2] ** 2 * (u[0] ** 2 + v1**2) / 2.0
-    v2, i2 = _solve(grid, w2, eps, tr[1], u[1], controls, plans[1])
+    v2, i2 = _solve(plans[1], w2, eps, u[1])
     w3 = ((u[0] * u[1]) ** 2 + (v1 * v2) ** 2) / 2.0
-    v3, i3 = _solve(grid, w3, eps, tr[2], u[2], controls, plans[2])
+    v3, i3 = _solve(plans[2], w3, eps, u[2])
     v = np.stack([v1, v2, v3])
     out = v if alpha == 1.0 else alpha * v + (1.0 - alpha) * u
     return out, [i1, i2, i3]
 
 
-def _gauss_seidel_sweep(grid, u, tr, eps, alpha, controls, plans=_NO_PLANS):
-    return _sequential_solves(grid, u, tr, eps, alpha, controls, plans)
+def _gauss_seidel_sweep(u, eps, alpha, plans):
+    return _sequential_solves(u, eps, alpha, plans)
 
 
-def _semi_implicit_sweep(grid, u, tr, eps, alpha, controls, plans=_NO_PLANS):
+def _semi_implicit_sweep(u, eps, alpha, plans):
     """The Gauss-Seidel sweep: its symmetrized coefficients are the same numbers.
 
     A def of its own rather than an alias of `_gauss_seidel_sweep`, so that a
     tracer wrapping each sweep name records one span per sweep.
     """
-    return _sequential_solves(grid, u, tr, eps, alpha, controls, plans)
+    return _sequential_solves(u, eps, alpha, plans)
 
 
-def _phase_field_sweep(grid, u, tr, eps, alpha, controls, plans=_NO_PLANS):
+def _phase_field_sweep(u, eps, alpha, plans):
     out = np.empty_like(u)
     infos = []
     for k in range(3):
         others = [u[m] for m in range(3) if m != k]
         w = (others[0] * others[1]) ** 2
         load = -(w / (2.0 * eps)) * u[k]
-        v, info = _solve(grid, w / 2.0, eps, tr[k], u[k], controls, plans[k], load=load)
+        v, info = _solve(plans[k], w / 2.0, eps, u[k], load=load)
         out[k] = alpha * np.maximum(v, 0.0) + (1.0 - alpha) * u[k]
         infos.append(info)
     return out, infos
+
+
+def _step(sweep, state, trace, eps, alpha=1.0):
+    """One sweep from state on fresh plans; each keeps one solution, so CG starts from u."""
+    out, _ = sweep(state.stack(), eps, alpha, _plans(state.grid, trace.phi))
+    return SystemState.from_stack(state.grid, out)
 
 
 def picard_step(
     state: SystemState, trace: BoundaryTrace, epsilon: float, alpha: float
 ) -> SystemState:
     """One damped decoupled sweep: alpha * solve(w_i(u^k)) + (1 - alpha) * u^k."""
-    out, _ = _picard_sweep(
-        state.grid, state.stack(), trace.phi, epsilon, alpha, SolverControls()
-    )
-    return SystemState.from_stack(state.grid, out)
+    return _step(_picard_sweep, state, trace, epsilon, alpha)
 
 
 def gauss_seidel_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:
-    out, _ = _gauss_seidel_sweep(
-        state.grid, state.stack(), trace.phi, epsilon, 1.0, SolverControls()
-    )
-    return SystemState.from_stack(state.grid, out)
+    return _step(_gauss_seidel_sweep, state, trace, epsilon)
 
 
 semi_implicit_step = gauss_seidel_step
@@ -202,10 +206,7 @@ semi_implicit_step = gauss_seidel_step
 
 def phase_field_step(state: SystemState, trace: BoundaryTrace, epsilon: float) -> SystemState:
     """One undamped phase-field sweep; `run_penalty` damps it with `alpha`."""
-    out, _ = _phase_field_sweep(
-        state.grid, state.stack(), trace.phi, epsilon, 1.0, SolverControls()
-    )
-    return SystemState.from_stack(state.grid, out)
+    return _step(_phase_field_sweep, state, trace, epsilon)
 
 
 def run_penalty(
@@ -228,11 +229,8 @@ def run_penalty(
     t0 = time.perf_counter()
     trace = resolve_trace(bc, grid)
     tr = trace.phi
-    controls = SolverControls()
-
-    u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
-    plans = [_RedBlackPlan(grid, tr[0])]
-    plans += [plans[0].sibling(tr[k]) for k in (1, 2)]
+    u = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
+    plans = _plans(grid, tr)
 
     ladder = list(stages) if stages is not None else cfg.stages()
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -258,7 +256,7 @@ def run_penalty(
         for plan in plans:
             plan.clear()  # starts project on this stage's solutions only
         for it in range(1, cfg.max_outer + 1):
-            new, infos = sweep(grid, u, tr, eps, alpha, controls, plans)
+            new, infos = sweep(u, eps, alpha, plans)
             cg = [info.iterations for info in infos]
             cg_total += sum(cg)
             cg_max = max(cg_max, *cg)

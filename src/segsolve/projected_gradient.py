@@ -25,7 +25,7 @@ import numpy as np
 
 from .boundary import resolve_trace
 from .grid import Grid, SystemState, energy_of_stack, max_l2_step, node_weights
-from .linear_solver import SolverControls, harmonic_extension
+from .linear_solver import harmonic_extension
 from .projection import project_and_pin
 from .reporting import SolveReport
 
@@ -186,8 +186,7 @@ def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the stack and its (ny, nx) assignment, as `project_and_pin` does.
     """
-    controls = SolverControls()
-    u = np.stack([harmonic_extension(ws.grid, ws.tr[k], controls).values for k in range(3)])
+    u = np.stack([harmonic_extension(ws.grid, ws.tr[k]).values for k in range(3)])
     return u, ws.project(u)
 
 

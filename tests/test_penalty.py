@@ -10,7 +10,6 @@ from segsolve.boundary import BoundaryTrace, builtin_config, evaluate_bc, sup_bo
 from segsolve.grid import SystemState, build_grid, l2_diff, max_l2_step, node_weights
 from segsolve.linear_solver import (
     HelmholtzProblem,
-    SolverControls,
     _RedBlackPlan,
     harmonic_extension,
     solve_helmholtz_with_info,
@@ -19,6 +18,7 @@ from segsolve.penalty import (
     PenaltyConfig,
     _gauss_seidel_sweep,
     _picard_sweep,
+    _plans,
     gauss_seidel_step,
     phase_field_step,
     picard_step,
@@ -377,21 +377,20 @@ class TestRunPenalty:
 
 
 def cold_start_run(grid, bc_id, cfg):
-    """run_penalty's loop with every CG solve started from the iterate.
+    """run_penalty's loop on fresh plans each sweep: every CG solve starts from the iterate.
 
     Returns (final stack, sweeps per stage, total CG iterations).
     """
     tr = evaluate_bc(builtin_config(bc_id), grid).phi
-    controls = SolverControls()
-    u = np.stack([harmonic_extension(grid, tr[k], controls).values for k in range(3)])
+    u = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
     weights = node_weights(grid)
     sweeps, cg_total = [], 0
     for eps in cfg.stages():
         for it in range(1, cfg.max_outer + 1):
             if cfg.scheme == "picard":
-                new, infos = _picard_sweep(grid, u, tr, eps, cfg.alpha, controls)
+                new, infos = _picard_sweep(u, eps, cfg.alpha, _plans(grid, tr))
             else:
-                new, infos = _gauss_seidel_sweep(grid, u, tr, eps, 1.0, controls)
+                new, infos = _gauss_seidel_sweep(u, eps, 1.0, _plans(grid, tr))
             cg_total += sum(info.iterations for info in infos)
             step, u = max_l2_step(weights, new, u), new
             if step < cfg.outer_tol:
