@@ -40,21 +40,14 @@ from .projected_gradient import FistaConfig, PgdConfig, fista_run, pgd_run
 from .projection import projection_selftest
 from .reporting import write_history_jsonl, write_report_json
 
-ALGORITHMS = (
-    "penalty-picard",
-    "penalty-gs",
-    "penalty-semi",
-    "penalty-phasefield",
-    "pgd",
-    "fista",
-)
-
 _PENALTY_SCHEMES = {
     "penalty-picard": "picard",
     "penalty-gs": "gauss_seidel",
     "penalty-semi": "semi_implicit",
     "penalty-phasefield": "phase_field",
 }
+
+ALGORITHMS = (*_PENALTY_SCHEMES, "pgd", "fista")
 
 BENCH_BCS = tuple(f"bc{k}" for k in range(1, 10))
 
@@ -97,6 +90,8 @@ class RunConfig:
             raise ConfigError("resolution n must be >= 3")
         if self.delta is not None and not self.delta > 0.0:
             raise ConfigError("contour threshold delta must be positive")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
 
 
 def _load_config_file(path: str) -> dict:
@@ -196,17 +191,21 @@ def _default_delta(cfg: RunConfig, trace) -> float:
     return _delta_of_bound(sup_bound(trace))
 
 
+def _write_contours(outdir: str, state: SystemState, delta: float) -> ContourSet:
+    contours = extract_contours(state, delta)
+    with open(os.path.join(outdir, "contours.svg"), "w") as fh:
+        fh.write(render_svg(contours, state.grid))
+    contours_to_csv(contours, os.path.join(outdir, "contours.csv"))
+    return contours
+
+
 def _write_artifacts(outdir: str, state: SystemState, report, delta: float) -> ContourSet:
     os.makedirs(outdir, exist_ok=True)
     for k, comp in enumerate(state.components, start=1):
         field_to_csv(comp, os.path.join(outdir, f"u{k}.csv"))
     write_report_json(report, os.path.join(outdir, "report.json"))
     write_history_jsonl(report.history, os.path.join(outdir, "history.jsonl"))
-    contours = extract_contours(state, delta)
-    with open(os.path.join(outdir, "contours.svg"), "w") as fh:
-        fh.write(render_svg(contours, state.grid))
-    contours_to_csv(contours, os.path.join(outdir, "contours.csv"))
-    return contours
+    return _write_contours(outdir, state, delta)
 
 
 def _output_dir(cfg: RunConfig, suffix: str) -> str:
@@ -359,10 +358,7 @@ def cmd_contours(args: argparse.Namespace) -> int:
         delta = _delta_of_bound(max(float(np.max(np.abs(c.values))) for c in comps))
     outdir = args.out or args.fields_dir
     os.makedirs(outdir, exist_ok=True)
-    contours = extract_contours(state, delta)
-    with open(os.path.join(outdir, "contours.svg"), "w") as fh:
-        fh.write(render_svg(contours, state.grid))
-    contours_to_csv(contours, os.path.join(outdir, "contours.csv"))
+    contours = _write_contours(outdir, state, delta)
     n_polys = sum(len(v) for v in contours.polylines.values())
     print(f"extracted {n_polys} polylines at delta={delta:g} -> {outdir}")
     return 0
@@ -375,12 +371,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-start", dest="eps_start", type=float, help="continuation start epsilon")
     p.add_argument("--eps-factor", dest="eps_factor", type=float, help="continuation ratio per stage")
     p.add_argument("--alpha", type=float, help="step size for pgd/fista (default 0.1h^2 / 0.03h^2)")
-    p.add_argument("--damping", type=float, help="penalty damping weight (default 0.5)")
+    p.add_argument(
+        "--damping", type=float,
+        help="penalty damping weight (default 0.5); penalty-gs and penalty-semi ignore it",
+    )
     p.add_argument("--tol", type=float, help="outer step-norm tolerance (default 1e-8)")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="outer iteration cap")
     p.add_argument("--delta", type=float, help="contour threshold (default sqrt(eps) or 1e-3 M)")
     p.add_argument("--out", help="output directory (default under $SEGSOLVE_OUT)")
-    p.add_argument("--jobs", type=int, help="parallel runs for bench (default 1)")
     p.add_argument("--deterministic", action="store_true", help="byte-reproducible artifacts")
     p.add_argument("--config", help="JSON config file (RunConfig keys, or a report.json)")
 
@@ -401,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run all nine benchmark boundary configurations")
     p_bench.add_argument("--algos", help="comma-separated algorithm list")
+    p_bench.add_argument("--jobs", type=int, help="parallel runs (default 1)")
     _add_run_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

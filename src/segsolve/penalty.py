@@ -22,8 +22,8 @@ Four fixed-point sweeps are provided:
 A run starts all components from their harmonic extensions and continues a
 geometrically decreasing ladder of penalty parameters, warm-starting each
 stage from the previous.  The sweeps and the loop work on raw (3, ny, nx)
-stacks; all sweeps share one signature (u, eps, alpha, plans), and
-`run_penalty` picks the sweep and its damping once per run (Gauss-Seidel is damped only with
+stacks; all sweeps take (u, eps, alpha, plans), and `run_penalty` picks the
+sweep and its damping once per run (Gauss-Seidel is damped only with
 `damp_gauss_seidel`).  The loop stops a stage on
 :func:`segsolve.grid.max_l2_step`; its history is a plain list of one dict
 per sweep, which is also the report's history.  Each stage summary holds the
@@ -36,22 +36,22 @@ Helmholtz answers change slowly from sweep to sweep.  `run_penalty` builds
 one red-black plan per component trace (see :mod:`segsolve.linear_solver`;
 the three share their buffers), and the plans are the whole solver set-up a
 sweep gets: every solve of a component goes through its plan, which records
-the trace, keeps the stage's solutions and is cleared at each new eps.  The first two sweeps of a stage start from the iterate u.  From the
-third on, CG starts from the last solution plus the Galerkin correction in
-the span of the steps between the last (up to four) solutions: the start
-that is best in the energy norm of the current operator over that span.
-The public single-sweep functions build such plans for their one sweep;
-each keeps a single solution, so CG starts from u.  Only the start moves:
-every solve still runs to the default CG tolerance of
+the trace, keeps the stage's solutions and is cleared at each new eps.  The
+first two sweeps of a stage start from the iterate u.  From the third on, CG
+starts from the last solution plus the Galerkin correction in the span of
+the steps between the last (up to four) solutions: the start that is best
+in the energy norm of the current operator over that span.  The public
+single-sweep functions build such plans for their one sweep; each keeps a
+single solution, so CG starts from u.  Only the start moves: every solve
+still runs to the default CG tolerance of
 :func:`segsolve.linear_solver.solve_helmholtz_with_info` under the same
-stopping test,
-so its answer differs from a cold start's only within that tolerance, and
-the discrete maximum principle the solves obey holds as before.  The saving
-is CG iterations, about half of those of the earlier secant starts on ex41
-with picard; each stage summary also counts the operator passes the starts
-spent (`start_applies`).  Loosening the inner tolerance instead saves as
-much but gives up the maximum principle: iterates then go negative by far
-more than rounding.
+stopping test, so its answer differs from a cold start's only within that
+tolerance, and the discrete maximum principle the solves obey holds as
+before.  The saving is CG iterations, about half of those of the earlier
+secant starts on ex41 with picard; each stage summary also counts the
+operator passes the starts spent (`start_applies`).  Loosening the inner
+tolerance instead saves as much but gives up the maximum principle:
+iterates then go negative by far more than rounding.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class PenaltyConfig:
             raise ValueError("damping alpha must lie in (0, 1]")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        if not self.outer_tol > 0.0:
+            raise ValueError("outer_tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 

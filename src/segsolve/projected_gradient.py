@@ -46,11 +46,21 @@ def stability_limit(grid: Grid) -> float:
     return 1.0 / (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
 
 
+def _check_loop(tol: float, max_iters: int) -> None:
+    if not tol > 0.0:
+        raise ValueError("step-norm tolerance tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+
+
 @dataclass
 class PgdConfig:
     alpha: float | None = None  # None: 0.1 * min(hx, hy)^2
     tol: float = 1e-8
     max_iters: int = 50000
+
+    def __post_init__(self):
+        _check_loop(self.tol, self.max_iters)
 
     def resolve_alpha(self, grid: Grid) -> float:
         alpha = self.alpha
@@ -83,6 +93,7 @@ class FistaConfig:
             raise ValueError("proximal bias eta must be >= 0")
         if self.tau < 0.0:
             raise ValueError("hysteresis tau must be >= 0")
+        _check_loop(self.tol, self.max_iters)
 
     def resolve_alphas(self, grid: Grid) -> tuple[float, float]:
         h2 = min(grid.hx, grid.hy) ** 2
@@ -190,6 +201,23 @@ def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     return u, ws.project(u)
 
 
+def _result(ws, algorithm, trace, u, iters, converged, t0, history, meta):
+    """The (state, report) of a finished loop; the final energy and violation are measured on u."""
+    report = SolveReport(
+        algorithm=algorithm,
+        bc_id=trace.config_id,
+        h=ws.grid.hx,
+        iters=iters,
+        converged=converged,
+        final_energy=ws.energy(u),
+        final_violation_max=ws.violation_max(u),
+        wall_time_seconds=time.perf_counter() - t0,
+        history=history,
+        meta=meta,
+    )
+    return SystemState.from_stack(ws.grid, u), report
+
+
 def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, SolveReport]:
     """Plain projected gradient descent with fixed step size."""
     cfg = cfg or PgdConfig()
@@ -223,20 +251,8 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
             converged = True
             break
 
-    state = SystemState.from_stack(grid, u)
-    report = SolveReport(
-        algorithm="pgd",
-        bc_id=trace.config_id,
-        h=grid.hx,
-        iters=iters,
-        converged=converged,
-        final_energy=ws.energy(u),
-        final_violation_max=ws.violation_max(u),
-        wall_time_seconds=time.perf_counter() - t0,
-        history=history,
-        meta={"alpha": alpha, "tol": cfg.tol},
-    )
-    return state, report
+    meta = {"alpha": alpha, "tol": cfg.tol}
+    return _result(ws, "pgd", trace, u, iters, converged, t0, history, meta)
 
 
 @dataclass
@@ -363,24 +379,6 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
             converged = True
             break
 
-    state = SystemState.from_stack(grid, u)
-    report = SolveReport(
-        algorithm="fista",
-        bc_id=trace.config_id,
-        h=grid.hx,
-        iters=iters,
-        converged=converged,
-        final_energy=ws.energy(u),
-        final_violation_max=ws.violation_max(u),
-        wall_time_seconds=time.perf_counter() - t0,
-        history=history,
-        meta={
-            "alpha0": alpha0,
-            "rho": cfg.rho,
-            "eta": cfg.eta,
-            "tau": cfg.tau,
-            "tol": cfg.tol,
-            "restarts": restarts,
-        },
-    )
-    return state, report
+    meta = {"alpha0": alpha0, "rho": cfg.rho, "eta": cfg.eta, "tau": cfg.tau, "tol": cfg.tol}
+    meta["restarts"] = restarts
+    return _result(ws, "fista", trace, u, iters, converged, t0, history, meta)

@@ -52,6 +52,19 @@ class TestSolve:
         assert {"stage_epsilon", "iter", "energy", "penalty_energy",
                 "step_norm", "cg_iters"} <= set(rows[0])
 
+    @pytest.mark.parametrize("algo", ["pgd", "fista"])
+    def test_zero_iteration_cap_exits_1_without_artifacts(self, tmp_path, capsys, algo):
+        out = tmp_path / "run"
+        code = run_cli("solve", "--algo", algo, "--n", "9", "--max-iters", "0", "--out", str(out))
+        assert code == 1
+        assert "max_iters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_is_a_bench_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--algo", "pgd", "--jobs", "2", "--out", str(tmp_path / "run"))
+        assert exc.value.code == 2
+
     def test_unknown_bc_exits_1_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "nope"
         code = run_cli("solve", "--algo", "pgd", "--bc", "nosuch", "--out", str(out))
@@ -230,6 +243,12 @@ class TestBench:
         ("penalty-phasefield", ["--max-iters", "0"]),
         ("pgd", ["--alpha", "1"]),
         ("fista", ["--alpha", "-1"]),
+        ("pgd", ["--max-iters", "0"]),
+        ("fista", ["--max-iters", "0"]),
+        ("pgd", ["--tol", "0"]),
+        ("fista", ["--tol", "-1"]),
+        ("penalty-picard", ["--tol", "0"]),
+        ("pgd", ["--jobs", "0"]),
     ])
     def test_invalid_solver_value_exits_1_before_solving(self, tmp_path, capsys, algos, bad):
         # the solver configs are built for every cell before the output directory
