@@ -18,10 +18,9 @@ flattened full (ny, nx) field, not on the interior block:
     working array is returned as the solution field.
   * The operator is the diagonal term plus four contiguous shifted slices of
     the flat array (offsets +-1 and +-nx), one pass each, over the span of
-    flat nodes whose four neighbours lie in the array; one closure
-    (`_negative_operator`) holds it for CG and for the boundary coupling.  That span covers every
-    interior node; at ring nodes inside it the shifts wrap across rows and
-    leave finite junk.
+    flat nodes whose four neighbours lie in the array (`_negative_operator`).
+    That span covers every interior node; at ring nodes inside it the shifts
+    wrap across rows and leave finite junk.
   * The Jacobi inverse is zero on the ring, so whatever lands in the ring
     entries of the residual never reaches the preconditioned residual, the
     search direction or x, and the ring keeps the trace exactly.
@@ -260,11 +259,10 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget):
 
 
 def _negative_operator(grid: Grid, v: np.ndarray, out: np.ndarray):
-    """The closure out <- -A v, times hx^2, on the flat full grid, zero interior weight.
+    """A closure writing -A v, times hx^2, for zero interior weight into out (module docstring).
 
-    Exact at interior nodes; ring nodes inside the span of nodes whose four
-    neighbours lie in the array get finite junk, and out is not written
-    outside that span.
+    Exact at interior nodes, finite junk at ring nodes inside the span, out
+    not written outside it.
     """
     nx, size = grid.nx, grid.ny * grid.nx
     q = grid.hx**2 / grid.hy**2
