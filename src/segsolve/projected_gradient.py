@@ -379,6 +379,6 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
             converged = True
             break
 
-    meta = {"alpha0": alpha0, "rho": cfg.rho, "eta": cfg.eta, "tau": cfg.tau, "tol": cfg.tol}
-    meta["restarts"] = restarts
+    meta = {"alpha0": alpha0, "rho": cfg.rho, "eta": cfg.eta, "tau": cfg.tau, "tol": cfg.tol,
+            "restarts": restarts}
     return _result(ws, "fista", trace, u, iters, converged, t0, history, meta)
