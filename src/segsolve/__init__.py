@@ -50,12 +50,7 @@ from .penalty import (
     semi_implicit_step,
 )
 from .projected_gradient import FistaConfig, PgdConfig, fista_run, pgd_run
-from .projection import (
-    PhaseAssignment,
-    ProjectionControls,
-    project_field,
-    project_point,
-)
+from .projection import project_point
 from .reporting import SolveReport
 
 __all__ = [
@@ -89,10 +84,7 @@ __all__ = [
     "semi_implicit_step",
     "phase_field_step",
     "run_penalty",
-    "ProjectionControls",
-    "PhaseAssignment",
     "project_point",
-    "project_field",
     "PgdConfig",
     "FistaConfig",
     "pgd_run",

@@ -67,10 +67,6 @@ class BoundaryTrace:
         if np.any(ring < 0):
             raise ValueError("boundary data must be nonnegative")
 
-    def component(self, k: int) -> np.ndarray:
-        """Boundary values of component k in {1, 2, 3} as a full (ny, nx) array."""
-        return self.phi[k - 1]
-
 
 @dataclass
 class SegregationReport:

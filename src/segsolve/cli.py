@@ -277,6 +277,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         algos = [a.strip() for a in (args.algos or "").split(",") if a.strip()]
         if not algos:
             raise ConfigError("at least one algorithm is required (--algos)")
+        if len(set(algos)) < len(algos):
+            raise ConfigError("an algorithm is listed more than once in --algos")
         outroot = _output_dir(cfg, f"bench_n{cfg.n}")
         cells = [
             replace(cfg, bc=bc, algorithm=algo, out=outroot) for bc in BENCH_BCS for algo in algos

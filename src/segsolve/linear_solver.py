@@ -51,8 +51,8 @@ vectors half as long.
   * The right-hand side b is the full-grid one above; after the red
     back-substitution the red residual is zero, so the reduced residual in
     the D_b^-1 norm equals the full residual in the D^-1 norm.  The stopping
-    test, its scale ||b||_{D^-1} (both colours) and the residual history
-    mean exactly what they mean on the full system.
+    test and its scale ||b||_{D^-1} (both colours) mean exactly what they
+    mean on the full system.
   * Harmonic extensions stay on the full grid so that their bits, and with
     them the projected-gradient trajectories that start from them, do not
     move: those trajectories amplify last-bit changes of the initial state.
@@ -107,7 +107,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,17 +199,16 @@ class SolveInfo:
 
     iterations counts CG iterations of the system actually solved: the
     red-black reduced system for penalized problems, the full interior system
-    for harmonic extensions.  residual_norms[k] is the relative
-    Jacobi-preconditioned residual of the full system after k iterations.
-    start_applies counts the operator passes spent on a Galerkin start: one
-    neighbour sum per newly kept step and one Schur complement application
-    when the step is taken (0 without a start).
+    for harmonic extensions.  rel_residual is the final relative
+    Jacobi-preconditioned residual of the full system.  start_applies counts
+    the operator passes spent on a Galerkin start: one neighbour sum per
+    newly kept step and one Schur complement application when the step is
+    taken (0 without a start).
     """
 
     iterations: int
     rel_residual: float
     converged: bool
-    residual_norms: list[float] = field(default_factory=list)
     start_applies: int = 0
 
 
@@ -231,7 +230,7 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget):
 
     On entry x holds the start and r its residual; negative_apply() writes
     -A v into pair[1].  x and r are updated in place.  Returns the iteration
-    count, the final relative residual and the residual history.
+    count and the final relative residual.
     """
     v, minus_ap = pair
     x, r = xr
@@ -239,7 +238,6 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget):
     z = r * dinv
     rz = float(r.dot(z))
     res = math.sqrt(max(rz, 0.0)) / scale
-    history = [res]
     v[:] = z
     iters = 0
     while res > rel_tol and iters < budget:
@@ -249,13 +247,12 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget):
         np.multiply(r, dinv, out=z)
         rz_new = float(r.dot(z))
         res = math.sqrt(max(rz_new, 0.0)) / scale
-        history.append(res)
         beta = rz_new / rz
         rz = rz_new
         np.multiply(v, beta, out=v)
         np.add(z, v, out=v)  # p <- z + beta * p
         iters += 1
-    return iters, res, history
+    return iters, res
 
 
 def _negative_operator(grid: Grid, v: np.ndarray, out: np.ndarray):
@@ -301,7 +298,7 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     """Jacobi-PCG on the flat full grid, for zero interior weight.
 
     x0 is a flat start or None.  Returns (x, iterations, final relative
-    residual, residual history, 0), x the flat solution field.
+    residual, 0), x the flat solution field.
     """
     g = p.grid
     size = g.ny * g.nx
@@ -315,7 +312,7 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     bz = float(b.dot(b * dinv))
     if bz == 0.0:
         # zero data: unique solution is zero (coefficient is nonnegative)
-        return trace_only, 0, 0.0, [0.0], 0
+        return trace_only, 0, 0.0, 0
 
     # pair holds the operand v (the search direction p in the loop) and -A v;
     # xr holds x and r.  Both CG updates are then one pass: xr += alpha * pair.
@@ -328,8 +325,8 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     v[:] = x
     negative_apply()
     np.add(load, minus_ap, out=r)
-    iters, res, history = _jacobi_pcg(pair, xr, dinv, negative_apply, math.sqrt(bz), rel_tol, budget)
-    return x, iters, res, history, 0
+    iters, res = _jacobi_pcg(pair, xr, dinv, negative_apply, math.sqrt(bz), rel_tol, budget)
+    return x, iters, res, 0
 
 
 def _galerkin_coefficients(gram: np.ndarray, rhs: np.ndarray) -> list[float]:
@@ -525,8 +522,8 @@ class _RedBlackPlan:
     def solve(self, p: HelmholtzProblem, x0, rel_tol, budget):
         """Solve p on the red-black reduced system; x0 is a flat start or None.
 
-        Returns (x, iterations, final relative residual, residual history,
-        operator passes of the start), x a new flat solution field.
+        Returns (x, iterations, final relative residual, operator passes of
+        the start), x a new flat solution field.
         """
         staged, rows_r, rows_b = self.staged, self.rows_r, self.rows_b
         dinv, diag, b = staged[0, :-1], staged[1, :-1], staged[2, :-1]
@@ -542,7 +539,7 @@ class _RedBlackPlan:
         bz = float(b.dot(b * dinv))
         if bz == 0.0:
             # zero data: unique solution is zero (coefficient is nonnegative)
-            return self.trace_only.copy(), 0, 0.0, [0.0], 0
+            return self.trace_only.copy(), 0, 0.0, 0
 
         np.multiply(rows_r[2], rows_r[0], out=self.c_r)
         v, minus_sv = self.pair
@@ -559,7 +556,7 @@ class _RedBlackPlan:
         self.to_black()
         np.add(rows_b[2], minus_sv, out=r)  # residual of the full system at black nodes
         applies = self.galerkin_start() if self.kept >= 2 else 0
-        iters, res, history = _jacobi_pcg(
+        iters, res = _jacobi_pcg(
             self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), rel_tol, budget
         )
 
@@ -571,7 +568,7 @@ class _RedBlackPlan:
         flat[1::2] = x_b
         x = self.trace_only.copy()
         x.reshape(ny, nx)[1:-1, 1:-1] = self.solution[1:-1, 1 : nx - 1]
-        return x, iters, res, history, applies
+        return x, iters, res, applies
 
 
 def solve_helmholtz_with_info(
@@ -601,11 +598,11 @@ def solve_helmholtz_with_info(
             plan = _RedBlackPlan(p.grid, p.trace)
         else:
             plan.check(p)
-        x, iters, res, history, applies = plan.solve(p, x0, controls.rel_tol, budget)
+        x, iters, res, applies = plan.solve(p, x0, controls.rel_tol, budget)
     else:
-        x, iters, res, history, applies = _full_grid_solve(p, x0, controls.rel_tol, budget)
+        x, iters, res, applies = _full_grid_solve(p, x0, controls.rel_tol, budget)
 
-    info = SolveInfo(iters, res, res <= controls.rel_tol, history, applies)
+    info = SolveInfo(iters, res, res <= controls.rel_tol, applies)
     if not info.converged:
         raise LinearSolveError(
             f"CG did not reach rel_tol={controls.rel_tol:g} in {iters} iterations "

@@ -37,7 +37,6 @@ __all__ = [
     "next_t",
     "pgd_run",
     "fista_run",
-    "backtrack",
 ]
 
 
@@ -258,7 +257,7 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
 @dataclass
 class BacktrackResult:
     values: np.ndarray  # candidate stack, feasible, boundary pinned
-    assignment: np.ndarray  # interior 1-based zeroed indices
+    assignment: np.ndarray  # (ny, nx) 1-based zeroed indices, meaningless on the ring
     alpha: float
     energy: float
     needs_restart: bool
@@ -266,9 +265,13 @@ class BacktrackResult:
 
 
 def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev_k):
-    """Backtracking search writing each trial candidate into `out`.
+    """Shrink the trial step until the candidate energy does not exceed current_energy.
 
-    prev_k and the returned assignment are (ny, nx) index arrays.
+    Trial steps start at `alpha` and shrink geometrically by cfg.rho with
+    floor alpha_min; if even the floor candidate increases the energy it is
+    returned flagged for a momentum restart.  Each trial candidate is
+    written into `out`; prev_k and the returned assignment are (ny, nx)
+    index arrays.
     """
     shrinks = 0
     a = alpha
@@ -282,35 +285,6 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev_k):
             return BacktrackResult(out, k, a, energy, True, shrinks)
         a = max(cfg.rho * a, alpha_min)
         shrinks += 1
-
-
-def backtrack(
-    grid: Grid,
-    y: np.ndarray,
-    u: np.ndarray,
-    tr: np.ndarray,
-    alpha: float,
-    current_energy: float,
-    cfg: FistaConfig,
-    prev_k: np.ndarray | None = None,
-) -> BacktrackResult:
-    """Shrink the trial step until the candidate energy does not exceed current_energy.
-
-    Trial steps start at `alpha` and shrink geometrically by cfg.rho with
-    floor alpha_min; if even the floor candidate increases the energy it is
-    returned flagged for a momentum restart.
-    """
-    _, alpha_min = cfg.resolve_alphas(grid)
-    if alpha < alpha_min * (1.0 - 1e-12):
-        raise ValueError("trial step below alpha_min")
-    if prev_k is not None:
-        prev_k = np.pad(prev_k, 1)
-    ws = _Workspace(grid, tr)
-    y = np.ascontiguousarray(y, dtype=float)
-    u = np.ascontiguousarray(u, dtype=float)
-    bt = _backtrack(ws, tr.copy(), y, u, alpha, current_energy, cfg, alpha_min, prev_k)
-    bt.assignment = bt.assignment[1:-1, 1:-1]
-    return bt
 
 
 def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemState, SolveReport]:

@@ -11,55 +11,27 @@ keeps the previously zeroed index at near-ties to avoid phase flicker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .boundary import BoundaryTrace
-from .grid import Grid, SystemState
-
 __all__ = [
-    "ProjectionControls",
-    "PhaseAssignment",
     "project_point",
-    "project_field",
     "project_stack_interior",
     "project_and_pin",
     "face_projections",
     "projection_selftest",
-    "assignment_to_csv",
 ]
-
-
-@dataclass
-class ProjectionControls:
-    tau: float = 0.0  # hysteresis tolerance
-
-    def __post_init__(self):
-        if self.tau < 0.0:
-            raise ValueError("hysteresis tolerance must be >= 0")
-
-
-@dataclass
-class PhaseAssignment:
-    """Per-node index (1..3) of the zeroed component; 0 at boundary nodes."""
-
-    grid: Grid
-    k: np.ndarray
-
-    def __post_init__(self):
-        self.k = np.asarray(self.k, dtype=np.int8)
-        if self.k.shape != self.grid.shape:
-            raise ValueError("assignment shape does not match grid")
 
 
 def project_point(v, prev: int | None = None, tau: float = 0.0):
     """Project one triple onto the segregation set.
 
-    Returns (projected 3-array, zeroed index in {1,2,3}).  With prev given,
-    the previous index is kept whenever its positive part is within tau of
-    the smallest positive part.
+    Returns (projected 3-array, zeroed index in {1,2,3}).  With prev in
+    {1,2,3}, the previous index is kept whenever its positive part is within
+    tau of the smallest positive part; None or 0 means no previous index, as
+    0 does in `project_stack_interior`'s prev_k.
     """
+    if prev not in (None, 0, 1, 2, 3):
+        raise ValueError(f"previous index must be None or in 0..3, got {prev!r}")
     p0 = v[0] if v[0] > 0.0 else 0.0
     p1 = v[1] if v[1] > 0.0 else 0.0
     p2 = v[2] if v[2] > 0.0 else 0.0
@@ -67,7 +39,7 @@ def project_point(v, prev: int | None = None, tau: float = 0.0):
         k = 0 if p0 <= p2 else 2
     else:
         k = 1 if p1 <= p2 else 2
-    if prev is not None:
+    if prev:
         pp = (p0, p1, p2)[prev - 1]
         if pp <= (p0, p1, p2)[k] + tau:
             k = prev - 1
@@ -162,26 +134,6 @@ def project_and_pin(
     return k
 
 
-def project_field(
-    state: SystemState,
-    trace: BoundaryTrace,
-    prev: PhaseAssignment | None = None,
-    controls: ProjectionControls | None = None,
-) -> tuple[SystemState, PhaseAssignment]:
-    """Project interior nodes; boundary nodes are set to the trace verbatim."""
-    grid = state.grid
-    if trace.grid != grid:
-        raise ValueError("trace grid does not match state grid")
-    if prev is not None and prev.grid != grid:
-        raise ValueError("previous assignment grid does not match")
-    out = state.stack()
-    k = project_and_pin(
-        out, trace.phi, None if prev is None else prev.k, (controls or ProjectionControls()).tau
-    )
-    k[grid.boundary_mask()] = 0
-    return SystemState.from_stack(grid, out), PhaseAssignment(grid, k)
-
-
 def face_projections(v) -> tuple[np.ndarray, np.ndarray]:
     """The three explicit face projections of a triple and their squared distances."""
     v = np.asarray(v, dtype=float)
@@ -212,14 +164,3 @@ def projection_selftest(count: int, seed: int, tol: float = 1e-12):
         if abs(d2 - best) > tol or k != k_expected:
             failures.append((v.copy(), d2, best, k, k_expected))
     return not failures, failures
-
-
-def assignment_to_csv(pa: PhaseAssignment, path) -> None:
-    """Write interior assignments as `x,y,k` rows in row-major order."""
-    g = pa.grid
-    xs, ys = g.xs(), g.ys()
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,k\n")
-        for j in range(1, g.ny - 1):
-            for i in range(1, g.nx - 1):
-                fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{int(pa.k[j, i])}\n")

@@ -248,6 +248,7 @@ class TestBench:
         ("fista", ["--tol", "-1"]),
         ("penalty-picard", ["--tol", "0"]),
         ("pgd", ["--jobs", "0"]),
+        ("pgd,pgd", []),
     ])
     def test_invalid_solver_value_exits_1_before_solving(self, tmp_path, capsys, algos, bad):
         # the solver configs are built for every cell before the output directory

@@ -1,0 +1,17 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import segsolve
+
+MODULES = ["segsolve"] + [
+    f"segsolve.{m.name}" for m in pkgutil.iter_modules(segsolve.__path__) if m.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"

@@ -288,14 +288,6 @@ class TestSolverBehavior:
         assert exc_info.value.iterations == 2
         assert exc_info.value.rel_residual > 0.0
 
-    def test_residual_history_final_leq_initial(self):
-        g = build_grid(15, 15, SQUARE)
-        rng = np.random.default_rng(71)
-        p = random_problem(g, rng)
-        _, info = solve_helmholtz_with_info(p)
-        assert info.converged
-        assert info.residual_norms[-1] <= info.residual_norms[0]
-
     def test_warm_start_converges_faster(self):
         g = build_grid(25, 25, SQUARE)
         rng = np.random.default_rng(81)
@@ -409,7 +401,7 @@ class TestRedBlackPlan:
             fld, info = solve_helmholtz_with_info(p, x0=x0, plan=shared)
             ref, ref_info = solve_helmholtz_with_info(p, x0=x0, plan=_RedBlackPlan(g, p.trace))
             assert fld.values.tobytes() == ref.values.tobytes()
-            assert info.residual_norms == ref_info.residual_norms
+            assert info == ref_info  # iterations, rel_residual, converged, start_applies
 
     def test_sibling_plans_give_the_bits_of_separate_plans(self):
         g = build_grid(15, 12, SQUARE)
@@ -425,8 +417,7 @@ class TestRedBlackPlan:
                 fld, info = solve_helmholtz_with_info(p, x0=u[k], plan=shared[k])
                 ref, ref_info = solve_helmholtz_with_info(p, x0=u[k], plan=own[k])
                 assert fld.values.tobytes() == ref.values.tobytes()
-                assert info.residual_norms == ref_info.residual_norms
-                assert info.start_applies == ref_info.start_applies
+                assert info == ref_info  # iterations, rel_residual, converged, start_applies
                 shared[k].keep(fld.values)
                 own[k].keep(ref.values)
         assert info.start_applies > 0

@@ -12,7 +12,8 @@ from segsolve.linear_solver import harmonic_extension
 from segsolve.projected_gradient import (
     FistaConfig,
     PgdConfig,
-    backtrack,
+    _backtrack,
+    _Workspace,
     fista_run,
     next_t,
     pgd_run,
@@ -139,6 +140,13 @@ class TestStoppingMeasure:
         assert report.history[1]["step_norm"] == expected
 
 
+def run_backtrack(g, u, tr, alpha, current_energy, cfg):
+    """`_backtrack` from u with no momentum and no previous assignment."""
+    _, alpha_min = cfg.resolve_alphas(g)
+    return _backtrack(_Workspace(g, tr), np.empty_like(u), u.copy(), u, alpha, current_energy,
+                      cfg, alpha_min, None)
+
+
 class TestBacktrack:
     def test_accepts_at_alpha0_when_energy_decreases(self):
         g = build_grid(17, 17, SQUARE)
@@ -146,7 +154,7 @@ class TestBacktrack:
         tr = np.zeros((3, *g.shape))
         cfg = FistaConfig(eta=0.0, tau=0.0)
         a0, _ = cfg.resolve_alphas(g)
-        bt = backtrack(g, u.copy(), u, tr, a0, energy_of_stack(g, u), cfg)
+        bt = run_backtrack(g, u, tr, a0, energy_of_stack(g, u), cfg)
         assert not bt.needs_restart and bt.shrinks == 0 and bt.alpha == a0
 
     def test_exactly_two_shrinks_on_unstable_start(self):
@@ -157,7 +165,7 @@ class TestBacktrack:
         tr = np.zeros((3, *g.shape))
         cfg = FistaConfig(alpha0=0.9 * h2, alpha_min=1e-5 * h2, eta=0.0, tau=0.0)
         e_u = energy_of_stack(g, u)
-        bt = backtrack(g, u.copy(), u, tr, 0.9 * h2, e_u, cfg)
+        bt = run_backtrack(g, u, tr, 0.9 * h2, e_u, cfg)
         assert bt.shrinks == 2
         assert bt.alpha == pytest.approx(0.9 * h2 * 0.25)
         assert bt.energy <= e_u
@@ -177,17 +185,9 @@ class TestBacktrack:
         u = rough_two_phase_state(g, seed=7)
         tr = np.zeros((3, *g.shape))
         cfg = FistaConfig(alpha0=0.9 * h2, alpha_min=0.9 * h2, eta=0.0, tau=0.0)
-        bt = backtrack(g, u.copy(), u, tr, 0.9 * h2, energy_of_stack(g, u), cfg)
+        bt = run_backtrack(g, u, tr, 0.9 * h2, energy_of_stack(g, u), cfg)
         assert bt.needs_restart
         assert bt.shrinks == 0
-
-    def test_below_floor_rejected(self):
-        g = build_grid(9, 9, SQUARE)
-        cfg = FistaConfig()
-        _, amin = cfg.resolve_alphas(g)
-        u = np.zeros((3, *g.shape))
-        with pytest.raises(ValueError):
-            backtrack(g, u, u, u.copy(), amin / 2.0, 0.0, cfg)
 
 
 class TestFistaRun:
@@ -280,6 +280,8 @@ class TestFistaRun:
             FistaConfig(rho=1.0)
         with pytest.raises(ValueError):
             FistaConfig(eta=-0.1)
+        with pytest.raises(ValueError):
+            FistaConfig(tau=-1e-3)
         with pytest.raises(ValueError):
             FistaConfig(alpha0=1e-9, alpha_min=1e-8).resolve_alphas(
                 build_grid(11, 11, SQUARE)

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from segsolve.boundary import BoundaryTrace
-from segsolve.grid import SystemState, build_grid, interior_product_max
+from segsolve.grid import build_grid
 from segsolve.projection import (
-    PhaseAssignment,
-    ProjectionControls,
-    assignment_to_csv,
     face_projections,
-    project_field,
+    project_and_pin,
     project_point,
     project_stack_interior,
     projection_selftest,
@@ -85,96 +81,78 @@ class TestProjectPoint:
 
 
 class TestProjectField:
+    """`project_and_pin` on whole (3, ny, nx) fields; indices are read at interior nodes."""
+
+    INNER = (slice(None), slice(1, -1), slice(1, -1))
+
     def _trace(self, grid):
-        phi = np.zeros((3, *grid.shape))
-        b = grid.boundary_mask()
-        phi[0][b] = 0.5
-        return BoundaryTrace(grid, phi)
+        tr = np.zeros((3, *grid.shape))
+        tr[0][grid.boundary_mask()] = 0.5
+        return tr
 
     def test_feasible_state_unchanged_interior(self):
         g = build_grid(7, 7, SQUARE)
         rng = np.random.default_rng(5)
         stack = rng.uniform(0.0, 1.0, (3, *g.shape))
         stack[2] = 0.0  # already on the third face
-        state = SystemState.from_stack(g, stack)
-        out, pa = project_field(state, self._trace(g))
-        inner = slice(1, -1)
-        assert np.array_equal(out.u1.values[inner, inner], stack[0][inner, inner])
-        assert np.array_equal(out.u2.values[inner, inner], stack[1][inner, inner])
-        assert np.all(pa.k[inner, inner] == 3)
+        out = stack.copy()
+        k = project_and_pin(out, self._trace(g))
+        assert np.array_equal(out[self.INNER], stack[self.INNER])
+        assert np.all(k[1:-1, 1:-1] == 3)
 
     def test_uniform_tie_zeroes_first_component(self):
         g = build_grid(6, 6, SQUARE)
-        state = SystemState.constant(g, 1.0, 1.0, 1.0)
-        out, pa = project_field(state, self._trace(g))
-        inner = slice(1, -1)
-        assert np.all(out.u1.values[inner, inner] == 0.0)
-        assert np.all(out.u2.values[inner, inner] == 1.0)
-        assert np.all(out.u3.values[inner, inner] == 1.0)
-        assert np.all(pa.k[inner, inner] == 1)
+        out = np.ones((3, *g.shape))
+        k = project_and_pin(out, self._trace(g))
+        inner = out[self.INNER]
+        assert np.all(inner[0] == 0.0) and np.all(inner[1:] == 1.0)
+        assert np.all(k[1:-1, 1:-1] == 1)
 
     def test_boundary_set_verbatim_and_interior_product_zero(self):
         g = build_grid(9, 9, SQUARE)
         rng = np.random.default_rng(6)
-        state = SystemState.from_stack(g, rng.uniform(-1.0, 2.0, (3, *g.shape)))
-        trace = self._trace(g)
-        out, _ = project_field(state, trace)
+        out = rng.uniform(-1.0, 2.0, (3, *g.shape))
+        tr = self._trace(g)
+        project_and_pin(out, tr)
         b = g.boundary_mask()
-        for k in range(3):
-            assert np.array_equal(out.components[k].values[b], trace.phi[k][b])
-        assert interior_product_max(out) == 0.0
+        assert np.array_equal(out[:, b], tr[:, b])
+        assert np.abs(np.prod(out[self.INNER], axis=0)).max() == 0.0
 
     def test_matches_pointwise_rule_on_random_block(self):
         g = build_grid(12, 10, SQUARE)
         rng = np.random.default_rng(7)
         stack = rng.uniform(-1.0, 2.0, (3, *g.shape))
-        state = SystemState.from_stack(g, stack)
-        out, pa = project_field(state, self._trace(g))
+        out = stack.copy()
+        k = project_and_pin(out, self._trace(g))
         for j in range(1, g.ny - 1):
             for i in range(1, g.nx - 1):
-                expected, k = project_point(stack[:, j, i])
-                got = np.array([out.components[m].values[j, i] for m in range(3)])
-                assert np.array_equal(got, expected)
-                assert pa.k[j, i] == k
+                expected, k_exp = project_point(stack[:, j, i])
+                assert np.array_equal(out[:, j, i], expected)
+                assert k[j, i] == k_exp
 
     def test_distance_optimality_on_large_sample(self):
         g = build_grid(102, 102, SQUARE)  # 1e4 interior nodes
         rng = np.random.default_rng(8)
         stack = rng.uniform(-1.0, 2.0, (3, *g.shape))
-        state = SystemState.from_stack(g, stack)
-        out, _ = project_field(state, self._trace(g))
-        inner = (slice(1, -1), slice(1, -1))
-        diff = out.stack()[(slice(None), *inner)] - stack[(slice(None), *inner)]
+        out = stack.copy()
+        project_and_pin(out, self._trace(g))
+        v = stack[self.INNER]
+        diff = out[self.INNER] - v
         d2 = np.sum(diff * diff, axis=0)
         # face enumeration oracle, vectorized
-        pos = np.maximum(stack[(slice(None), *inner)], 0.0)
-        neg2 = np.sum((stack[(slice(None), *inner)] - pos) ** 2, axis=0)
+        pos = np.maximum(v, 0.0)
+        neg2 = np.sum((v - pos) ** 2, axis=0)
         best = neg2 + np.min(pos, axis=0) ** 2
         assert np.abs(d2 - best).max() <= 1e-12
 
     def test_hysteresis_field_path(self):
         g = build_grid(6, 6, SQUARE)
-        stack = np.full((3, *g.shape), 0.5)
-        stack[1] += 1e-12  # component 2 barely above the tie
-        state = SystemState.from_stack(g, stack)
-        prev = PhaseAssignment(g, np.full(g.shape, 2, dtype=np.int8))
-        out, pa = project_field(
-            state, self._trace(g), prev=prev, controls=ProjectionControls(tau=1e-10)
-        )
-        inner = slice(1, -1)
-        assert np.all(pa.k[inner, inner] == 2)
-        assert np.all(out.u2.values[inner, inner] == 0.0)
-
-    def test_csv_export(self, tmp_path):
-        g = build_grid(4, 4, SQUARE)
-        pa = PhaseAssignment(g, np.zeros(g.shape, dtype=np.int8))
-        pa.k[1:-1, 1:-1] = [[1, 2], [3, 1]]
-        path = tmp_path / "phase.csv"
-        assignment_to_csv(pa, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,k"
-        assert len(lines) == 1 + 4
-        assert lines[1].endswith(",1") and lines[2].endswith(",2")
+        out = np.full((3, *g.shape), 0.5)
+        out[1] += 1e-12  # component 2 barely above the tie
+        prev_k = np.full(g.shape, 2, dtype=np.int8)
+        k = project_and_pin(out, self._trace(g), prev_k, 1e-10)
+        assert np.all(k[1:-1, 1:-1] == 2)
+        assert np.all(out[1, 1:-1, 1:-1] == 0.0)
 
 
 class TestProjectStackInterior:
@@ -191,7 +169,7 @@ class TestProjectStackInterior:
         out, k = project_stack_interior(values, prev_k, 1e-10)
         for j in range(values.shape[1]):
             for i in range(values.shape[2]):
-                prev = int(prev_k[j, i]) or None
+                prev = int(prev_k[j, i])
                 expected, k_exp = project_point(values[:, j, i], prev=prev, tau=1e-10)
                 assert np.array_equal(out[:, j, i], expected)
                 assert k[j, i] == k_exp
@@ -231,7 +209,7 @@ class TestProjectStackInterior:
         assert p.tobytes() == out.tobytes() and np.array_equal(k_work, k)
         for j in range(values.shape[1]):
             for i in range(values.shape[2]):
-                pp = (int(prev_k[j, i]) or None) if with_prev else None
+                pp = int(prev_k[j, i]) if with_prev else None
                 expected, k_exp = project_point(values[:, j, i], prev=pp, tau=tau)
                 assert out[:, j, i].tobytes() == expected.tobytes()
                 assert k[j, i] == k_exp
@@ -245,9 +223,10 @@ class TestProjectStackInterior:
 
 
 class TestControls:
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            ProjectionControls(tau=-1e-3)
+    @pytest.mark.parametrize("prev", [-1, 4])
+    def test_previous_index_outside_0_to_3_rejected(self, prev):
+        with pytest.raises(ValueError, match="previous index"):
+            project_point((0.5, 0.5, 1.0), prev=prev)
 
     def test_selftest_count_validation(self):
         with pytest.raises(ValueError):
