@@ -247,41 +247,34 @@ def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
     difference gradient anchored at the lower-left corner of each cell.
     Nonnegative, and zero exactly for componentwise-constant states.
 
-    The differences are taken on the flat C-ordered stack `f`, as one
-    contiguous pass each: f[p+1] - f[p] and f[p+nx] - f[p].  At every cell
-    corner p these are the x- and y-differences of the plain (3, ny-1, nx-1)
-    form; the other entries straddle a row or component edge and are never
-    read.  Each cell entry gets the same operations (difference, division by
-    hx or hy, squaring, one addition) and is copied into one contiguous
-    (3, ny-1, nx-1) block, whose components are summed as one contiguous
-    pairwise sum each and added in the order k = 0, 1, 2.  The value is
-    therefore bit for bit the plain per-component cell sum; contiguous
-    passes only make it cheaper than strided views.
+    Evaluated as 0.5 * (Sx / hx^2 + Sy / hy^2) * hx * hy, where Sx and Sy
+    are the sums of the squared raw differences over all cells of all three
+    components.  The differences are taken on the flat C-ordered stack `f`,
+    as one contiguous pass each: f[p+1] - f[p] and f[p+nx] - f[p].  At every
+    cell corner p these are the x- and y-differences of the plain
+    (3, ny-1, nx-1) form; the other entries straddle a row or component edge
+    and are never read.  Each sum is one
+    ``np.einsum("kij,kij->", v, v)`` over the (3, ny-1, nx-1) cell view `v`
+    of the (3, ny, nx)-shaped differences, with no copy.  einsum calls no
+    BLAS, so the bits do not depend on the BLAS thread count.
+    `tests/test_grid.py::TestDirichletEnergy` pins the value bit for bit to
+    this expression written out on plain arrays.
 
     `work` may supply a float array of shape (2, 3*ny*nx) to hold the
-    differences and the cell block, so repeated calls allocate nothing; the
-    value is the same bit for bit as without it.
+    differences, so repeated calls allocate nothing; the value is the same
+    bit for bit as without it.
     """
     ny, nx = grid.ny, grid.nx
     if work is None:
         work = np.empty((2, 3 * ny * nx))
     f = arr.reshape(-1)
     m = f.size - nx  # every cell corner p has p + nx < f.size
-    g = work[:, :m]
-    gx, gy = g
-    np.subtract(f[1 : m + 1], f[:m], out=gx)
-    np.divide(gx, grid.hx, out=gx)
-    np.subtract(f[nx:], f[:m], out=gy)
-    np.divide(gy, grid.hy, out=gy)
-    np.multiply(g, g, out=g)
-    np.add(gx, gy, out=gx)
-    cells = work[1, : 3 * (ny - 1) * (nx - 1)].reshape(3, ny - 1, nx - 1)
-    np.copyto(cells, work[0].reshape(3, ny, nx)[:, :-1, :-1])
-    sums = cells.sum(axis=(1, 2))
-    total = 0.0
-    for k in range(3):
-        total += float(sums[k])
-    return 0.5 * total * grid.hx * grid.hy
+    np.subtract(f[1 : m + 1], f[:m], out=work[0, :m])
+    np.subtract(f[nx:], f[:m], out=work[1, :m])
+    dx, dy = work.reshape(2, 3, ny, nx)[:, :, :-1, :-1]  # cell views, no copy
+    sx = float(np.einsum("kij,kij->", dx, dx))
+    sy = float(np.einsum("kij,kij->", dy, dy))
+    return 0.5 * (sx / grid.hx**2 + sy / grid.hy**2) * grid.hx * grid.hy
 
 
 def max_l2_step(weights: np.ndarray, a: np.ndarray, b: np.ndarray, work=None) -> float:

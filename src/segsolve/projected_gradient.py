@@ -110,17 +110,20 @@ def next_t(t: float) -> float:
 class _Workspace:
     """Preallocated buffers for the iteration loops on one grid and trace.
 
-    The step, projection, energy, step norm and violation use the same
-    floating-point operations, in the same order, as the plain array
-    expressions, so the iterates and reported numbers match them bit for
-    bit.  Every pass runs on contiguous memory, which at the benchmark sizes
-    costs less than the strided interior views:
+    The step, projection, energy, step norm and violation match plain array
+    expressions bit for bit: the step the three-coefficient stencil of
+    `step_into`, the energy the einsum cell sums of
+    :func:`segsolve.grid.energy_of_stack`.  The reference loops of
+    `tests/test_projected_gradient.py` (`TestReferenceLoops`, and the
+    first-step tests of `TestFistaRun`) pin every iterate and history row
+    with those expressions written out.  Every pass but the energy's sums
+    runs on contiguous memory, which at the benchmark sizes costs less than
+    the strided interior views:
     - the stencil and the projection sweep the whole (3, ny, nx) stack as
       one run; the boundary ring this spoils is re-pinned to the trace after
       the projection;
-    - the energy forms its differences on the flat stack and gathers the
-      cell entries into one contiguous block before summing
-      (:func:`segsolve.grid.energy_of_stack`);
+    - the energy forms its differences on the flat stack and sums the cell
+      entries of each in one einsum over a strided view, without a copy;
     - the projection zeroes each component from preallocated boolean masks
       and builds the index array only for callers that read it.
     """
@@ -147,30 +150,35 @@ class _Workspace:
     def step_into(self, out, y, alpha, u=None, eta=0.0):
         """out <- y + alpha * lap_h(y), then (. + eta*u)/(1 + eta) if eta > 0.
 
+        Evaluated as the three-coefficient stencil
+        ((down + up)*k2 + (left + right)*k1) + c*k0, plus u*k3 with the bias,
+        where k1 = alpha/hx^2, k2 = alpha/hy^2 and k0 = 1 - 2*k1 - 2*k2; with
+        the bias, k0, k1 and k2 are scaled by s = 1/(1 + eta) and k3 = eta*s.
         Exact at interior nodes; ring nodes of `out` hold junk until
         `project_and_pin` re-pins them.  `out` must not share memory with `y`
         or `u`.
         """
+        k1 = alpha / self.hx2
+        k2 = alpha / self.hy2
+        k0 = 1.0 - 2.0 * k1 - 2.0 * k2
+        if eta > 0.0:
+            scale = 1.0 / (1.0 + eta)
+            k0, k1, k2 = k0 * scale, k1 * scale, k2 * scale
         f = y.reshape(-1, copy=False)
         length = self.tmp.size
         right, left, down, up = (f[s : s + length] for s in self.shifts)
-        c = f[self.span]
         o = out.reshape(-1, copy=False)[self.span]
         t = self.tmp
-        np.multiply(c, 2.0, out=t)
-        np.subtract(right, t, out=o)
-        np.add(o, left, out=o)
-        np.divide(o, self.hx2, out=o)
-        np.subtract(down, t, out=t)
-        np.add(t, up, out=t)
-        np.divide(t, self.hy2, out=t)
+        np.add(left, right, out=t)
+        np.multiply(t, k1, out=t)
+        np.add(down, up, out=o)
+        np.multiply(o, k2, out=o)
         np.add(o, t, out=o)
-        np.multiply(o, alpha, out=o)
-        np.add(c, o, out=o)
+        np.multiply(f[self.span], k0, out=t)
+        np.add(o, t, out=o)
         if eta > 0.0:
-            np.multiply(u.reshape(-1, copy=False)[self.span], eta, out=t)
+            np.multiply(u.reshape(-1, copy=False)[self.span], eta * scale, out=t)
             np.add(o, t, out=o)
-            np.divide(o, 1.0 + eta, out=o)
 
     def project(self, out, prev_k=None, tau=0.0, indices=True):
         """`project_and_pin` of `out` with this workspace's buffers."""

@@ -43,10 +43,10 @@ PINS = {
     "gauss_seidel_step": "b76829db5834fc28b9af3262e62f13dcf4de1919e723d5f8fceddc9659de52ff",
     "phase_field_step": "c8092a1271442f1caa6d9f5e5e2cee01999609398870881b8ecef162f2a4d410",
     # up to twelve sweeps a stage on eps 1e-2, 1e-3; from the third on, Galerkin starts
-    "run_penalty_picard": "d6526ccd89be4097804de6127b9ec52556bf8f196fe18fef818b5a6ea2695189",
-    "run_penalty_gauss_seidel": "aaf31c666689adc827cc7ed642bd85cf2c80a6733df075d6f6d2f962d41a7f79",
-    "run_penalty_semi_implicit": "5c555642ad7bce3566f5d2255e2135ad3b91d689153cd1a176ce30a72d5857eb",
-    "run_penalty_phase_field": "8d533acf5cc5197c753e3a6388e121d4055b9d0be9afe6a992a161c1826ad7ac",
+    "run_penalty_picard": "ebd53ad2591278c7e059815f1baefa54e1798be01868370ee231f7b3f7de1e00",
+    "run_penalty_gauss_seidel": "e8eb7d039fe029720530d6ae879f79784e6f1a85c1e3fc173e5c9fb0c70ec6e2",
+    "run_penalty_semi_implicit": "5fab56ee2abef2a84bd078eee1c32ddfcec84c92d01039ed973499195f326bb7",
+    "run_penalty_phase_field": "f88ba4a41f9c712f663893d81de50b1f61dfb8deb4363e7299fa0042a4496885",
 }
 
 

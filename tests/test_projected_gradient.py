@@ -206,13 +206,7 @@ class TestFistaRun:
         inner, _ = project_stack_interior(u0[:, 1:-1, 1:-1])
         u0 = tr.phi.copy()
         u0[:, 1:-1, 1:-1] = inner
-        lap = np.zeros_like(u0)
-        lap[:, 1:-1, 1:-1] = (
-            (u0[:, 1:-1, 2:] - 2 * u0[:, 1:-1, 1:-1] + u0[:, 1:-1, :-2]) / g.hx**2
-            + (u0[:, 2:, 1:-1] - 2 * u0[:, 1:-1, 1:-1] + u0[:, :-2, 1:-1]) / g.hy**2
-        )
-        cand = u0 + a0 * lap
-        inner, _ = project_stack_interior(cand[:, 1:-1, 1:-1])
+        inner, _ = project_stack_interior(plain_gradient_step(g, u0, a0))
         expected = tr.phi.copy()
         expected[:, 1:-1, 1:-1] = inner
         assert np.array_equal(state.stack(), expected)
@@ -232,17 +226,12 @@ class TestFistaRun:
         inner, k0 = project_stack_interior(u0[:, 1:-1, 1:-1])
         u0 = tr.phi.copy()
         u0[:, 1:-1, 1:-1] = inner
-        lap = np.zeros_like(u0)
-        lap[:, 1:-1, 1:-1] = (
-            (u0[:, 1:-1, 2:] - 2.0 * u0[:, 1:-1, 1:-1] + u0[:, 1:-1, :-2]) / g.hx**2
-            + (u0[:, 2:, 1:-1] - 2.0 * u0[:, 1:-1, 1:-1] + u0[:, :-2, 1:-1]) / g.hy**2
-        )
-        cand = (u0 + a0 * lap + cfg.eta * u0) / (1.0 + cfg.eta)
-        inner, _ = project_stack_interior(cand[:, 1:-1, 1:-1], k0, cfg.tau)
+        cand = plain_gradient_step(g, u0, a0, u0, cfg.eta)
+        inner, _ = project_stack_interior(cand, k0, cfg.tau)
         expected = tr.phi.copy()
         expected[:, 1:-1, 1:-1] = inner
         assert state.stack().tobytes() == expected.tobytes()
-        assert report.history[0]["energy"] == energy_of_stack(g, expected)
+        assert report.history[0]["energy"] == plain_energy(g, expected)
         assert report.history[0]["step_norm"] == plain_max_l2_step(g, expected, u0)
 
     def test_bc4_converges_with_enforced_monotonicity(self):
@@ -308,25 +297,40 @@ def plain_project(v, prev=None, tau=0.0):
 
 
 def plain_energy(grid, u):
-    total = 0.0
-    for v in u:
-        gx = (v[:-1, 1:] - v[:-1, :-1]) / grid.hx
-        gy = (v[1:, :-1] - v[:-1, :-1]) / grid.hy
-        total += float(np.sum(gx * gx + gy * gy))
-    return 0.5 * total * grid.hx * grid.hy
+    """Squared cell differences summed by einsum over the cell view of (3, ny, nx) arrays."""
+    sums = []
+    for d in (u[:, :-1, 1:] - u[:, :-1, :-1], u[:, 1:, :-1] - u[:, :-1, :-1]):
+        full = np.zeros_like(u)
+        full[:, :-1, :-1] = d
+        v = full[:, :-1, :-1]
+        sums.append(float(np.einsum("kij,kij->", v, v)))
+    return 0.5 * (sums[0] / grid.hx**2 + sums[1] / grid.hy**2) * grid.hx * grid.hy
 
 
 def plain_violation(u):
     return float(np.max(np.abs(u[0] * u[1] * u[2])))
 
 
-def plain_gradient_step(grid, y, alpha):
-    """Interior of y + alpha * lap_h(y)."""
-    c = y[:, 1:-1, 1:-1]
-    lap = (y[:, 1:-1, 2:] - 2.0 * c + y[:, 1:-1, :-2]) / grid.hx**2 + (
-        y[:, 2:, 1:-1] - 2.0 * c + y[:, :-2, 1:-1]
-    ) / grid.hy**2
-    return c + alpha * lap
+def plain_gradient_step(grid, y, alpha, u=None, eta=0.0):
+    """Interior of y + alpha * lap_h(y), then (. + eta*u)/(1 + eta) if eta > 0.
+
+    The three-coefficient stencil: k1 = alpha/hx^2, k2 = alpha/hy^2,
+    k0 = 1 - 2*k1 - 2*k2, each scaled by 1/(1 + eta) with the bias.
+    """
+    k1 = alpha / grid.hx**2
+    k2 = alpha / grid.hy**2
+    k0 = 1.0 - 2.0 * k1 - 2.0 * k2
+    if eta > 0.0:
+        s = 1.0 / (1.0 + eta)
+        k0, k1, k2 = k0 * s, k1 * s, k2 * s
+    out = (
+        (y[:, 2:, 1:-1] + y[:, :-2, 1:-1]) * k2
+        + (y[:, 1:-1, :-2] + y[:, 1:-1, 2:]) * k1
+        + y[:, 1:-1, 1:-1] * k0
+    )
+    if eta > 0.0:
+        out = out + u[:, 1:-1, 1:-1] * (eta * s)
+    return out
 
 
 def pinned(tr, inner):
@@ -390,8 +394,7 @@ class TestReferenceLoops:
         for it in range(cfg.max_iters):
             a = alpha
             while True:  # backtracking
-                inner = plain_gradient_step(g, y, a)
-                inner = (inner + cfg.eta * u[:, 1:-1, 1:-1]) / (1.0 + cfg.eta)
+                inner = plain_gradient_step(g, y, a, u, cfg.eta)
                 inner, k = plain_project(inner, k_prev, cfg.tau)
                 cand = pinned(tr, inner)
                 energy = plain_energy(g, cand)
