@@ -88,8 +88,8 @@ class RunConfig:
             raise ConfigError("bc 'custom' requires custom_bc_csv in the config file")
         if self.n < 3:
             raise ConfigError("resolution n must be >= 3")
-        if self.delta is not None and not self.delta > 0.0:
-            raise ConfigError("contour threshold delta must be positive")
+        if self.delta is not None and not 0.0 < self.delta < np.inf:
+            raise ConfigError("contour threshold delta must be positive and finite")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -102,11 +102,27 @@ def _load_config_file(path: str) -> dict:
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]  # accept a previously written report.json
     data.pop("seed", None)  # written by older versions; nothing reads it
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
+    types = {f.name: f.type for f in fields(RunConfig)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in data.items():
+        if not _has_type(value, types[name]):
+            raise ConfigError(f"config key {name!r} must be {types[name]}, got {value!r}")
     return data
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a JSON value fits a RunConfig annotation such as 'int' or 'float | None'.
+
+    A bool is no number, and an int is a float.
+    """
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if kind == "bool" or isinstance(value, bool):
+        return kind == "bool" and isinstance(value, bool)
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -117,8 +133,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         cli_val = getattr(args, f.name, None)
         if cli_val is not None:
             values[f.name] = cli_val
-    if getattr(args, "deterministic", False):
-        values["deterministic"] = True
     return RunConfig(**values)
 
 
@@ -381,7 +395,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", dest="max_iters", type=int, help="outer iteration cap")
     p.add_argument("--delta", type=float, help="contour threshold (default sqrt(eps) or 1e-3 M)")
     p.add_argument("--out", help="output directory (default under $SEGSOLVE_OUT)")
-    p.add_argument("--deterministic", action="store_true", help="byte-reproducible artifacts")
+    p.add_argument(
+        "--deterministic", action="store_true", default=None, help="byte-reproducible artifacts"
+    )
     p.add_argument("--config", help="JSON config file (RunConfig keys, or a report.json)")
 
 

@@ -97,6 +97,9 @@ class PenaltyConfig:
     damp_gauss_seidel: bool = False
 
     def __post_init__(self):
+        for name in ("epsilon_start", "outer_tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.epsilon_target <= self.epsilon_start:
             raise ValueError("need 0 < epsilon_target <= epsilon_start")
         if not 0.0 < self.continuation_factor < 1.0:
@@ -228,15 +231,17 @@ def run_penalty(
     recorded and its last iterate seeds the next stage; inner solver
     failures propagate.
     """
+    ladder = list(stages) if stages is not None else cfg.stages()
+    if not ladder or not all(np.isfinite(eps) and eps > 0.0 for eps in ladder):
+        raise ValueError("epsilon ladder must hold at least one positive finite value")
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("epsilon ladder must be strictly decreasing")
+
     t0 = time.perf_counter()
     trace = resolve_trace(bc, grid)
     tr = trace.phi
     u = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
     plans = _plans(grid, tr)
-
-    ladder = list(stages) if stages is not None else cfg.stages()
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("epsilon ladder must be strictly decreasing")
 
     # looked up per run, so that wrappers installed on the module names apply
     sweep = {

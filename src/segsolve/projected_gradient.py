@@ -19,7 +19,7 @@ Both loops run on raw (3, ny, nx) stacks in buffers allocated once per run
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,10 +45,15 @@ def stability_limit(grid: Grid) -> float:
     return 1.0 / (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
 
 
-def _check_loop(tol: float, max_iters: int) -> None:
-    if not tol > 0.0:
+def _check_config(cfg) -> None:
+    """ValueError for a non-finite float field, tol <= 0 or max_iters < 1."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+    if not cfg.tol > 0.0:
         raise ValueError("step-norm tolerance tol must be positive")
-    if max_iters < 1:
+    if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
 
@@ -59,7 +64,7 @@ class PgdConfig:
     max_iters: int = 50000
 
     def __post_init__(self):
-        _check_loop(self.tol, self.max_iters)
+        _check_config(self)
 
     def resolve_alpha(self, grid: Grid) -> float:
         alpha = self.alpha
@@ -86,13 +91,13 @@ class FistaConfig:
     max_iters: int = 20000
 
     def __post_init__(self):
+        _check_config(self)
         if not 0.0 < self.rho < 1.0:
             raise ValueError("shrink factor rho must lie in (0, 1)")
         if self.eta < 0.0:
             raise ValueError("proximal bias eta must be >= 0")
         if self.tau < 0.0:
             raise ValueError("hysteresis tau must be >= 0")
-        _check_loop(self.tol, self.max_iters)
 
     def resolve_alphas(self, grid: Grid) -> tuple[float, float]:
         h2 = min(grid.hx, grid.hy) ** 2

@@ -185,6 +185,27 @@ class TestConfigFile:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+    def test_deterministic_from_a_config_file_applies(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algorithm": "pgd", "bc": "bc4", "n": 9, "deterministic": True}))
+        out = tmp_path / "run"
+        assert run_cli("solve", "--config", str(cfg), "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["wall_time_seconds"] == 0.0
+        assert report["config"]["deterministic"] is True
+
+    @pytest.mark.parametrize("values", [
+        {"n": 11.7}, {"n": "11"}, {"max_iters": 2.5}, {"deterministic": 1},
+    ])
+    def test_config_file_value_of_wrong_type_exits_1(self, tmp_path, capsys, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algorithm": "pgd", "bc": "bc4", "n": 9, **values}))
+        out = tmp_path / "run"
+        assert run_cli("solve", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {next(iter(values))!r}")
+        assert not out.exists()
+
+
 class TestBench:
     def test_bench_fista_small(self, tmp_path):
         out = tmp_path / "bench"
@@ -249,6 +270,9 @@ class TestBench:
         ("penalty-picard", ["--tol", "0"]),
         ("pgd", ["--jobs", "0"]),
         ("pgd,pgd", []),
+        ("fista", ["--alpha", "inf"]),
+        ("penalty-picard", ["--eps-start", "inf"]),
+        ("pgd", ["--tol", "inf"]),
     ])
     def test_invalid_solver_value_exits_1_before_solving(self, tmp_path, capsys, algos, bad):
         # the solver configs are built for every cell before the output directory

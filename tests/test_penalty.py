@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segsolve import penalty
 from segsolve.boundary import BoundaryTrace, builtin_config, evaluate_bc, sup_bound
 from segsolve.grid import SystemState, build_grid, l2_diff, max_l2_step, node_weights
 from segsolve.linear_solver import (
@@ -323,6 +324,18 @@ class TestRunPenalty:
         with pytest.raises(ValueError):
             run_penalty(g, "bc4", cfg, stages=[1e-3, 1e-2])
 
+    @pytest.mark.parametrize("stages", [
+        [], [np.inf, 1e-2], [1e-2, np.nan], [1e-2, 0.0], [-1e-3], [1e-2, 1e-2],
+    ])
+    def test_invalid_stage_ladder_rejected_before_any_solve(self, stages, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the ladder was checked")
+
+        monkeypatch.setattr(penalty, "harmonic_extension", no_solve)
+        cfg = PenaltyConfig(epsilon_target=1e-3, scheme="picard")
+        with pytest.raises(ValueError, match="ladder"):
+            run_penalty(build_grid(11, 11, SQUARE), "bc4", cfg, stages=stages)
+
     def test_history_row_schema(self):
         g = build_grid(9, 9, SQUARE)
         cfg = PenaltyConfig(epsilon_target=1e-2, scheme="semi_implicit")
@@ -583,6 +596,14 @@ class TestConfigValidation:
             PenaltyConfig(epsilon_target=1e-3, alpha=0.0)
         with pytest.raises(ValueError):
             PenaltyConfig(epsilon_target=1e-3, alpha=1.5)
+
+    @pytest.mark.parametrize("field", ["epsilon_target", "epsilon_start", "outer_tol"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_value_rejected(self, field, value):
+        # an infinite start made stages() grow its ladder without end
+        kwargs = {"epsilon_target": 1e-3, field: value}
+        with pytest.raises(ValueError):
+            PenaltyConfig(**kwargs)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,17 @@ class TestPgdConfig:
         with pytest.raises(ValueError):
             PgdConfig(alpha=0.0).resolve_alpha(g)
 
+    @pytest.mark.parametrize("config, field", [
+        (PgdConfig, "alpha"), (PgdConfig, "tol"), (FistaConfig, "alpha0"),
+        (FistaConfig, "alpha_min"), (FistaConfig, "rho"), (FistaConfig, "eta"),
+        (FistaConfig, "tau"), (FistaConfig, "tol"),
+    ])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_values(self, config, field, value):
+        # an infinite alpha0 made FISTA's backtracking shrink inf forever
+        with pytest.raises(ValueError, match="finite"):
+            config(**{field: value})
+
 
 class TestMomentumSequence:
     def test_first_values(self):
