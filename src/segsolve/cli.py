@@ -88,8 +88,12 @@ class RunConfig:
             raise ConfigError("bc 'custom' requires custom_bc_csv in the config file")
         if self.n < 3:
             raise ConfigError("resolution n must be >= 3")
-        if self.delta is not None and not 0.0 < self.delta < np.inf:
-            raise ConfigError("contour threshold delta must be positive and finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.delta is not None and not self.delta > 0.0:
+            raise ConfigError("contour threshold delta must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 

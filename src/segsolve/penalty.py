@@ -233,7 +233,7 @@ def run_penalty(
     """
     ladder = list(stages) if stages is not None else cfg.stages()
     if not ladder or not all(np.isfinite(eps) and eps > 0.0 for eps in ladder):
-        raise ValueError("epsilon ladder must hold at least one positive finite value")
+        raise ValueError("epsilon ladder must be nonempty, with positive finite values")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("epsilon ladder must be strictly decreasing")
 

@@ -273,6 +273,7 @@ class TestBench:
         ("fista", ["--alpha", "inf"]),
         ("penalty-picard", ["--eps-start", "inf"]),
         ("pgd", ["--tol", "inf"]),
+        ("pgd", ["--eps", "nan"]),
     ])
     def test_invalid_solver_value_exits_1_before_solving(self, tmp_path, capsys, algos, bad):
         # the solver configs are built for every cell before the output directory
