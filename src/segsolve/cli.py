@@ -129,10 +129,14 @@ def _has_type(value, annotation: str) -> bool:
     return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace, bench_keys: tuple[str, ...] = ()) -> RunConfig:
+    """Defaults, then the config file, then the flags; bench_keys may not come from the file."""
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
+        for key in bench_keys:
+            if key in values:
+                raise ConfigError(f"config key {key!r} belongs to bench; solve runs one cell")
     for f in fields(RunConfig):
         cli_val = getattr(args, f.name, None)
         if cli_val is not None:
@@ -235,7 +239,7 @@ def _output_dir(cfg: RunConfig, suffix: str) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, bench_keys=("jobs",))
         cfg.validate()
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

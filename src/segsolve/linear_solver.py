@@ -59,25 +59,42 @@ vectors half as long.
 
 The set-up of the red-black solve that does not depend on the interior
 weight lives in a plan (`_RedBlackPlan`), built once per run for each
-component trace and passed to every penalized solve of that component.  It
-records its trace and holds the ring mask, the maps from the padded layout's
-red and black halves to flat grid indices, the CG buffers and the operator's
-views into them, and the trace-side right-hand side on the flat grid.  That
-right-hand side is -A applied to the ring-only field: the field is zero at
-interior nodes, so the weighted diagonal multiplies zeros and only the
-neighbour couplings remain.  A solve forms its diagonal, Jacobi inverse,
-right-hand side (load part, 0.0 without a load, plus the trace side), scale
-and initial residual; the gather of its staged rows splits the right-hand
-side into its red and black halves.  Only the trace and the kept solutions
-below belong to one trace; the plans of a run's three components share the
-rest (`sibling`), which each solve sets up afresh.  A penalized solve
-without a plan (`solve_helmholtz`) builds a one-off plan, so there is one
-red-black path; its bits are those of the set-up done per solve.
+component trace and passed to every solve of that component.  It holds a
+read-only copy of its trace, the ring mask, the maps from the padded
+layout's red and black halves to flat grid indices, the CG buffers and the
+operator's views into them, and the trace-side right-hand side on the flat
+grid.  That right-hand side is -A applied to the ring-only field: the field
+is zero at interior nodes, so the weighted diagonal multiplies zeros and
+only the neighbour couplings remain.  A solve forms its diagonal, Jacobi
+inverse, right-hand side (load part, 0.0 without a load, plus the trace
+side), scale and initial residual; the gather of its staged rows splits the
+right-hand side into its red and black halves.  Only the trace, the plan's
+problem and the kept solutions below belong to one trace; the plans of a
+run's three components share the rest (`sibling`), which each solve sets up
+afresh.  A penalized solve without a plan (`solve_helmholtz`) builds a
+one-off plan, so there is one red-black path; its bits are those of the
+set-up done per solve.
+
+Where inputs are checked.  A public call checks everything once per call:
+`HelmholtzProblem(...)` its grid shapes, the finiteness of weight, trace and
+load, the sign of the weight and epsilon, and a solve given a plan checks,
+before it picks a branch, that the plan was built for the problem's grid
+and trace.  A plan checks its trace once, when it is built, in a problem of
+its own on the read-only copy.  `pose` sets that problem's weight, epsilon
+and load and checks only those, with the same messages; the plan check then
+passes on the identity of the trace array, so the penalty loop checks its
+trace once per run and its coefficients once per solve.  The returned field
+is checked for finiteness on every call.
 
 Galerkin starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).  A
 plan also keeps the black halves of the solutions its caller hands to
 `keep` (the penalty loop: the current stage's solutions) and forgets them on
-`clear`.  With two or more kept, a solve ignores x0 and starts CG at the
+`clear`.  Every solve given a plan leaves the black half of its answer on
+the plan (`answer`), and `keep()` without a field keeps that: the red-black
+solve hands over a copy of its own x_b, whose ring entries every start and
+CG update leave at zero, so it has the bits of a gather from the assembled
+field; the full-grid branch has no x_b and gathers from its field.  With
+two or more kept, a solve ignores x0 and starts CG at the
 last one, x, plus the step D c, where the columns of D are the steps between
 the last up to START_DEPTH + 1 kept solutions and c solves the Galerkin
 system (D^T S D) c = D^T r of the current Schur operator, r = b - S x.  That
@@ -164,18 +181,34 @@ class HelmholtzProblem:
         self.trace = np.asarray(self.trace, dtype=float)
         if self.weight.shape != self.grid.shape or self.trace.shape != self.grid.shape:
             raise ValueError("weight/trace shape does not match grid")
-        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.trace))):
+        if not np.all(np.isfinite(self.trace)):
             raise ValueError("weight/trace must be finite")
-        if np.any(self.weight < 0.0):
-            raise ValueError("Helmholtz weight must be nonnegative")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        _check_coefficient(self.weight, self.epsilon)
         if self.load is not None:
             self.load = np.asarray(self.load, dtype=float)
             if self.load.shape != self.grid.shape:
                 raise ValueError("load shape does not match grid")
-            if not np.all(np.isfinite(self.load)):
-                raise ValueError("load must be finite")
+            _check_load(self.load)
+
+
+# HelmholtzProblem's checks of the values that change from solve to solve;
+# `_RedBlackPlan.pose` runs them alone.  A min or max is NaN if any entry is,
+# so two reductions test finiteness without a temporary array.
+
+
+def _check_coefficient(weight: np.ndarray, epsilon: float) -> None:
+    lo, hi = weight.min(), weight.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("weight/trace must be finite")
+    if lo < 0.0:
+        raise ValueError("Helmholtz weight must be nonnegative")
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
+
+
+def _check_load(load: np.ndarray) -> None:
+    if not (math.isfinite(load.min()) and math.isfinite(load.max())):
+        raise ValueError("load must be finite")
 
 
 @dataclass
@@ -225,17 +258,21 @@ def _interior_rhs(p: HelmholtzProblem) -> np.ndarray:
     return b
 
 
-def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget):
+def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget, work=None):
     """Jacobi-PCG loop on rows pair = (v, -A v) and xr = (x, r).
 
     On entry x holds the start and r its residual; negative_apply() writes
-    -A v into pair[1].  x and r are updated in place.  Returns the iteration
-    count and the final relative residual.
+    -A v into pair[1].  x and r are updated in place.  work may supply a
+    float array of shape (3, v.size) for the update step and the
+    preconditioned residual.  Returns the iteration count and the final
+    relative residual.
     """
     v, minus_ap = pair
     x, r = xr
-    tmp = np.empty_like(pair)
-    z = r * dinv
+    if work is None:
+        work = np.empty((3, v.size))
+    tmp, z = work[:2], work[2]
+    np.multiply(r, dinv, out=z)
     rz = float(r.dot(z))
     res = math.sqrt(max(rz, 0.0)) / scale
     v[:] = z
@@ -349,16 +386,18 @@ class _RedBlackPlan:
     """The set-up of red-black solves on one grid with one boundary trace.
 
     Built once per run for each component trace, the later ones as siblings
-    of the first, and passed to every penalized solve of that component
-    (module docstring).  It records its trace and holds the ring mask, the
-    maps from the red and black halves of the padded layout to flat grid
-    indices, the CG buffers with the operator's views into them, and the
-    trace-side right-hand side on the flat grid.  A solve forms its diagonal,
-    Jacobi inverse, right-hand side, scale and initial residual; the halves
-    come from the gather of the staged rows.
+    of the first, and passed to every solve of that component (module
+    docstring).  It holds a read-only copy of its trace with a checked
+    problem on it (`pose`), the ring mask, the maps from the red and black
+    halves of the padded layout to flat grid indices, the CG buffers with the
+    operator's views into them, and the trace-side right-hand side on the
+    flat grid.  A solve forms its diagonal, Jacobi inverse, right-hand side,
+    scale and initial residual; the halves come from the gather of the
+    staged rows.
 
-    It also holds the black halves of the solutions given to `keep` since the
-    last `clear`, as the last one and the steps between the last
+    It also holds the black half of the last answer of a solve given the
+    plan (`answer`) and the black halves of the solutions given to `keep`
+    since the last `clear`, as the last one and the steps between the last
     START_DEPTH + 1; with two or more, a solve starts from a Galerkin
     projection onto them instead of x0 (module docstring).
     """
@@ -386,6 +425,7 @@ class _RedBlackPlan:
         nr, nb = self.red.size, self.black.size
         self.rows_r, self.rows_b = np.zeros((3, nr)), np.zeros((3, nb))  # halves of staged
         self.c_r = np.zeros(nr)
+        self.cg_work = np.empty((3, nb))
         self.solution = np.empty((ny, w))
         self.weights = np.empty(nb + nr)  # (D_b, -D_r^-1) of the current solve
         self.weighted = np.empty((START_DEPTH, nb + nr))  # basis rows times weights
@@ -439,13 +479,20 @@ class _RedBlackPlan:
         self._set_trace(trace)
 
     def _set_trace(self, trace: np.ndarray) -> None:
-        """Record the trace, set the trace-side right-hand side and an empty history."""
-        self.trace = np.asarray(trace, dtype=float)
+        """Record the trace, set the trace-side right-hand side and an empty history.
+
+        The plan holds a read-only copy of the trace and its own problem on
+        it, which checks the trace once (`pose`).
+        """
+        self.trace = np.array(trace, dtype=float)
+        self.trace.flags.writeable = False
+        self.problem = HelmholtzProblem(self.grid, np.zeros(self.grid.shape), 1.0, self.trace)
         self.trace_only = np.where(self.ring, self.trace.reshape(-1), 0.0)
         self.ring_trace = self.trace_only[self.ring_nodes]
         self.minus_trace = _minus_trace_coupling(self.grid, self.trace_only)
         self.kept = 0
         self.last = np.zeros(self.black.size)
+        self.answer = None  # black half of the last answer of a solve given this plan
         # rows (step d, N d): the steps between kept solutions on black nodes,
         # newest last, and their red neighbour sums
         self.basis = np.zeros((START_DEPTH, self.black.size + self.red.size))
@@ -466,10 +513,32 @@ class _RedBlackPlan:
         """Forget the kept solutions."""
         self.kept = self.stale = 0
 
-    def keep(self, x: np.ndarray) -> None:
-        """Keep the black half of the full-shape field x for the next starts."""
-        self.x_staged[:-1] = x.reshape(-1)
-        xb = np.take(self.x_staged, self.black_inner, mode="clip")
+    def pose(self, weight: np.ndarray, epsilon: float, load: np.ndarray | None = None) -> HelmholtzProblem:
+        """The plan's own problem, now with this weight, epsilon and load.
+
+        The grid and trace were checked when the plan was built, so only the
+        new values are, with HelmholtzProblem's messages.  The next pose
+        changes the same problem.
+        """
+        _check_coefficient(weight, epsilon)
+        if load is not None:
+            _check_load(load)
+        p = self.problem
+        p.weight, p.epsilon, p.load = weight, epsilon, load
+        return p
+
+    def black_half(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The black half of the flat field x at interior nodes, zero elsewhere."""
+        self.x_staged[:-1] = x
+        return np.take(self.x_staged, self.black_inner, out=out, mode="clip")
+
+    def keep(self, x: np.ndarray | None = None) -> None:
+        """Keep the black half of the full-shape field x for the next starts.
+
+        Without x, keep that of the last answer of a solve given this plan
+        (`answer`), which the solve held already.
+        """
+        xb = self.answer if x is None else self.black_half(x.reshape(-1))
         if self.kept:
             self.basis[:-1] = self.basis[1:]
             np.subtract(xb, self.last, out=self.basis[-1, : xb.size])
@@ -515,15 +584,25 @@ class _RedBlackPlan:
         return passes + 1
 
     def check(self, p: HelmholtzProblem) -> None:
-        ring_trace = p.trace.reshape(-1).take(self.ring_nodes)
-        if p.grid != self.grid or not np.array_equal(ring_trace, self.ring_trace):
+        """Refuse a problem of another grid or boundary trace.
+
+        A problem on the plan's own read-only trace, such as `pose` returns,
+        passes without a comparison of values.
+        """
+        if p.grid != self.grid or (
+            p.trace is not self.trace
+            and not np.array_equal(p.trace.reshape(-1).take(self.ring_nodes), self.ring_trace)
+        ):
             raise ValueError("red-black plan was built for another grid or boundary trace")
 
     def solve(self, p: HelmholtzProblem, x0, rel_tol, budget):
         """Solve p on the red-black reduced system; x0 is a flat start or None.
 
         Returns (x, iterations, final relative residual, operator passes of
-        the start), x a new flat solution field.
+        the start), x a new flat solution field, and holds the black half of
+        x as `answer`.  That is a copy of x_b: every start and every CG
+        update is zero at the ring and padding entries of x_b, so it has the
+        bits of a gather from x.
         """
         staged, rows_r, rows_b = self.staged, self.rows_r, self.rows_b
         dinv, diag, b = staged[0, :-1], staged[1, :-1], staged[2, :-1]
@@ -539,6 +618,7 @@ class _RedBlackPlan:
         bz = float(b.dot(b * dinv))
         if bz == 0.0:
             # zero data: unique solution is zero (coefficient is nonnegative)
+            self.answer = np.zeros(self.black.size)
             return self.trace_only.copy(), 0, 0.0, 0
 
         np.multiply(rows_r[2], rows_r[0], out=self.c_r)
@@ -549,17 +629,18 @@ class _RedBlackPlan:
         elif x0 is None:
             x_b.fill(0.0)
         else:
-            self.x_staged[:-1] = x0
-            np.take(self.x_staged, self.black_inner, out=x_b, mode="clip")
+            self.black_half(x0, out=x_b)
         v[:] = x_b
         self.back_substitute()
         self.to_black()
         np.add(rows_b[2], minus_sv, out=r)  # residual of the full system at black nodes
         applies = self.galerkin_start() if self.kept >= 2 else 0
         iters, res = _jacobi_pcg(
-            self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), rel_tol, budget
+            self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), rel_tol, budget,
+            self.cg_work,
         )
 
+        self.answer = x_b.copy()
         v[:] = x_b
         self.back_substitute()
         ny, nx = self.grid.shape
@@ -586,21 +667,24 @@ def solve_helmholtz_with_info(
     Penalized problems are solved on the red-black reduced system through
     `plan`, a `_RedBlackPlan` of p's grid and trace (a one-off plan if None);
     a plan that has kept two or more solutions replaces x0 by a Galerkin
-    start.  Harmonic extensions are solved on the full grid from x0 (module
-    docstring).
+    start.  Harmonic extensions are solved on the full grid from x0.  A
+    given plan is checked against p on either branch and is left the black
+    half of the answer (module docstring).
     """
     controls = controls or SolverControls()
     if x0 is not None:
         x0 = (x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=float)).reshape(-1)
     budget = controls.budget(p.grid)
-    if np.any(p.weight[1:-1, 1:-1] != 0.0):
+    if plan is not None:
+        plan.check(p)
+    if p.weight[1:-1, 1:-1].any():
         if plan is None:
             plan = _RedBlackPlan(p.grid, p.trace)
-        else:
-            plan.check(p)
         x, iters, res, applies = plan.solve(p, x0, controls.rel_tol, budget)
     else:
         x, iters, res, applies = _full_grid_solve(p, x0, controls.rel_tol, budget)
+        if plan is not None:
+            plan.answer = plan.black_half(x)
 
     info = SolveInfo(iters, res, res <= controls.rel_tol, applies)
     if not info.converged:

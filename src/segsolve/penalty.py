@@ -52,6 +52,17 @@ secant starts on ex41 with picard; each stage summary also counts the
 operator passes the starts spent (`start_applies`).  Loosening the inner
 tolerance instead saves as much but gives up the maximum principle:
 iterates then go negative by far more than rounding.
+
+Where inputs are checked: `run_penalty` checks its epsilon ladder, and the
+plans check the run's trace when they are built, once per run.  Each solve
+poses the plan's own problem (`_RedBlackPlan.pose`), which checks only the
+weight, epsilon and load of that solve, with the messages of
+:class:`segsolve.linear_solver.HelmholtzProblem`; a weight that overflows to
+inf raises ValueError("weight/trace must be finite") as before.  The solve
+still goes through the module name `solve_helmholtz_with_info`, so wrappers
+installed on it see every solve, and each plan keeps the black half its
+solve left on it.  The per-sweep measures reuse buffers and node weights
+made once per run.
 """
 
 from __future__ import annotations
@@ -63,13 +74,8 @@ from typing import Callable
 import numpy as np
 
 from .boundary import BoundaryTrace, resolve_trace
-from .grid import Grid, SystemState, energy_of_stack, l2_norm, max_l2_step, node_weights
-from .linear_solver import (
-    HelmholtzProblem,
-    _RedBlackPlan,
-    harmonic_extension,
-    solve_helmholtz_with_info,
-)
+from .grid import Grid, SystemState, energy_of_stack, max_l2_step, node_weights
+from .linear_solver import _RedBlackPlan, harmonic_extension, solve_helmholtz_with_info
 from .reporting import SolveReport
 
 __all__ = [
@@ -128,10 +134,13 @@ def _plans(grid, tr):
 
 
 def _solve(plan, w, eps, x0, load=None):
-    """One solve through the plan, which keeps its answer for the next starts."""
-    problem = HelmholtzProblem(plan.grid, w, eps, plan.trace, load=load)
-    fld, info = solve_helmholtz_with_info(problem, x0=x0, plan=plan)
-    plan.keep(fld.values)
+    """One solve of the plan's own problem, which the plan keeps for the next starts.
+
+    Only w, eps and the load are checked; the call goes through the module
+    name, so that wrappers installed on it see every solve.
+    """
+    fld, info = solve_helmholtz_with_info(plan.pose(w, eps, load), x0=x0, plan=plan)
+    plan.keep()
     return fld.values, info
 
 
@@ -256,6 +265,7 @@ def run_penalty(
     alpha = 1.0 if undamped else cfg.alpha
 
     weights = node_weights(grid)
+    step_work, energy_work = (np.empty(u.shape), np.empty(u.shape)), np.empty((2, u.size))
     history = []
     stage_summaries = []
     for eps in ladder:
@@ -269,11 +279,11 @@ def run_penalty(
             cg_max = max(cg_max, *cg)
             start_applies += sum(info.start_applies for info in infos)
 
-            sn = max_l2_step(weights, new, u)
+            sn = max_l2_step(weights, new, u, step_work)
             u = new
             prod = u[0] * u[1] * u[2]
-            prod_l2 = l2_norm(grid, prod)
-            energy = energy_of_stack(grid, u)
+            prod_l2 = float(np.sqrt(np.sum(weights * prod * prod)))  # grid.l2_norm's bits
+            energy = energy_of_stack(grid, u, energy_work)
             history.append(
                 {
                     "stage_epsilon": eps,
