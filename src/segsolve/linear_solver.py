@@ -67,8 +67,9 @@ grid.  That right-hand side is -A applied to the ring-only field: the field
 is zero at interior nodes, so the weighted diagonal multiplies zeros and
 only the neighbour couplings remain.  A solve forms its diagonal, Jacobi
 inverse, right-hand side (load part, 0.0 without a load, plus the trace
-side), scale and initial residual; the gather of its staged rows splits the
-right-hand side into its red and black halves.  Only the trace, the plan's
+side), scale and initial residual; a gather of its staged rows splits the
+right-hand side into its red and black halves (two stride-2 copies for odd
+nx, where the layout has no padding).  Only the trace, the plan's
 problem and the kept solutions below belong to one trace; the plans of a
 run's three components share the rest (`sibling`), which each solve sets up
 afresh.  A penalized solve without a plan (`solve_helmholtz`) builds a
@@ -392,8 +393,8 @@ class _RedBlackPlan:
     halves of the padded layout to flat grid indices, the CG buffers with the
     operator's views into them, and the trace-side right-hand side on the
     flat grid.  A solve forms its diagonal, Jacobi inverse, right-hand side,
-    scale and initial residual; the halves come from the gather of the
-    staged rows.
+    scale and initial residual; the halves come from a gather of the staged
+    rows, or from stride-2 copies without a padding column.
 
     It also holds the black half of the last answer of a solve given the
     plan (`answer`) and the black halves of the solutions given to `keep`
@@ -418,6 +419,7 @@ class _RedBlackPlan:
         jj, ii = np.divmod(np.arange(ny * w), w)
         to_grid = np.where(ii < nx, jj * nx + ii, size)
         self.red, self.black = to_grid[0::2], to_grid[1::2]
+        self.padded = w != nx
         inner = (jj > 0) & (jj < ny - 1) & (ii > 0) & (ii < nx - 1)
         self.black_inner = np.where(inner, to_grid, size)[1::2]
         self.staged = np.zeros((3, size + 1))  # dinv, diag, b on grid indices, then the zero slot
@@ -613,8 +615,12 @@ class _RedBlackPlan:
         np.divide(self.interior, diag, out=dinv)  # zero on the ring
         load = 0.0 if p.load is None else np.where(self.ring, 0.0, p.load.reshape(-1) * self.hx2)
         np.add(load, self.minus_trace, out=b)
-        np.take(staged, self.red, axis=1, out=rows_r, mode="clip")
-        np.take(staged, self.black, axis=1, out=rows_b, mode="clip")
+        if self.padded:
+            np.take(staged, self.red, axis=1, out=rows_r, mode="clip")
+            np.take(staged, self.black, axis=1, out=rows_b, mode="clip")
+        else:  # the halves are stride-2 slices, which copy faster than a gather
+            np.copyto(rows_r, staged[:, 0:-1:2])
+            np.copyto(rows_b, staged[:, 1:-1:2])
         bz = float(b.dot(b * dinv))
         if bz == 0.0:
             # zero data: unique solution is zero (coefficient is nonnegative)
