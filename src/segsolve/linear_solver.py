@@ -76,26 +76,21 @@ afresh.  A penalized solve without a plan (`solve_helmholtz`) builds a
 one-off plan, so there is one red-black path; its bits are those of the
 set-up done per solve.
 
-Where inputs are checked.  A public call checks everything once per call:
-`HelmholtzProblem(...)` its grid shapes, the finiteness of weight, trace and
-load, the sign of the weight and epsilon, and a solve given a plan checks,
-before it picks a branch, that the plan was built for the problem's grid
-and trace.  A plan checks its trace once, when it is built, in a problem of
-its own on the read-only copy.  `pose` sets that problem's weight, epsilon
-and load and checks only those, with the same messages; the plan check then
-passes on the identity of the trace array, so the penalty loop checks its
-trace once per run and its coefficients once per solve.  The returned field
-is checked for finiteness on every call.
+Where inputs are checked.  `HelmholtzProblem(...)` checks all its inputs,
+and a solve given a plan checks, before it picks a branch, that the plan was
+built for the problem's grid and trace.  A plan checks its trace once, in a
+problem of its own on the read-only copy; `pose` sets that problem's weight,
+epsilon and load and checks only those, with the same messages, and the plan
+check passes it on the identity of the trace array.  Every returned field is
+checked for finiteness.
 
 Galerkin starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).  A
 plan also keeps the black halves of the solutions its caller hands to
 `keep` (the penalty loop: the current stage's solutions) and forgets them on
-`clear`.  Every solve given a plan leaves the black half of its answer on
-the plan (`answer`), and `keep()` without a field keeps that: the red-black
-solve hands over a copy of its own x_b, whose ring entries every start and
-CG update leave at zero, so it has the bits of a gather from the assembled
-field; the full-grid branch has no x_b and gathers from its field.  With
-two or more kept, a solve ignores x0 and starts CG at the
+`clear`.  A solve given a plan leaves the black half of its answer there
+(`answer`) for `keep()`: the red-black solve a copy of its x_b, the
+full-grid branch a gather from its field.  With two or more kept, a solve
+ignores x0 and starts CG at the
 last one, x, plus the step D c, where the columns of D are the steps between
 the last up to START_DEPTH + 1 kept solutions and c solves the Galerkin
 system (D^T S D) c = D^T r of the current Schur operator, r = b - S x.  That
@@ -445,12 +440,15 @@ class _RedBlackPlan:
         lo, hi = h, nr - h - 1
         black_x, black_y = (t[lo:hi], t[lo + 1 : hi + 1]), (t[lo - h : hi - h], t[lo + h + 1 : hi + h + 1])
         out, centre, db, tmp_b = minus_sv[lo:hi], v[lo:hi], self.rows_b[1, lo:hi], np.empty(hi - lo)
+        # on square cells q is exactly 1, and a product with 1.0 changes no bit
+        scaled = q != 1.0
 
         def red_sums() -> None:
             """t <- N v on the red span: weight-free, finite junk on the red ring."""
             np.add(*red_x, out=t_span)
             np.add(*red_y, out=tmp_r)
-            np.multiply(tmp_r, q, out=tmp_r)
+            if scaled:
+                np.multiply(tmp_r, q, out=tmp_r)
             np.add(t_span, tmp_r, out=t_span)
 
         def to_red() -> None:
@@ -462,7 +460,8 @@ class _RedBlackPlan:
             """minus_sv <- N^T t - D_b v: exact at interior nodes, finite junk on the ring."""
             np.add(*black_x, out=out)
             np.add(*black_y, out=tmp_b)
-            np.multiply(tmp_b, q, out=tmp_b)
+            if scaled:
+                np.multiply(tmp_b, q, out=tmp_b)
             np.add(out, tmp_b, out=out)
             np.multiply(db, centre, out=tmp_b)
             np.subtract(out, tmp_b, out=out)
@@ -481,11 +480,8 @@ class _RedBlackPlan:
         self._set_trace(trace)
 
     def _set_trace(self, trace: np.ndarray) -> None:
-        """Record the trace, set the trace-side right-hand side and an empty history.
-
-        The plan holds a read-only copy of the trace and its own problem on
-        it, which checks the trace once (`pose`).
-        """
+        """Record a read-only copy of the trace with a checked problem on it (`pose`),
+        set the trace-side right-hand side and an empty history."""
         self.trace = np.array(trace, dtype=float)
         self.trace.flags.writeable = False
         self.problem = HelmholtzProblem(self.grid, np.zeros(self.grid.shape), 1.0, self.trace)
@@ -515,7 +511,7 @@ class _RedBlackPlan:
         """Forget the kept solutions."""
         self.kept = self.stale = 0
 
-    def pose(self, weight: np.ndarray, epsilon: float, load: np.ndarray | None = None) -> HelmholtzProblem:
+    def pose(self, weight: np.ndarray, epsilon: float, load=None) -> HelmholtzProblem:
         """The plan's own problem, now with this weight, epsilon and load.
 
         The grid and trace were checked when the plan was built, so only the
@@ -602,9 +598,9 @@ class _RedBlackPlan:
 
         Returns (x, iterations, final relative residual, operator passes of
         the start), x a new flat solution field, and holds the black half of
-        x as `answer`.  That is a copy of x_b: every start and every CG
-        update is zero at the ring and padding entries of x_b, so it has the
-        bits of a gather from x.
+        x as `answer`: a copy of x_b, which has the bits of a gather from x,
+        since every start and CG update is zero at its ring and padding
+        entries.
         """
         staged, rows_r, rows_b = self.staged, self.rows_r, self.rows_b
         dinv, diag, b = staged[0, :-1], staged[1, :-1], staged[2, :-1]

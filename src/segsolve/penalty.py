@@ -53,16 +53,13 @@ operator passes the starts spent (`start_applies`).  Loosening the inner
 tolerance instead saves as much but gives up the maximum principle:
 iterates then go negative by far more than rounding.
 
-Where inputs are checked: `run_penalty` checks its epsilon ladder, and the
-plans check the run's trace when they are built, once per run.  Each solve
-poses the plan's own problem (`_RedBlackPlan.pose`), which checks only the
-weight, epsilon and load of that solve, with the messages of
-:class:`segsolve.linear_solver.HelmholtzProblem`; a weight that overflows to
-inf raises ValueError("weight/trace must be finite") as before.  The solve
-still goes through the module name `solve_helmholtz_with_info`, so wrappers
-installed on it see every solve, and each plan keeps the black half its
-solve left on it.  The per-sweep measures reuse buffers and node weights
-made once per run.
+Where inputs are checked: `run_penalty` checks its epsilon ladder and the
+plans check the run's trace, once per run.  Each solve poses the plan's own
+problem (`_RedBlackPlan.pose`), which checks only that solve's weight,
+epsilon and load, with the messages of
+:class:`segsolve.linear_solver.HelmholtzProblem`, and runs through the
+module name `solve_helmholtz_with_info`, so wrappers installed on it see
+every solve.
 """
 
 from __future__ import annotations

@@ -205,6 +205,21 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith(f"error: config key {next(iter(values))!r}")
         assert not out.exists()
 
+    def test_jobs_key_refused_by_solve(self, tmp_path, capsys):
+        # solve runs one cell: a jobs key from a file is refused like the --jobs flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        out = tmp_path / "run"
+        args = ["--algo", "pgd", "--bc", "bc4", "--n", "9", "--out", str(out)]
+        assert run_cli("solve", "--config", str(cfg), *args) == 1
+        assert capsys.readouterr().err.startswith("error: config key 'jobs'")
+        assert not out.exists()
+        # the config echo of a report leaves jobs out, so a report still loads
+        assert run_cli("solve", *args) == 0
+        report = out / "report.json"
+        assert "jobs" not in json.loads(report.read_text())["config"]
+        assert run_cli("solve", "--config", str(report), "--out", str(tmp_path / "again")) == 0
+
 
 class TestBench:
     def test_bench_fista_small(self, tmp_path):

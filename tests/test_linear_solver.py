@@ -432,6 +432,16 @@ class TestRedBlackPlan:
         with pytest.raises(ValueError, match="plan"):
             solve_helmholtz_with_info(p, plan=plan)
 
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_plan_of_another_trace_is_refused_on_either_branch(self, weight):
+        # a zero interior weight takes the full-grid branch, which does not use
+        # the plan but would still leave its answer to the plan's kept history
+        g = build_grid(11, 11, SQUARE)
+        tr = evaluate_bc(builtin_config("bc7"), g).phi
+        p = HelmholtzProblem(g, np.full(g.shape, weight), 1e-3, tr[1])
+        with pytest.raises(ValueError, match="plan"):
+            solve_helmholtz_with_info(p, plan=_RedBlackPlan(g, tr[0]))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weight_or_start_raises(self, value):
         g = build_grid(11, 11, SQUARE)

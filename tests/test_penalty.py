@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segsolve import penalty
+from segsolve import linear_solver, penalty
 from segsolve.boundary import BoundaryTrace, builtin_config, evaluate_bc, sup_bound
 from segsolve.grid import SystemState, build_grid, l2_diff, max_l2_step, node_weights
 from segsolve.linear_solver import (
@@ -580,6 +580,76 @@ def test_tracer_records_one_span_per_sweep(tmp_path, child_env):
         assert c["sweeps"] == c["iters"] > 0, scheme
         assert c["nested"] == 0, scheme
         assert c["solves"] == 3 * c["sweeps"] + 3, scheme  # three harmonic extensions first
+
+
+class TestSolveSeam:
+    """The penalty loop's solves through the run's plans: what a tracer sees,
+    the errors they raise and the black halves the plans keep."""
+
+    def test_every_solve_goes_through_the_module_name(self, monkeypatch):
+        # wrapped as bench/tracing.py wraps it: in every loaded segsolve module
+        orig = linear_solver.solve_helmholtz_with_info
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            fld, info = orig(*args, **kwargs)
+            calls.append((kwargs.get("plan") is not None, info.iterations))
+            return fld, info
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("segsolve"):
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, wrapped)
+        g = build_grid(13, 13, SQUARE)
+        cfg = PenaltyConfig(1e-3, scheme="picard")
+        _, history, report = run_penalty(g, "bc7", cfg, stages=[1e-2, 1e-3])
+        assert len(history) == report.iters > 0
+        assert [planned for planned, _ in calls] == [False] * 3 + [True] * (3 * len(history))
+        stage_cg = sum(s["cg_iterations"] for s in report.meta["stages"])
+        assert sum(iters for planned, iters in calls if planned) == stage_cg > 0
+
+    def test_weight_overflowing_to_inf_raises(self):
+        g = build_grid(13, 13, SQUARE)
+        trace = evaluate_bc(builtin_config("bc7"), g)
+        huge = BoundaryTrace(g, trace.phi * 1e80)  # (u_j u_k)^2 overflows
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^weight/trace must be finite$"):
+                run_penalty(g, huge, PenaltyConfig(1e-3))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("weight", np.nan, "^weight/trace must be finite$"),
+        ("weight", -1.0, "^Helmholtz weight must be nonnegative$"),
+        ("load", np.inf, "^load must be finite$"),
+    ])
+    def test_bad_value_raises_before_any_cg_iteration(self, monkeypatch, name, value, message):
+        cg_calls = []
+        monkeypatch.setattr(linear_solver, "_jacobi_pcg", lambda *args: cg_calls.append(args))
+        g = build_grid(13, 9, SQUARE)
+        tr = evaluate_bc(builtin_config("bc7"), g).phi
+        data = {"weight": np.ones(g.shape), "load": np.zeros(g.shape)}
+        data[name][4, 5] = value
+        with pytest.raises(ValueError, match=message):
+            penalty._solve(_plans(g, tr)[0], data["weight"], 1e-3, tr[0], load=data["load"])
+        assert not cg_calls
+
+    def test_kept_black_half_has_the_bits_of_a_gather_of_the_answer(self):
+        g = build_grid(13, 9, SQUARE)
+        tr = evaluate_bc(builtin_config("bc7"), g).phi
+        u = np.stack([harmonic_extension(g, tr[k]).values for k in range(3)])
+        plan = _plans(g, tr)[0]
+        w = (u[1] * u[2]) ** 2
+        cases = {
+            "red-black": (w, None),
+            "zero weight": (np.zeros(g.shape), None),
+            "phase field": (w / 2.0, -(w / 2e-3) * u[0]),
+        }
+        for sweep in range(4):  # from the third on, the solves start from the kept ones
+            for case, (weight, load) in cases.items():
+                v, _ = penalty._solve(plan, weight, 1e-3, u[0], load=load)
+                gathered = np.take(np.append(v.reshape(-1), 0.0), plan.black_inner, mode="clip")
+                assert plan.last.tobytes() == gathered.tobytes(), (sweep, case)
+        assert plan.kept == 12
 
 
 class TestConfigValidation:
