@@ -59,8 +59,8 @@ vectors half as long.
 
 The set-up of the red-black solve that does not depend on the interior
 weight lives in a plan (`_RedBlackPlan`), built once per run for each
-component trace and passed to every solve of that component.  It holds a
-read-only copy of its trace, the ring mask, the maps from the padded
+component trace and passed to every solve of that component.  It holds its
+trace as a read-only ring-only field, the ring mask, the maps from the padded
 layout's red and black halves to flat grid indices, the CG buffers and the
 operator's views into them, and the trace-side right-hand side on the flat
 grid.  That right-hand side is -A applied to the ring-only field: the field
@@ -79,7 +79,7 @@ set-up done per solve.
 Where inputs are checked.  `HelmholtzProblem(...)` checks all its inputs,
 and a solve given a plan checks, before it picks a branch, that the plan was
 built for the problem's grid and trace.  A plan checks its trace once, in a
-problem of its own on the read-only copy; `pose` sets that problem's weight,
+problem of its own on the read-only field; `pose` sets that problem's weight,
 epsilon and load and checks only those, with the same messages, and the plan
 check passes it on the identity of the trace array.  Every returned field is
 checked for finiteness.
@@ -383,13 +383,14 @@ class _RedBlackPlan:
 
     Built once per run for each component trace, the later ones as siblings
     of the first, and passed to every solve of that component (module
-    docstring).  It holds a read-only copy of its trace with a checked
-    problem on it (`pose`), the ring mask, the maps from the red and black
-    halves of the padded layout to flat grid indices, the CG buffers with the
-    operator's views into them, and the trace-side right-hand side on the
-    flat grid.  A solve forms its diagonal, Jacobi inverse, right-hand side,
-    scale and initial residual; the halves come from a gather of the staged
-    rows, or from stride-2 copies without a padding column.
+    docstring).  It holds its trace as a read-only ring-only field with a
+    checked problem on it (`pose`), the ring mask, the maps from the red and
+    black halves of the padded layout to flat grid indices, the CG buffers
+    with the operator's views into them, and the trace-side right-hand side
+    on the flat grid.  A solve forms its diagonal, Jacobi inverse,
+    right-hand side, scale and initial residual; the halves come from a
+    gather of the staged rows, or from stride-2 copies without a padding
+    column.
 
     It also holds the black half of the last answer of a solve given the
     plan (`answer`) and the black halves of the solutions given to `keep`
@@ -480,12 +481,17 @@ class _RedBlackPlan:
         self._set_trace(trace)
 
     def _set_trace(self, trace: np.ndarray) -> None:
-        """Record a read-only copy of the trace with a checked problem on it (`pose`),
-        set the trace-side right-hand side and an empty history."""
-        self.trace = np.array(trace, dtype=float)
-        self.trace.flags.writeable = False
-        self.problem = HelmholtzProblem(self.grid, np.zeros(self.grid.shape), 1.0, self.trace)
-        self.trace_only = np.where(self.ring, self.trace.reshape(-1), 0.0)
+        """Check the trace in a problem of the plan's own (`pose`), record it, set
+        the trace-side right-hand side and an empty history.
+
+        The recorded trace, also the problem's, is a read-only view of the
+        ring-only field: the solves read the trace on the ring alone.
+        """
+        zero = np.broadcast_to(0.0, self.grid.shape)
+        self.problem = HelmholtzProblem(self.grid, zero, 1.0, trace)
+        self.trace_only = np.where(self.ring, self.problem.trace.reshape(-1), 0.0)
+        self.trace_only.flags.writeable = False
+        self.trace = self.problem.trace = self.trace_only.reshape(self.grid.shape)
         self.ring_trace = self.trace_only[self.ring_nodes]
         self.minus_trace = _minus_trace_coupling(self.grid, self.trace_only)
         self.kept = 0

@@ -262,7 +262,7 @@ def run_penalty(
     alpha = 1.0 if undamped else cfg.alpha
 
     weights = node_weights(grid)
-    step_work, energy_work = (np.empty(u.shape), np.empty(u.shape)), np.empty((2, u.size))
+    work = np.empty((2, u.size))  # the step norm's two stacks, then the energy's differences
     history = []
     stage_summaries = []
     for eps in ladder:
@@ -276,11 +276,11 @@ def run_penalty(
             cg_max = max(cg_max, *cg)
             start_applies += sum(info.start_applies for info in infos)
 
-            sn = max_l2_step(weights, new, u, step_work)
+            sn = max_l2_step(weights, new, u, work.reshape(2, *u.shape))
             u = new
             prod = u[0] * u[1] * u[2]
             prod_l2 = float(np.sqrt(np.sum(weights * prod * prod)))  # grid.l2_norm's bits
-            energy = energy_of_stack(grid, u, energy_work)
+            energy = energy_of_stack(grid, u, work)
             history.append(
                 {
                     "stage_epsilon": eps,
