@@ -1,12 +1,15 @@
 """Byte pins of library solves that the CLI golden artifacts do not reach.
 
-The golden artifacts run the CLI on square grids only.  These pins hash the
-results of direct library calls on bc7 over a 13 x 9 grid, where hx != hy:
-harmonic extensions, penalized solves with and without a load (through a
-plan and through the public call), a zero-weight solve with a load, one
-sweep of each public step, and a short continuation run of every scheme.
-A refactor keeps every hash; an intended change of bits replaces the entry,
-with the reason in CHANGES.md.
+The golden artifacts run the CLI on square grids with odd nx only.  These
+pins hash the results of direct library calls on bc7 over a 13 x 9 grid,
+where hx != hy: harmonic extensions, penalized solves with and without a
+load (through a plan and through the public call), a zero-weight solve with
+a load, one sweep of each public step, and a short continuation run of every
+scheme.  One more pin covers bc7 over a 12 x 9 grid, where nx is even and the
+red-black layout has a padding column: a plan solve with x0 and a load, and
+short picard and phase_field runs (black-half starts from x0, then Galerkin
+starts).  A refactor keeps every hash; an intended change of bits replaces
+the entry, with the reason in CHANGES.md.
 """
 
 import hashlib
@@ -47,6 +50,7 @@ PINS = {
     "run_penalty_gauss_seidel": "e8eb7d039fe029720530d6ae879f79784e6f1a85c1e3fc173e5c9fb0c70ec6e2",
     "run_penalty_semi_implicit": "5fab56ee2abef2a84bd078eee1c32ddfcec84c92d01039ed973499195f326bb7",
     "run_penalty_phase_field": "f88ba4a41f9c712f663893d81de50b1f61dfb8deb4363e7299fa0042a4496885",
+    "even_nx": "9f31b85c4c7e8f48bb4aff41ad14ac2ea1fd6cee0335236aab06a40bd06a90d6",
 }
 
 
@@ -95,7 +99,23 @@ def library_digests(grid, trace, u0) -> dict:
         cfg = PenaltyConfig(1e-3, scheme=scheme, max_outer=12)
         final, history, report = run_penalty(grid, trace, cfg)
         out[f"run_penalty_{scheme}"] = _sha(final.stack(), history, report.meta["stages"])
+    out["even_nx"] = even_nx_digest()
     return out
+
+
+def even_nx_digest() -> str:
+    """bc7 on 12 x 9: a plan solve with x0 and a load, short picard and phase_field runs."""
+    grid = build_grid(12, 9, (-1.0, 1.0, -1.0, 1.0))
+    trace = evaluate_bc(builtin_config("bc7"), grid)
+    tr = trace.phi
+    u0 = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
+    w = (u0[1] * u0[2]) ** 2
+    loaded = HelmholtzProblem(grid, w / 2.0, 1e-3, tr[0], load=-(w / 2e-3) * u0[0])
+    parts = [u0, _solve(loaded, x0=u0[0], plan=_RedBlackPlan(grid, tr[0]))]
+    for scheme in ("picard", "phase_field"):
+        final, history, report = run_penalty(grid, trace, PenaltyConfig(1e-3, scheme=scheme, max_outer=12))
+        parts += [final.stack(), history, report.meta["stages"]]
+    return _sha(*parts)
 
 
 def test_library_bytes(case):
