@@ -36,7 +36,6 @@ from .grid import (
 )
 from .linear_solver import (
     HelmholtzProblem,
-    SolverControls,
     dense_oracle_solve,
     harmonic_extension,
     solve_helmholtz,
@@ -74,7 +73,6 @@ __all__ = [
     "sup_bound",
     "trace_from_csv",
     "HelmholtzProblem",
-    "SolverControls",
     "solve_helmholtz",
     "harmonic_extension",
     "dense_oracle_solve",

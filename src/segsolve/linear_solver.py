@@ -11,6 +11,11 @@ solved matrix-free by conjugate gradients with a Jacobi (diagonal)
 preconditioner.  With w = 0 the solve is the discrete harmonic extension of
 the boundary data.
 
+Stopping.  CG stops once the Jacobi-preconditioned residual, relative to the
+preconditioned right-hand side, is at most REL_TOL, and gets a budget of ten
+iterations per interior node.  A solve that misses the tolerance raises
+LinearSolveError, so every returned solve met it.
+
 Harmonic extensions (interior weight identically zero) run CG on the
 flattened full (ny, nx) field, not on the interior block:
 
@@ -41,10 +46,10 @@ with D_b.  That takes about half the iterations of the full system, on
 vectors half as long.
 
   * Colouring: nodes are coloured by flat-index parity on a row width
-    W = nx for odd nx, nx + 1 for even nx; the extra column counts as ring
+    W = nx for odd nx, nx + 1 for even nx; the extra column is zero padding
     and never neighbours an interior node.  With W odd, parity is a
     checkerboard, red (even) and black (odd) nodes are the stride-2 halves
-    of the padded flat field, and every neighbour shift is a contiguous
+    of the flat (ny, W) layout, and every neighbour shift is a contiguous
     slice of a half-length array: red node k has black neighbours k-1, k
     and k-(W+1)/2, k+(W-1)/2, black node k has red neighbours k, k+1 and
     k-(W-1)/2, k+(W+1)/2.
@@ -60,21 +65,20 @@ vectors half as long.
 The set-up of the red-black solve that does not depend on the interior
 weight lives in a plan (`_RedBlackPlan`), built once per run for each
 component trace and passed to every solve of that component.  It holds its
-trace as a read-only ring-only field, the ring mask, the maps from the padded
-layout's red and black halves to flat grid indices, the CG buffers and the
-operator's views into them, and the trace-side right-hand side on the flat
-grid.  That right-hand side is -A applied to the ring-only field: the field
-is zero at interior nodes, so the weighted diagonal multiplies zeros and
-only the neighbour couplings remain.  A solve forms its diagonal, Jacobi
-inverse, right-hand side (load part, 0.0 without a load, plus the trace
-side), scale and initial residual; a gather of its staged rows splits the
-right-hand side into its red and black halves (two stride-2 copies for odd
-nx, where the layout has no padding).  Only the trace, the plan's
-problem and the kept solutions below belong to one trace; the plans of a
-run's three components share the rest (`sibling`), which each solve sets up
-afresh.  A penalized solve without a plan (`solve_helmholtz`) builds a
-one-off plan, so there is one red-black path; its bits are those of the
-set-up done per solve.
+trace as a read-only ring-only field, the ring mask, the CG buffers and the
+operator's views into them, and the trace-side right-hand side on the grid.
+That right-hand side is -A applied to the ring-only field: the field is zero
+at interior nodes, so the weighted diagonal multiplies zeros and only the
+neighbour couplings remain.  A solve writes its Jacobi inverse, diagonal and
+right-hand side (load part, 0.0 without a load, plus the trace side) into
+the grid columns of a zero-padded (3, ny, W) array; two stride-2 copies of
+the flat rows split them into red and black halves.  Its scale is a dot of
+grid-ordered contiguous vectors.  Only the trace, the plan's problem and the
+kept solutions below belong to one trace; the plans of a run's three
+components share the rest (`sibling`), which each solve sets up afresh.  A
+penalized solve without a plan (`solve_helmholtz`) builds a one-off plan, so
+there is one red-black path; its bits are those of the set-up done per
+solve.
 
 Where inputs are checked.  `HelmholtzProblem(...)` checks all its inputs,
 and a solve given a plan checks, before it picks a branch, that the plan was
@@ -89,12 +93,12 @@ plan also keeps the black halves of the solutions its caller hands to
 `keep` (the penalty loop: the current stage's solutions) and forgets them on
 `clear`.  A solve given a plan leaves the black half of its answer there
 (`answer`) for `keep()`: the red-black solve a copy of its x_b, the
-full-grid branch a gather from its field.  With two or more kept, a solve
-ignores x0 and starts CG at the
-last one, x, plus the step D c, where the columns of D are the steps between
-the last up to START_DEPTH + 1 kept solutions and c solves the Galerkin
-system (D^T S D) c = D^T r of the current Schur operator, r = b - S x.  That
-start is the best in the S-norm over x + span(D).
+full-grid branch the odd entries of its interior in the (ny, W) layout.
+With two or more kept, a solve ignores x0 and starts CG at the last one, x,
+plus the step D c, where the columns of D are the steps between the last up
+to START_DEPTH + 1 kept solutions and c solves the Galerkin system
+(D^T S D) c = D^T r of the current Schur operator, r = b - S x.  That start
+is the best in the S-norm over x + span(D).
 
   * S = D_b - N^T D_r^-1 N, so D^T S D = D^T D_b D - (N D)^T D_r^-1 (N D).
     N D does not depend on the weight and is formed once per kept step, so
@@ -128,7 +132,6 @@ from .grid import Grid, ScalarField
 
 __all__ = [
     "HelmholtzProblem",
-    "SolverControls",
     "SolveInfo",
     "LinearSolveError",
     "solve_helmholtz",
@@ -140,6 +143,7 @@ __all__ = [
 ]
 
 DENSE_ORACLE_CAP = 400
+REL_TOL = 1e-10  # CG stops at this relative Jacobi-preconditioned residual
 START_DEPTH = 3  # steps between kept solutions that a Galerkin start projects on
 DEPENDENT = 1e-10  # a step whose pivot is at most this share of its diagonal is dropped
 
@@ -208,28 +212,14 @@ def _check_load(load: np.ndarray) -> None:
 
 
 @dataclass
-class SolverControls:
-    rel_tol: float = 1e-10
-    max_iters: int | None = None  # None: 10 * interior node count
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-    def budget(self, grid: Grid) -> int:
-        return self.max_iters if self.max_iters is not None else 10 * grid.n_interior
-
-
-@dataclass
 class SolveInfo:
     """Outcome of one CG solve.
 
     iterations counts CG iterations of the system actually solved: the
     red-black reduced system for penalized problems, the full interior system
     for harmonic extensions.  rel_residual is the final relative
-    Jacobi-preconditioned residual of the full system.  start_applies counts
+    Jacobi-preconditioned residual of the full system, at most REL_TOL: a
+    solve that misses it raises LinearSolveError.  start_applies counts
     the operator passes spent on a Galerkin start: one neighbour sum per
     newly kept step and one Schur complement application when the step is
     taken (0 without a start).
@@ -237,7 +227,6 @@ class SolveInfo:
 
     iterations: int
     rel_residual: float
-    converged: bool
     start_applies: int = 0
 
 
@@ -254,7 +243,7 @@ def _interior_rhs(p: HelmholtzProblem) -> np.ndarray:
     return b
 
 
-def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget, work=None):
+def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, budget, work=None):
     """Jacobi-PCG loop on rows pair = (v, -A v) and xr = (x, r).
 
     On entry x holds the start and r its residual; negative_apply() writes
@@ -273,7 +262,7 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, rel_tol, budget, work=Non
     res = math.sqrt(max(rz, 0.0)) / scale
     v[:] = z
     iters = 0
-    while res > rel_tol and iters < budget:
+    while res > REL_TOL and iters < budget:
         negative_apply()
         alpha = -rz / float(v.dot(minus_ap))
         np.add(xr, np.multiply(pair, alpha, out=tmp), out=xr)  # x += alpha p, r -= alpha A p
@@ -327,7 +316,7 @@ def _minus_trace_coupling(grid: Grid, trace_only: np.ndarray) -> np.ndarray:
     return minus
 
 
-def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
+def _full_grid_solve(p: HelmholtzProblem, x0, budget):
     """Jacobi-PCG on the flat full grid, for zero interior weight.
 
     x0 is a flat start or None.  Returns (x, iterations, final relative
@@ -358,7 +347,7 @@ def _full_grid_solve(p: HelmholtzProblem, x0, rel_tol, budget):
     v[:] = x
     negative_apply()
     np.add(load, minus_ap, out=r)
-    iters, res = _jacobi_pcg(pair, xr, dinv, negative_apply, math.sqrt(bz), rel_tol, budget)
+    iters, res = _jacobi_pcg(pair, xr, dinv, negative_apply, math.sqrt(bz), budget)
     return x, iters, res, 0
 
 
@@ -384,13 +373,12 @@ class _RedBlackPlan:
     Built once per run for each component trace, the later ones as siblings
     of the first, and passed to every solve of that component (module
     docstring).  It holds its trace as a read-only ring-only field with a
-    checked problem on it (`pose`), the ring mask, the maps from the red and
-    black halves of the padded layout to flat grid indices, the CG buffers
-    with the operator's views into them, and the trace-side right-hand side
-    on the flat grid.  A solve forms its diagonal, Jacobi inverse,
-    right-hand side, scale and initial residual; the halves come from a
-    gather of the staged rows, or from stride-2 copies without a padding
-    column.
+    checked problem on it (`pose`), the ring mask, the CG buffers with the
+    operator's views into them, and the trace-side right-hand side on the
+    grid.  A solve stages its Jacobi inverse, diagonal and right-hand side
+    in the grid columns of a zero-padded (3, ny, W) array, whose flat rows
+    split into the red and black halves by stride-2 copies, and forms its
+    scale and initial residual.
 
     It also holds the black half of the last answer of a solve given the
     plan (`answer`) and the black halves of the solutions given to `keep`
@@ -401,26 +389,17 @@ class _RedBlackPlan:
 
     def __init__(self, grid: Grid, trace: np.ndarray):
         ny, nx = grid.shape
-        size = ny * nx
         w = nx + 1 - nx % 2  # odd row width
         h = w // 2
         self.grid = grid
         self.hx2 = grid.hx**2
         self.q = q = self.hx2 / grid.hy**2
-        self.ring = ring = grid.boundary_mask().reshape(-1)
+        self.ring = ring = grid.boundary_mask()
         self.interior = np.where(ring, 0.0, 1.0)
         self.ring_nodes = np.flatnonzero(ring)
-        # padded flat position -> flat grid index; the padding column, and
-        # for the start every ring node, map to index `size`, a zero slot
-        jj, ii = np.divmod(np.arange(ny * w), w)
-        to_grid = np.where(ii < nx, jj * nx + ii, size)
-        self.red, self.black = to_grid[0::2], to_grid[1::2]
-        self.padded = w != nx
-        inner = (jj > 0) & (jj < ny - 1) & (ii > 0) & (ii < nx - 1)
-        self.black_inner = np.where(inner, to_grid, size)[1::2]
-        self.staged = np.zeros((3, size + 1))  # dinv, diag, b on grid indices, then the zero slot
-        self.x_staged = np.zeros(size + 1)
-        nr, nb = self.red.size, self.black.size
+        self.nr, self.nb = nr, nb = (ny * w + 1) // 2, ny * w // 2
+        self.staged = np.zeros((3, ny, w))  # dinv, diag, b; the padding column stays 0
+        self.x_staged = np.zeros((ny, w))  # black_half's interior copy; ring and padding stay 0
         self.rows_r, self.rows_b = np.zeros((3, nr)), np.zeros((3, nb))  # halves of staged
         self.c_r = np.zeros(nr)
         self.cg_work = np.empty((3, nb))
@@ -489,17 +468,17 @@ class _RedBlackPlan:
         """
         zero = np.broadcast_to(0.0, self.grid.shape)
         self.problem = HelmholtzProblem(self.grid, zero, 1.0, trace)
-        self.trace_only = np.where(self.ring, self.problem.trace.reshape(-1), 0.0)
+        self.trace_only = np.where(self.ring, self.problem.trace, 0.0).reshape(-1)
         self.trace_only.flags.writeable = False
         self.trace = self.problem.trace = self.trace_only.reshape(self.grid.shape)
         self.ring_trace = self.trace_only[self.ring_nodes]
-        self.minus_trace = _minus_trace_coupling(self.grid, self.trace_only)
+        self.minus_trace = _minus_trace_coupling(self.grid, self.trace_only).reshape(self.grid.shape)
         self.kept = 0
-        self.last = np.zeros(self.black.size)
+        self.last = np.zeros(self.nb)
         self.answer = None  # black half of the last answer of a solve given this plan
         # rows (step d, N d): the steps between kept solutions on black nodes,
         # newest last, and their red neighbour sums
-        self.basis = np.zeros((START_DEPTH, self.black.size + self.red.size))
+        self.basis = np.zeros((START_DEPTH, self.nb + self.nr))
         self.stale = 0  # newest rows whose N d is not computed yet
 
     def sibling(self, trace: np.ndarray) -> _RedBlackPlan:
@@ -531,10 +510,11 @@ class _RedBlackPlan:
         p.weight, p.epsilon, p.load = weight, epsilon, load
         return p
 
-    def black_half(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The black half of the flat field x at interior nodes, zero elsewhere."""
-        self.x_staged[:-1] = x
-        return np.take(self.x_staged, self.black_inner, out=out, mode="clip")
+    def black_half(self, x: np.ndarray) -> np.ndarray:
+        """The black half of the field x (flat or full-shape) at interior nodes, zero elsewhere."""
+        ny, nx = self.grid.shape
+        self.x_staged[1:-1, 1 : nx - 1] = x.reshape(ny, nx)[1:-1, 1:-1]
+        return self.x_staged.reshape(-1)[1::2].copy()
 
     def keep(self, x: np.ndarray | None = None) -> None:
         """Keep the black half of the full-shape field x for the next starts.
@@ -542,7 +522,7 @@ class _RedBlackPlan:
         Without x, keep that of the last answer of a solve given this plan
         (`answer`), which the solve held already.
         """
-        xb = self.answer if x is None else self.black_half(x.reshape(-1))
+        xb = self.answer if x is None else self.black_half(x)
         if self.kept:
             self.basis[:-1] = self.basis[1:]
             np.subtract(xb, self.last, out=self.basis[-1, : xb.size])
@@ -599,34 +579,35 @@ class _RedBlackPlan:
         ):
             raise ValueError("red-black plan was built for another grid or boundary trace")
 
-    def solve(self, p: HelmholtzProblem, x0, rel_tol, budget):
+    def solve(self, p: HelmholtzProblem, x0, budget):
         """Solve p on the red-black reduced system; x0 is a flat start or None.
 
         Returns (x, iterations, final relative residual, operator passes of
         the start), x a new flat solution field, and holds the black half of
-        x as `answer`: a copy of x_b, which has the bits of a gather from x,
+        x as `answer`: a copy of x_b, which has the bits of `black_half(x)`,
         since every start and CG update is zero at its ring and padding
         entries.
         """
-        staged, rows_r, rows_b = self.staged, self.rows_r, self.rows_b
-        dinv, diag, b = staged[0, :-1], staged[1, :-1], staged[2, :-1]
+        ny, nx = self.grid.shape
+        rows_r, rows_b = self.rows_r, self.rows_b
+        dinv, diag, b = self.staged[:, :, :nx]
         # the system times hx^2: x-neighbour coefficient 1, y-neighbour coefficient q
-        np.multiply(p.weight.reshape(-1), self.interior, out=diag)  # zero on the ring
+        np.multiply(p.weight, self.interior, out=diag)  # zero on the ring
         np.multiply(diag, self.hx2 / p.epsilon, out=diag)
         np.add(2.0 + 2.0 * self.q, diag, out=diag)
         np.divide(self.interior, diag, out=dinv)  # zero on the ring
-        load = 0.0 if p.load is None else np.where(self.ring, 0.0, p.load.reshape(-1) * self.hx2)
+        load = 0.0 if p.load is None else np.where(self.ring, 0.0, p.load * self.hx2)
         np.add(load, self.minus_trace, out=b)
-        if self.padded:
-            np.take(staged, self.red, axis=1, out=rows_r, mode="clip")
-            np.take(staged, self.black, axis=1, out=rows_b, mode="clip")
-        else:  # the halves are stride-2 slices, which copy faster than a gather
-            np.copyto(rows_r, staged[:, 0:-1:2])
-            np.copyto(rows_b, staged[:, 1:-1:2])
+        staged = self.staged.reshape(3, -1)
+        np.copyto(rows_r, staged[:, 0::2])
+        np.copyto(rows_b, staged[:, 1::2])
+        # the scale sums grid-ordered contiguous vectors (copies for even nx),
+        # so its bits do not depend on the padding
+        b, dinv = b.reshape(-1), dinv.reshape(-1)
         bz = float(b.dot(b * dinv))
         if bz == 0.0:
             # zero data: unique solution is zero (coefficient is nonnegative)
-            self.answer = np.zeros(self.black.size)
+            self.answer = np.zeros(self.nb)
             return self.trace_only.copy(), 0, 0.0, 0
 
         np.multiply(rows_r[2], rows_r[0], out=self.c_r)
@@ -637,21 +618,19 @@ class _RedBlackPlan:
         elif x0 is None:
             x_b.fill(0.0)
         else:
-            self.black_half(x0, out=x_b)
+            x_b[:] = self.black_half(x0)
         v[:] = x_b
         self.back_substitute()
         self.to_black()
         np.add(rows_b[2], minus_sv, out=r)  # residual of the full system at black nodes
         applies = self.galerkin_start() if self.kept >= 2 else 0
         iters, res = _jacobi_pcg(
-            self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), rel_tol, budget,
-            self.cg_work,
+            self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), budget, self.cg_work
         )
 
         self.answer = x_b.copy()
         v[:] = x_b
         self.back_substitute()
-        ny, nx = self.grid.shape
         flat = self.solution.reshape(-1)
         flat[0::2] = self.t
         flat[1::2] = x_b
@@ -662,16 +641,17 @@ class _RedBlackPlan:
 
 def solve_helmholtz_with_info(
     p: HelmholtzProblem,
-    controls: SolverControls | None = None,
     x0: np.ndarray | ScalarField | None = None,
     *,
     plan: _RedBlackPlan | None = None,
 ) -> tuple[ScalarField, SolveInfo]:
     """Preconditioned CG solve; returns the field and convergence info.
 
-    The stopping test is on the diagonally preconditioned residual norm
-    relative to the preconditioned right-hand side.  x0 (full-shape array or
-    field) warm-starts the iteration; only its interior values are used.
+    CG stops at REL_TOL on the diagonally preconditioned residual norm
+    relative to the preconditioned right-hand side, and raises
+    LinearSolveError if it misses that within its budget.  x0 (full-shape
+    array or field) warm-starts the iteration; only its interior values are
+    used.
     Penalized problems are solved on the red-black reduced system through
     `plan`, a `_RedBlackPlan` of p's grid and trace (a one-off plan if None);
     a plan that has kept two or more solutions replaces x0 by a Galerkin
@@ -679,51 +659,37 @@ def solve_helmholtz_with_info(
     given plan is checked against p on either branch and is left the black
     half of the answer (module docstring).
     """
-    controls = controls or SolverControls()
     if x0 is not None:
         x0 = (x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=float)).reshape(-1)
-    budget = controls.budget(p.grid)
+    budget = 10 * p.grid.n_interior
     if plan is not None:
         plan.check(p)
     if p.weight[1:-1, 1:-1].any():
         if plan is None:
             plan = _RedBlackPlan(p.grid, p.trace)
-        x, iters, res, applies = plan.solve(p, x0, controls.rel_tol, budget)
+        x, iters, res, applies = plan.solve(p, x0, budget)
     else:
-        x, iters, res, applies = _full_grid_solve(p, x0, controls.rel_tol, budget)
+        x, iters, res, applies = _full_grid_solve(p, x0, budget)
         if plan is not None:
             plan.answer = plan.black_half(x)
 
-    info = SolveInfo(iters, res, res <= controls.rel_tol, applies)
-    if not info.converged:
+    if not res <= REL_TOL:
         raise LinearSolveError(
-            f"CG did not reach rel_tol={controls.rel_tol:g} in {iters} iterations "
-            f"(achieved {res:.3e})",
+            f"CG did not reach rel_tol={REL_TOL:g} in {iters} iterations (achieved {res:.3e})",
             iterations=iters,
             rel_residual=res,
         )
-    return ScalarField(p.grid, x.reshape(p.grid.shape)), info
+    return ScalarField(p.grid, x.reshape(p.grid.shape)), SolveInfo(iters, res, applies)
 
 
-def solve_helmholtz(
-    p: HelmholtzProblem,
-    controls: SolverControls | None = None,
-    x0: np.ndarray | ScalarField | None = None,
-) -> ScalarField:
-    fld, _ = solve_helmholtz_with_info(p, controls, x0)
+def solve_helmholtz(p: HelmholtzProblem, x0: np.ndarray | ScalarField | None = None) -> ScalarField:
+    fld, _ = solve_helmholtz_with_info(p, x0)
     return fld
 
 
-def harmonic_extension(
-    grid: Grid,
-    trace: np.ndarray | ScalarField,
-    controls: SolverControls | None = None,
-    x0: np.ndarray | ScalarField | None = None,
-) -> ScalarField:
+def harmonic_extension(grid: Grid, trace: np.ndarray | ScalarField) -> ScalarField:
     """Field with zero discrete Laplacian at interior nodes matching the trace."""
-    tr = trace.values if isinstance(trace, ScalarField) else np.asarray(trace, dtype=float)
-    p = HelmholtzProblem(grid, np.zeros(grid.shape), 1.0, tr)
-    return solve_helmholtz(p, controls, x0)
+    return solve_helmholtz(HelmholtzProblem(grid, np.zeros(grid.shape), 1.0, trace))
 
 
 def _interior_index(grid: Grid):

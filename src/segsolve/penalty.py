@@ -43,11 +43,10 @@ the steps between the last (up to four) solutions: the start that is best
 in the energy norm of the current operator over that span.  The public
 single-sweep functions build such plans for their one sweep; each keeps a
 single solution, so CG starts from u.  Only the start moves: every solve
-still runs to the default CG tolerance of
-:func:`segsolve.linear_solver.solve_helmholtz_with_info` under the same
-stopping test, so its answer differs from a cold start's only within that
-tolerance, and the discrete maximum principle the solves obey holds as
-before.  The saving is CG iterations, about half of those of the earlier
+still runs to the CG tolerance :data:`segsolve.linear_solver.REL_TOL` under
+the same stopping test, so its answer differs from a cold start's only
+within that tolerance, and the discrete maximum principle the solves obey
+holds as before.  The saving is CG iterations, about half of those of the earlier
 secant starts on ex41 with picard; each stage summary also counts the
 operator passes the starts spent (`start_applies`).  Loosening the inner
 tolerance instead saves as much but gives up the maximum principle:
