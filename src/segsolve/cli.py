@@ -313,9 +313,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(outroot, exist_ok=True)
+    try:
+        os.makedirs(outroot, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     payloads = [asdict(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+    # the pool starts all its workers at once, so it gets no more than there are cells
+    jobs = min(cfg.jobs, len(cells))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         runs = (pool.map if pool else map)(_bench_worker, payloads)
         results = {(res["bc"], res["algorithm"]): res for res in runs}
 
@@ -373,16 +379,20 @@ def cmd_contours(args: argparse.Namespace) -> int:
         if args.delta is not None and not args.delta > 0.0:
             raise ValueError("contour threshold delta must be positive")
         comps = [field_from_csv(os.path.join(args.fields_dir, f"u{k}.csv")) for k in (1, 2, 3)]
+        state = SystemState(*comps)  # ValueError unless the three share a grid
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    state = SystemState(*comps)
     delta = args.delta
     if delta is None:
         delta = _delta_of_bound(max(float(np.max(np.abs(c.values))) for c in comps))
     outdir = args.out or args.fields_dir
-    os.makedirs(outdir, exist_ok=True)
-    contours = _write_contours(outdir, state, delta)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        contours = _write_contours(outdir, state, delta)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     n_polys = sum(len(v) for v in contours.polylines.values())
     print(f"extracted {n_polys} polylines at delta={delta:g} -> {outdir}")
     return 0

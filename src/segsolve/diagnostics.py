@@ -100,9 +100,7 @@ def run_scaling_study(
     ladder = [float(e) for e in ladder]
     if len(ladder) < 3:
         raise ValueError("epsilon ladder needs at least 3 entries")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("epsilon ladder must be strictly decreasing")
-
+    # run_penalty checks the rest of the ladder before any solve
     _, _, report = run_penalty(grid, bc, cfg, stages=ladder)
     stages = report.meta["stages"]
     eps_ok = [s["epsilon"] for s in stages if s["converged"]]

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from segsolve import cli
 from segsolve.cli import main
-from segsolve.grid import field_from_csv
+from segsolve.grid import ScalarField, build_grid, field_from_csv, field_to_csv
 
 SOLVE_ARTIFACTS = [
     "u1.csv", "u2.csv", "u3.csv",
@@ -261,6 +262,37 @@ class TestBench:
         assert (seq / "summary.csv").read_text() == (par / "summary.csv").read_text()
         assert (seq / "fista_sheet.svg").read_bytes() == (par / "fista_sheet.svg").read_bytes()
 
+    def test_pool_gets_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        # a pool forks all its workers at once; this one records its size and maps in process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        args = ["bench", "--algos", "pgd", "--n", "5", "--max-iters", "10", "--deterministic"]
+        assert run_cli(*args, "--jobs", "64", "--out", str(tmp_path / "many")) in (0, 2)
+        assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "two")) in (0, 2)
+        assert sizes == [9, 2]
+        assert (tmp_path / "many" / "summary.csv").read_text() == (
+            tmp_path / "two" / "summary.csv"
+        ).read_text()
+
+    def test_output_under_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "u1.csv").write_text("")
+        code = run_cli("bench", "--algos", "pgd", "--n", "5", "--out", str(tmp_path / "u1.csv" / "sub"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("delta", ["-1", "0"])
     def test_nonpositive_delta_exits_1_before_solving(self, tmp_path, capsys, delta):
         out = tmp_path / "bench"
@@ -333,6 +365,21 @@ class TestSelftestAndContours:
         run_cli("solve", "--algo", "fista", "--bc", "bc4", "--n", "9", "--out", str(out))
         (out / "u2.csv").write_text(text)
         assert run_cli("contours", str(out), "--out", str(tmp_path / "re")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_contours_fields_of_two_grids_exit_1(self, tmp_path, capsys):
+        for k, n in ((1, 5), (2, 7), (3, 7)):
+            grid = build_grid(n, n, (-1.0, 1.0, -1.0, 1.0))
+            field_to_csv(ScalarField(grid, np.zeros(grid.shape)), tmp_path / f"u{k}.csv")
+        assert run_cli("contours", str(tmp_path), "--out", str(tmp_path / "re")) == 1
+        assert capsys.readouterr().err.startswith("error: components must share a grid")
+        assert not (tmp_path / "re").exists()
+
+    def test_contours_output_under_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli("solve", "--algo", "fista", "--bc", "bc4", "--n", "9", "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("contours", str(out), "--out", str(out / "u1.csv" / "sub")) == 1
         assert capsys.readouterr().err.startswith("error:")
 
 
