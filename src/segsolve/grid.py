@@ -21,6 +21,7 @@ stopping measure of every outer loop) and `l2_norm`.  `dirichlet_energy`,
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -291,7 +292,7 @@ def max_l2_step(weights: np.ndarray, a: np.ndarray, b: np.ndarray, work=None) ->
     np.subtract(a, b, out=d)
     np.multiply(weights, d, out=wd)
     np.multiply(wd, d, out=wd)
-    return float(np.sqrt(np.max(np.sum(wd, axis=(1, 2)))))
+    return math.sqrt(wd.reshape(3, -1).sum(axis=1).max())
 
 
 class ProductViolation(NamedTuple):
@@ -337,17 +338,18 @@ def l2_norm(grid: Grid, values: np.ndarray) -> float:
 
 
 def field_to_csv(f: ScalarField, path) -> None:
-    """Write `x,y,value` rows in row-major node order, 17 significant digits."""
+    """Write `x,y,value` rows in row-major node order, 17 significant digits.
+
+    The bytes are those of `csv.writer` rows (`\\r\\n` line ends, no field
+    quoted), written in one call: each coordinate is formatted once, and
+    the values in one pass.
+    """
     g = f.grid
-    xs, ys = g.xs(), g.ys()
+    xs = [f"{x:.17g}," for x in g.xs().tolist()]
+    prefixes = [x + y for y in (f"{y:.17g}," for y in g.ys().tolist()) for x in xs]
+    rows = map("{}{:.17g}\r\n".format, prefixes, f.values.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
-        for j in range(g.ny):
-            for i in range(g.nx):
-                writer.writerow(
-                    [f"{xs[i]:.17g}", f"{ys[j]:.17g}", f"{f.values[j, i]:.17g}"]
-                )
+        fh.write("x,y,value\r\n" + "".join(rows))
 
 
 def field_from_csv(path) -> ScalarField:

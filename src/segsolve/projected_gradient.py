@@ -18,6 +18,7 @@ Both loops run on raw (3, ny, nx) stacks in buffers allocated once per run
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -109,7 +110,7 @@ class FistaConfig:
 
 
 def next_t(t: float) -> float:
-    return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+    return (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
 class _Workspace:
@@ -129,8 +130,11 @@ class _Workspace:
       the projection;
     - the energy forms its differences on the flat stack and sums the cell
       entries of each in one einsum over a strided view, without a copy;
-    - the projection zeroes each component from preallocated boolean masks
-      and builds the index array only for callers that read it.
+    - the projection zeroes each component from a preallocated boolean zero
+      mask, which is also the hysteresis state FISTA carries: `project`
+      writes into whichever of the two mask buffers is not `prev`, so an
+      accepted step's mask survives the next step's trials and the buffers
+      swap roles on acceptance.
     """
 
     def __init__(self, grid: Grid, tr: np.ndarray):
@@ -150,7 +154,8 @@ class _Workspace:
         self.energy_work = np.empty((2, tr.size))
         self.prod = np.empty(grid.shape)
         # the projection's threshold plane is scratch within one call, like prod
-        self.project_work = (np.empty(tr.shape, bool), np.empty(tr.shape, bool), self.prod)
+        keep = np.empty(tr.shape, bool)
+        self.project_work = tuple((np.empty(tr.shape, bool), keep, self.prod) for _ in range(2))
 
     def step_into(self, out, y, alpha, u=None, eta=0.0):
         """out <- y + alpha * lap_h(y), then (. + eta*u)/(1 + eta) if eta > 0.
@@ -185,9 +190,13 @@ class _Workspace:
             np.multiply(u.reshape(-1, copy=False)[self.span], eta * scale, out=t)
             np.add(o, t, out=o)
 
-    def project(self, out, prev_k=None, tau=0.0, indices=True):
-        """`project_and_pin` of `out` with this workspace's buffers."""
-        return project_and_pin(out, self.tr, prev_k, tau, self.project_work, indices)
+    def project(self, out, prev=None, tau=0.0):
+        """`project_and_pin` of `out` with this workspace's buffers; returns the zero mask.
+
+        The mask is written into the mask buffer that `prev` is not.
+        """
+        work = self.project_work[prev is self.project_work[0][0]]
+        return project_and_pin(out, self.tr, prev, tau, work)
 
     def energy(self, u) -> float:
         return energy_of_stack(self.grid, u, self.energy_work)
@@ -201,13 +210,13 @@ class _Workspace:
         np.multiply(u[0], u[1], out=p)
         np.multiply(p, u[2], out=p)
         np.abs(p, out=p)
-        return float(np.max(p))
+        return float(p.max())
 
 
 def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Projected harmonic extensions with the trace pinned on the boundary.
 
-    Returns the stack and its (ny, nx) assignment, as `project_and_pin` does.
+    Returns the stack and its (3, ny, nx) zero mask, as `project_and_pin` does.
     """
     u = np.stack([harmonic_extension(ws.grid, ws.tr[k]).values for k in range(3)])
     return u, ws.project(u)
@@ -246,7 +255,7 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
     iters = 0
     for k in range(cfg.max_iters):
         ws.step_into(new, u, alpha)
-        ws.project(new, indices=False)
+        ws.project(new)
         step = ws.step_norm(new, u)
         u, new = new, u
         iters = k + 1
@@ -270,32 +279,33 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
 @dataclass
 class BacktrackResult:
     values: np.ndarray  # candidate stack, feasible, boundary pinned
-    assignment: np.ndarray  # (ny, nx) 1-based zeroed indices, meaningless on the ring
+    assignment: np.ndarray  # (3, ny, nx) zero mask, meaningless on the ring
     alpha: float
     energy: float
     needs_restart: bool
     shrinks: int
 
 
-def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev_k):
+def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev):
     """Shrink the trial step until the candidate energy does not exceed current_energy.
 
     Trial steps start at `alpha` and shrink geometrically by cfg.rho with
     floor alpha_min; if even the floor candidate increases the energy it is
     returned flagged for a momentum restart.  Each trial candidate is
-    written into `out`; prev_k and the returned assignment are (ny, nx)
-    index arrays.
+    written into `out`; prev and the returned assignment are (3, ny, nx)
+    zero masks, the assignment in the workspace's mask buffer that prev is
+    not.
     """
     shrinks = 0
     a = alpha
     while True:
         ws.step_into(out, y, a, u, cfg.eta)
-        k = ws.project(out, prev_k, cfg.tau)
+        mask = ws.project(out, prev, cfg.tau)
         energy = ws.energy(out)
         if energy <= current_energy:
-            return BacktrackResult(out, k, a, energy, False, shrinks)
+            return BacktrackResult(out, mask, a, energy, False, shrinks)
         if a <= alpha_min * (1.0 + 1e-12):
-            return BacktrackResult(out, k, a, energy, True, shrinks)
+            return BacktrackResult(out, mask, a, energy, True, shrinks)
         a = max(cfg.rho * a, alpha_min)
         shrinks += 1
 
@@ -309,7 +319,7 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
     alpha0, alpha_min = cfg.resolve_alphas(grid)
 
     ws = _Workspace(grid, tr)
-    u, k_prev = _initial_state(ws)
+    u, mask = _initial_state(ws)
     energy_u = ws.energy(u)
     t = 1.0  # Nesterov t-sequence
     y = u.copy()  # extrapolated point
@@ -322,7 +332,7 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
 
     for k in range(cfg.max_iters):
         iters = k + 1
-        bt = _backtrack(ws, cand, y, u, alpha, energy_u, cfg, alpha_min, k_prev)
+        bt = _backtrack(ws, cand, y, u, alpha, energy_u, cfg, alpha_min, mask)
         if bt.needs_restart:
             # discard the candidate; restart momentum from the current iterate
             t = 1.0
@@ -349,7 +359,7 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
         np.add(cand, y, out=y)
         t = t_new
         u, cand = cand, u
-        k_prev = bt.assignment
+        mask = bt.assignment
         energy_u = bt.energy
         alpha = bt.alpha
         history.append(

@@ -7,6 +7,8 @@ entry k, at squared distance ((v_k)+)^2 + sum_i ((v_i)-)^2.  The common
 negative-part term makes the best face the one with the smallest positive
 part, ties going to the smallest index.  An optional hysteresis tolerance
 keeps the previously zeroed index at near-ties to avoid phase flicker.
+`project_point` names the zeroed face by its 1-based index; the stack
+projections carry it as a (3, ny, nx) boolean zero mask.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def project_point(v, prev: int | None = None, tau: float = 0.0):
     Returns (projected 3-array, zeroed index in {1,2,3}).  With prev in
     {1,2,3}, the previous index is kept whenever its positive part is within
     tau of the smallest positive part; None or 0 means no previous index, as
-    0 does in `project_stack_interior`'s prev_k.
+    an all-false mask column does in `project_stack_interior`'s prev.
     """
     if prev not in (None, 0, 1, 2, 3):
         raise ValueError(f"previous index must be None or in 0..3, got {prev!r}")
@@ -48,31 +50,28 @@ def project_point(v, prev: int | None = None, tau: float = 0.0):
     return out, k + 1
 
 
-_INDICES = np.arange(1, 4, dtype=np.int8).reshape(3, 1, 1)
-
-
 def project_stack_interior(
     values: np.ndarray,
-    prev_k: np.ndarray | None = None,
+    prev: np.ndarray | None = None,
     tau: float = 0.0,
     out: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    indices: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of a (3, m, n) block of interior triples.
 
-    prev_k holds previous 1-based indices (0 where undefined).  Returns the
-    projected block and the new 1-based index array; with `indices` false
-    and no prev_k the index array is not built and None takes its place.
-    With `out` given the block is written there (it may be `values` itself)
-    and no stack-sized array is allocated.
+    Returns the projected block and its zero mask: a (3, m, n) bool array,
+    true at the one component each node zeroes.  prev is such a mask from an
+    earlier call, or None; a node whose column of prev is all false has no
+    previous phase, as 0 does for `project_point`'s prev.  With `out` given
+    the block is written there (it may be `values` itself).
 
-    Each component is zeroed straight from a boolean mask: the comparisons
-    of the smallest positive part (ties to the smallest index), or, with
-    prev_k, the masks of the final index array.  `work` may supply two bool
-    arrays of the block's shape and one float (m, n) array for the masks and
-    the hysteresis threshold, so that repeated calls allocate at most the
-    index array; the results are the same bit for bit as without them.
+    The mask starts as the comparisons of the smallest positive part (ties to
+    the smallest index); with prev, a node takes prev's column instead where
+    that component's positive part is within tau of the smallest.  `work`
+    may supply the mask, a bool scratch array of the block's shape and a
+    float (m, n) array for the hysteresis threshold; the mask returned is
+    then work[0], which must not be prev, and repeated calls allocate
+    nothing.  The results are the same bit for bit as without `work`.
     """
     p = np.maximum(values, 0.0, out=out)
     p0, p1, p2 = p
@@ -86,52 +85,42 @@ def project_stack_interior(
     np.logical_and(z0, z2, out=z0)
     np.less_equal(p1, p2, out=z1)
     np.greater(z1, z0, out=z1)  # p1 <= p2 and not z0
-    k = None
-    if indices or prev_k is not None:
-        k = np.full(p0.shape, 3, dtype=np.int8)
-        k[z1] = 2
-        k[z0] = 1
-    if prev_k is None:
-        np.logical_or(z0, z1, out=z2)
-        np.logical_not(z2, out=z2)
-    else:
-        # keep the previous index where its positive part is within tau of the minimum
+    np.equal(z0, z1, out=z2)  # neither, since z0 and z1 are never both true
+    if prev is not None:
+        # keep the previous component where its positive part is within tau of the minimum
         np.minimum(p0, p1, out=thr)
         np.minimum(thr, p2, out=thr)
         thr += tau
-        np.equal(prev_k, _INDICES, out=keep)
-        np.less_equal(p, thr, out=zero)
-        np.logical_and(keep, zero, out=keep)
-        kept = np.logical_or(keep[0], keep[1], out=z0)
+        np.less_equal(p, thr, out=keep)
+        np.logical_and(keep, prev, out=keep)
+        kept = np.logical_or(keep[0], keep[1], out=keep[0])
         np.logical_or(kept, keep[2], out=kept)
-        np.copyto(k, prev_k, where=kept, casting="unsafe")
-        np.equal(k, _INDICES, out=zero)
+        np.copyto(zero, prev, where=kept)
     np.copyto(p, 0.0, where=zero)
-    return p, k
+    return p, zero
 
 
 def project_and_pin(
     out: np.ndarray,
     tr: np.ndarray,
-    prev_k: np.ndarray | None = None,
+    prev: np.ndarray | None = None,
     tau: float = 0.0,
     work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    indices: bool = True,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Project the (3, ny, nx) stack `out` in place and pin its ring to the trace `tr`.
 
     The whole stack is projected as one contiguous block, which is faster
     than the strided interior view; the ring values this produces are then
-    overwritten.  prev_k is a previous (ny, nx) result or None, and the
-    returned (ny, nx) indices, like prev_k's, are meaningless on the ring.
-    `work` and `indices` are passed to :func:`project_stack_interior`.
+    overwritten.  prev is a previous (3, ny, nx) zero mask or None, and the
+    returned zero mask, like prev's, is meaningless on the ring.  `work` is
+    passed to :func:`project_stack_interior`.
     """
-    _, k = project_stack_interior(out, prev_k, tau, out, work, indices)
+    _, zero = project_stack_interior(out, prev, tau, out, work)
     out[:, 0, :] = tr[:, 0, :]
     out[:, -1, :] = tr[:, -1, :]
     out[:, :, 0] = tr[:, :, 0]
     out[:, :, -1] = tr[:, :, -1]
-    return k
+    return zero
 
 
 def face_projections(v) -> tuple[np.ndarray, np.ndarray]:

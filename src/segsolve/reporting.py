@@ -1,9 +1,10 @@
 """Run reports and their JSON / JSON-lines serialization.
 
 Floats in reports round-trip exactly (Python's shortest-repr JSON floats);
-CSV field output elsewhere uses 17 significant digits.  Wall time is the only
-machine-dependent entry and is zeroed by callers running in deterministic
-mode so artifact bytes are reproducible.
+CSV field output elsewhere uses 17 significant digits.  `history.jsonl`
+holds one compact line per history row, encoded by the json module's C
+encoder.  Wall time is the only machine-dependent entry and is zeroed by
+callers running in deterministic mode so artifact bytes are reproducible.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def write_report_json(report: SolveReport, path) -> None:
 
 
 def write_history_jsonl(rows: list[dict], path) -> None:
+    """Write one line of compact JSON per row, the bytes of `json.dumps(row)` plus a newline."""
+    lines = list(map(json.JSONEncoder().encode, rows))
+    lines.append("")  # the last row's newline
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row))
-            fh.write("\n")
+        fh.write("\n".join(lines))

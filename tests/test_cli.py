@@ -222,6 +222,25 @@ class TestConfigFile:
         assert run_cli("solve", "--config", str(report), "--out", str(tmp_path / "again")) == 0
 
 
+class TestReportWriters:
+    @pytest.mark.parametrize("algo", ["pgd", "fista", "penalty-picard"])
+    def test_report_and_history_hold_the_report(self, tmp_path, algo):
+        cfg = cli.RunConfig(algorithm=algo, bc="bc4", n=9, eps=1e-3, deterministic=True)
+        state, report, trace = cli._run_single(cfg)
+        out = tmp_path / "run"
+        cli._write_artifacts(str(out), state, report, cli._default_delta(cfg, trace))
+        written = json.loads((out / "report.json").read_text())
+        assert written == report.to_dict()
+        lines = (out / "history.jsonl").read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == len(report.history) + 1
+        assert [json.loads(line) for line in lines[:-1]] == written["history"]
+        # the report is a config file that reproduces the run
+        again = tmp_path / "again"
+        assert run_cli("solve", "--config", str(out / "report.json"), "--out", str(again)) == 0
+        for name in SOLVE_ARTIFACTS:
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
 class TestBench:
     def test_bench_fista_small(self, tmp_path):
         out = tmp_path / "bench"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,26 @@ class TestCsvRoundTrip:
         ys = [float(r[1]) for r in rows]
         assert xs == [0, 1, 2, 0, 1, 2, 0, 1, 2]
         assert ys == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+    def test_bytes_match_a_csv_writer_reference(self, tmp_path):
+        # a non-square 7 x 5 grid with signed zeros, non-finite and extreme
+        # values, which ScalarField itself refuses, so they are set afterwards
+        g = build_grid(7, 5, (-1.0, 2.0, -0.5, 0.75))
+        f = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
+        f.values[0, :6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+        f.values[4, 6] = -1e-300
+        path = tmp_path / "field.csv"
+        field_to_csv(f, path)
+        ref = tmp_path / "reference.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "value"])
+            xs, ys = g.xs(), g.ys()
+            for j in range(g.ny):
+                for i in range(g.nx):
+                    writer.writerow([f"{xs[i]:.17g}", f"{ys[j]:.17g}", f"{f.values[j, i]:.17g}"])
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == 1 + 35
 
     @pytest.mark.parametrize(
         "text, match",

@@ -13,6 +13,12 @@ from segsolve.projection import (
 SQUARE = (-1.0, 1.0, -1.0, 1.0)
 
 
+def mask_of(k):
+    """The (3, ...) zero mask of 1-based indices k; an index 0 gives an all-false column."""
+    k = np.asarray(k)
+    return k[None] == np.arange(1, 4).reshape(3, *(1,) * k.ndim)
+
+
 class TestProjectPoint:
     def test_smallest_positive_part_zeroed(self):
         out, k = project_point((1.0, 2.0, 3.0))
@@ -81,7 +87,7 @@ class TestProjectPoint:
 
 
 class TestProjectField:
-    """`project_and_pin` on whole (3, ny, nx) fields; indices are read at interior nodes."""
+    """`project_and_pin` on whole (3, ny, nx) fields; masks are read at interior nodes."""
 
     INNER = (slice(None), slice(1, -1), slice(1, -1))
 
@@ -96,17 +102,17 @@ class TestProjectField:
         stack = rng.uniform(0.0, 1.0, (3, *g.shape))
         stack[2] = 0.0  # already on the third face
         out = stack.copy()
-        k = project_and_pin(out, self._trace(g))
+        zero = project_and_pin(out, self._trace(g))
         assert np.array_equal(out[self.INNER], stack[self.INNER])
-        assert np.all(k[1:-1, 1:-1] == 3)
+        assert np.array_equal(zero[self.INNER], mask_of(np.full((5, 5), 3)))
 
     def test_uniform_tie_zeroes_first_component(self):
         g = build_grid(6, 6, SQUARE)
         out = np.ones((3, *g.shape))
-        k = project_and_pin(out, self._trace(g))
+        zero = project_and_pin(out, self._trace(g))
         inner = out[self.INNER]
         assert np.all(inner[0] == 0.0) and np.all(inner[1:] == 1.0)
-        assert np.all(k[1:-1, 1:-1] == 1)
+        assert np.array_equal(zero[self.INNER], mask_of(np.full((4, 4), 1)))
 
     def test_boundary_set_verbatim_and_interior_product_zero(self):
         g = build_grid(9, 9, SQUARE)
@@ -123,12 +129,12 @@ class TestProjectField:
         rng = np.random.default_rng(7)
         stack = rng.uniform(-1.0, 2.0, (3, *g.shape))
         out = stack.copy()
-        k = project_and_pin(out, self._trace(g))
+        zero = project_and_pin(out, self._trace(g))
         for j in range(1, g.ny - 1):
             for i in range(1, g.nx - 1):
                 expected, k_exp = project_point(stack[:, j, i])
                 assert np.array_equal(out[:, j, i], expected)
-                assert k[j, i] == k_exp
+                assert np.array_equal(zero[:, j, i], mask_of(k_exp))
 
     def test_distance_optimality_on_large_sample(self):
         g = build_grid(102, 102, SQUARE)  # 1e4 interior nodes
@@ -149,40 +155,42 @@ class TestProjectField:
         g = build_grid(6, 6, SQUARE)
         out = np.full((3, *g.shape), 0.5)
         out[1] += 1e-12  # component 2 barely above the tie
-        prev_k = np.full(g.shape, 2, dtype=np.int8)
-        k = project_and_pin(out, self._trace(g), prev_k, 1e-10)
-        assert np.all(k[1:-1, 1:-1] == 2)
+        prev = mask_of(np.full(g.shape, 2))
+        zero = project_and_pin(out, self._trace(g), prev, 1e-10)
+        assert np.array_equal(zero[self.INNER], prev[self.INNER])
         assert np.all(out[1, 1:-1, 1:-1] == 0.0)
 
 
 class TestProjectStackInterior:
     def _block(self, seed):
+        # prev_k holds 1-based previous indices, 0 (no previous phase) included
         rng = np.random.default_rng(seed)
         values = rng.uniform(-1.0, 2.0, (3, 9, 11))
         values[:, :3] = 0.5  # exact three-way ties
         values[1, 3:5] += 1e-12  # near-ties inside the hysteresis band
-        prev_k = rng.integers(0, 4, values.shape[1:]).astype(np.int8)
+        prev_k = rng.integers(0, 4, values.shape[1:])
         return values, prev_k
 
     def test_hysteresis_matches_pointwise_rule(self):
         values, prev_k = self._block(21)
-        out, k = project_stack_interior(values, prev_k, 1e-10)
+        assert not mask_of(prev_k).any(axis=0).all()  # some nodes have no previous phase
+        out, zero = project_stack_interior(values, mask_of(prev_k), 1e-10)
         for j in range(values.shape[1]):
             for i in range(values.shape[2]):
                 prev = int(prev_k[j, i])
                 expected, k_exp = project_point(values[:, j, i], prev=prev, tau=1e-10)
                 assert np.array_equal(out[:, j, i], expected)
-                assert k[j, i] == k_exp
+                assert np.array_equal(zero[:, j, i], mask_of(k_exp))
 
     def test_in_place_output_matches_fresh_output(self):
         values, prev_k = self._block(22)
-        for prev, tau in ((None, 0.0), (prev_k, 1e-10)):
-            fresh, k_fresh = project_stack_interior(values, prev, tau)
+        for prev, tau in ((None, 0.0), (mask_of(prev_k), 1e-10)):
+            fresh, zero_fresh = project_stack_interior(values, prev, tau)
             block = values.copy()
-            out, k = project_stack_interior(block, prev, tau, out=block)
+            out, zero = project_stack_interior(block, prev, tau, out=block)
             assert out is block
             assert fresh.tobytes() == block.tobytes()
-            assert np.array_equal(k, k_fresh) and k.dtype == np.int8
+            assert np.array_equal(zero, zero_fresh) and zero.dtype == bool
 
     def _tie_block(self, seed):
         # two- and three-way ties, exact zeros against -0.0, near-ties inside
@@ -193,33 +201,33 @@ class TestProjectStackInterior:
         values[:, :4] += rng.uniform(-1.0, 2.0, (3, 4, 13))
         values[1, 4:6] = values[0, 4:6] + 1e-12
         values[2, 6:8] = values[0, 6:8] + 3e-10
-        prev_k = rng.integers(0, 4, shape[1:]).astype(np.int8)
+        prev_k = rng.integers(0, 4, shape[1:])
         return values, prev_k
 
     @pytest.mark.parametrize("tau", [0.0, 1e-10])
     @pytest.mark.parametrize("with_prev", [False, True])
     def test_values_and_indices_are_the_pointwise_bits(self, tau, with_prev):
+        # the zero mask is the one-hot form of project_point's index
         values, prev_k = self._tie_block(31 + int(with_prev))
-        prev = prev_k if with_prev else None
+        prev = mask_of(prev_k) if with_prev else None
         work = (np.empty(values.shape, bool), np.empty(values.shape, bool),
                 np.empty(values.shape[1:]))
-        out, k = project_stack_interior(values, prev, tau)
+        out, zero = project_stack_interior(values, prev, tau)
         block = values.copy()
-        p, k_work = project_stack_interior(block, prev, tau, out=block, work=work)
-        assert p.tobytes() == out.tobytes() and np.array_equal(k_work, k)
+        p, zero_work = project_stack_interior(block, prev, tau, out=block, work=work)
+        assert p.tobytes() == out.tobytes() and np.array_equal(zero_work, zero)
+        assert zero_work is work[0]
         for j in range(values.shape[1]):
             for i in range(values.shape[2]):
                 pp = int(prev_k[j, i]) if with_prev else None
                 expected, k_exp = project_point(values[:, j, i], prev=pp, tau=tau)
                 assert out[:, j, i].tobytes() == expected.tobytes()
-                assert k[j, i] == k_exp
-
-    def test_without_indices_the_values_are_the_same_bytes(self):
-        values, _ = self._tie_block(33)
-        out, k = project_stack_interior(values)
-        bare, none = project_stack_interior(values, indices=False)
-        assert none is None and bare.tobytes() == out.tobytes()
-        assert np.array_equal(k, np.argmin(np.maximum(values, 0.0), axis=0) + 1)
+                assert np.array_equal(zero[:, j, i], mask_of(k_exp))
+        if not with_prev:
+            # argmin's one-hot, and the positive parts with it zeroed, byte for byte
+            pos = np.maximum(values, 0.0)
+            assert np.array_equal(zero, mask_of(np.argmin(pos, axis=0) + 1))
+            assert out.tobytes() == np.where(zero, 0.0, pos).tobytes()
 
 
 class TestControls:
