@@ -1,10 +1,12 @@
 """Run reports and their JSON / JSON-lines serialization.
 
 Floats in reports round-trip exactly (Python's shortest-repr JSON floats);
-CSV field output elsewhere uses 17 significant digits.  `history.jsonl`
-holds one compact line per history row, encoded by the json module's C
-encoder.  Wall time is the only machine-dependent entry and is zeroed by
-callers running in deterministic mode so artifact bytes are reproducible.
+CSV field output elsewhere uses 17 significant digits.  `report.json` is
+one compact line (the default `json.dumps` separators, no indent) and
+`history.jsonl` one such line per history row; both are encoded by the
+json module's C encoder, which an indent would switch off.  Wall time is
+the only machine-dependent entry and is zeroed by callers running in
+deterministic mode so artifact bytes are reproducible.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ class SolveReport:
 
 
 def write_report_json(report: SolveReport, path) -> None:
+    """Write `report.to_dict()` as one line of compact JSON."""
+    text = json.dumps(report.to_dict())
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_history_jsonl(rows: list[dict], path) -> None:
