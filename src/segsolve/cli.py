@@ -49,6 +49,9 @@ _PENALTY_SCHEMES = {
 
 ALGORITHMS = (*_PENALTY_SCHEMES, "pgd", "fista")
 
+# RunConfig fields that pgd and fista never read
+_PENALTY_ONLY = ("eps", "eps_start", "eps_factor", "damping")
+
 BENCH_BCS = tuple(f"bc{k}" for k in range(1, 10))
 
 
@@ -189,12 +192,12 @@ def _run_single(cfg: RunConfig):
         state, report = fista_run(grid, trace, solver_cfg)
     report.bc_id = cfg.bc
     report.meta["n"] = cfg.n
-    # machine-local fields stay out of the echo so identical runs into
-    # different directories produce byte-identical reports
-    echo = asdict(cfg)
-    echo.pop("out", None)
-    echo.pop("jobs", None)
-    report.meta["config"] = echo
+    # the echo holds what the run read: machine-local fields stay out, so that
+    # identical runs into different directories produce byte-identical
+    # reports, and so do the flags of the other solver family
+    unread = ("alpha",) if cfg.algorithm in _PENALTY_SCHEMES else _PENALTY_ONLY
+    skip = ("out", "jobs", *unread)
+    report.meta["config"] = {k: v for k, v in asdict(cfg).items() if k not in skip}
     if cfg.deterministic:
         report.wall_time_seconds = 0.0
     return state, report, trace

@@ -222,6 +222,31 @@ class TestConfigFile:
         assert run_cli("solve", "--config", str(report), "--out", str(tmp_path / "again")) == 0
 
 
+class TestConfigEcho:
+    def test_penalty_run_echoes_no_alpha(self, tmp_path):
+        out, plain, again = tmp_path / "a", tmp_path / "plain", tmp_path / "again"
+        args = ["solve", "--algo", "penalty-picard", "--bc", "bc4", "--n", "9", "--eps", "1e-3"]
+        assert run_cli(*args, "--alpha", "0.3", "--out", str(out)) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert "alpha" not in config and config["damping"] == 0.5
+        assert run_cli(*args, "--out", str(plain)) == 0
+        assert run_cli("solve", "--config", str(out / "report.json"), "--out", str(again)) == 0
+        for name in ("u1.csv", "u2.csv", "u3.csv"):
+            assert (again / name).read_bytes() == (out / name).read_bytes() == (
+                plain / name).read_bytes(), name
+
+    @pytest.mark.parametrize("algo", ["pgd", "fista"])
+    def test_gradient_run_echoes_no_penalty_values(self, tmp_path, algo):
+        out = tmp_path / "run"
+        assert run_cli(
+            "solve", "--algo", algo, "--bc", "bc4", "--n", "9", "--eps", "1e-3",
+            "--eps-start", "0.1", "--eps-factor", "0.5", "--damping", "0.1", "--out", str(out),
+        ) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert not {"eps", "eps_start", "eps_factor", "damping"} & set(config)
+        assert config["alpha"] is None and config["algorithm"] == algo
+
+
 class TestReportWriters:
     @pytest.mark.parametrize("algo", ["pgd", "fista", "penalty-picard"])
     def test_report_and_history_hold_the_report(self, tmp_path, algo):
