@@ -14,6 +14,9 @@ iterate before projection, projection hysteresis, and a momentum restart
 Both loops run on raw (3, ny, nx) stacks in buffers allocated once per run
 (`_Workspace`); the energy and the step norm are the shared measures of
 :mod:`segsolve.grid`, and a `SystemState` is built only for the result.
+The hysteresis state is the (3, ny, nx) boolean zero mask of the last
+accepted projection, as :func:`segsolve.projection.project_and_pin`
+returns it.
 """
 
 from __future__ import annotations
