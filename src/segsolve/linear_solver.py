@@ -16,31 +16,11 @@ preconditioned right-hand side, is at most REL_TOL, and gets a budget of ten
 iterations per interior node.  A solve that misses the tolerance raises
 LinearSolveError, so every returned solve met it.
 
-Harmonic extensions (interior weight identically zero) run CG on the
-flattened full (ny, nx) field, not on the interior block:
-
-  * x is a flat copy of the field whose boundary ring holds the trace; the
-    working array is returned as the solution field.
-  * The operator is the diagonal term plus four contiguous shifted slices of
-    the flat array (offsets +-1 and +-nx), one pass each, over the span of
-    flat nodes whose four neighbours lie in the array (`_negative_operator`).
-    That span covers every interior node; at ring nodes inside it the shifts
-    wrap across rows and leave finite junk.
-  * The Jacobi inverse is zero on the ring, so whatever lands in the ring
-    entries of the residual never reaches the preconditioned residual, the
-    search direction or x, and the ring keeps the trace exactly.
-  * The boundary coupling in the right-hand side is one operator application
-    to the ring-only field.
-  * The system is multiplied by hx^2 (x-neighbour coefficient 1), and CG
-    keeps (x, r) and (p, -A p) as rows of two (2, size) arrays, so both
-    updates are one pass.  Jacobi-PCG and its stopping test are invariant
-    under the scaling; only rounding differs.
-
-Penalized problems (any nonzero interior weight) run the same CG loop on the
-red-black reduced system (Reid 1972; Saad, Iterative Methods for Sparse
-Linear Systems, 2nd ed., 2003).  The five-point operator couples only nodes
-of opposite colour, so with A = [[D_r, -N], [-N^T, D_b]] the red unknowns
-are x_r = D_r^-1 (b_r + N x_b), and the black ones solve the Schur complement
+Every solve, harmonic extensions included, runs the CG loop on the red-black
+reduced system (Reid 1972; Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., 2003).  The five-point operator couples only nodes of
+opposite colour, so with A = [[D_r, -N], [-N^T, D_b]] the red unknowns are
+x_r = D_r^-1 (b_r + N x_b), and the black ones solve the Schur complement
 system S x_b = b_b + N^T D_r^-1 b_r, S = D_b - N^T D_r^-1 N, by Jacobi-PCG
 with D_b.  That takes about half the iterations of the full system, on
 vectors half as long.
@@ -53,51 +33,51 @@ vectors half as long.
     slice of a half-length array: red node k has black neighbours k-1, k
     and k-(W+1)/2, k+(W-1)/2, black node k has red neighbours k, k+1 and
     k-(W-1)/2, k+(W+1)/2.
-  * The right-hand side b is the full-grid one above; after the red
-    back-substitution the red residual is zero, so the reduced residual in
-    the D_b^-1 norm equals the full residual in the D^-1 norm.  The stopping
-    test and its scale ||b||_{D^-1} (both colours) mean exactly what they
-    mean on the full system.
-  * Harmonic extensions stay on the full grid so that their bits, and with
-    them the projected-gradient trajectories that start from them, do not
-    move: those trajectories amplify last-bit changes of the initial state.
+  * The system is multiplied by hx^2: x-neighbour coefficient 1, y-neighbour
+    coefficient q = hx^2/hy^2.  Jacobi-PCG and its stopping test are
+    invariant under the scaling; only rounding differs.
+  * The right-hand side b is that of the full interior system; after the
+    red back-substitution the red residual is zero, so the reduced residual
+    in the D_b^-1 norm equals the full residual in the D^-1 norm.  The
+    stopping test and its scale ||b||_{D^-1} (both colours) mean exactly
+    what they mean on the full system.
 
 The set-up of the red-black solve that does not depend on the interior
 weight lives in a plan (`_RedBlackPlan`), built once per run for each
 component trace and passed to every solve of that component.  It holds its
 trace as a read-only ring-only field, the ring mask, the CG buffers and the
 operator's views into them, and the trace-side right-hand side on the grid.
-That right-hand side is -A applied to the ring-only field: the field is zero
-at interior nodes, so the weighted diagonal multiplies zeros and only the
-neighbour couplings remain.  A solve writes its Jacobi inverse, diagonal and
-right-hand side (load part, 0.0 without a load, plus the trace side) into
-the grid columns of a zero-padded (3, ny, W) array; two stride-2 copies of
-the flat rows split them into red and black halves.  Its scale is a dot of
+That right-hand side is the neighbour coupling of the ring-only field t at
+interior nodes, (t_(j-1)i + t_(j+1)i) q + (t_j(i-1) + t_j(i+1)), and zero on
+the ring; it does not depend on the interior weight.  A solve writes its
+Jacobi inverse, diagonal and right-hand side (load part, 0.0 without a
+load, plus the trace side) into the grid columns of a zero-padded
+(3, ny, W) array; two stride-2 copies of the flat rows split them into red
+and black halves.  Its scale is a dot of
 grid-ordered contiguous vectors.  Only the trace, the plan's problem and the
 kept solutions below belong to one trace; the plans of a run's three
 components share the rest (`sibling`), which each solve sets up afresh.  A
-penalized solve without a plan (`solve_helmholtz`) builds a one-off plan, so
-there is one red-black path; its bits are those of the set-up done per
-solve.
+solve without a plan (`solve_helmholtz`, `harmonic_extension`) builds a
+one-off plan, so there is one path; its bits are those of the set-up done
+per solve.
 
 Where inputs are checked.  `HelmholtzProblem(...)` checks all its inputs,
-and a solve given a plan checks, before it picks a branch, that the plan was
-built for the problem's grid and trace.  A plan checks its trace once, in a
-problem of its own on the read-only field; `pose` sets that problem's weight,
-epsilon and load and checks only those, with the same messages, and the plan
-check passes it on the identity of the trace array.  Every returned field is
+and a solve given a plan checks that the plan was built for the problem's
+grid and trace.  A plan checks its trace once, in a problem of its own on
+the read-only field; `pose` sets that problem's weight, epsilon and load and
+checks only those, with the same messages, and the plan check passes it on
+the identity of the trace array.  Every returned field is
 checked for finiteness.
 
 Galerkin starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).  A
 plan also keeps the black halves of the solutions its caller hands to
 `keep` (the penalty loop: the current stage's solutions) and forgets them on
 `clear`.  A solve given a plan leaves the black half of its answer there
-(`answer`) for `keep()`: the red-black solve a copy of its x_b, the
-full-grid branch the odd entries of its interior in the (ny, W) layout.
-With two or more kept, a solve ignores x0 and starts CG at the last one, x,
-plus the step D c, where the columns of D are the steps between the last up
-to START_DEPTH + 1 kept solutions and c solves the Galerkin system
-(D^T S D) c = D^T r of the current Schur operator, r = b - S x.  That start
+(`answer`) for `keep()`: a copy of its x_b.  With two or more kept, a
+solve ignores x0 and starts CG at the last one, x, plus the step D c, where
+the columns of D are the steps between the last up to START_DEPTH + 1 kept
+solutions and c solves the Galerkin system (D^T S D) c = D^T r of the
+current Schur operator, r = b - S x.  That start
 is the best in the S-norm over x + span(D).
 
   * S = D_b - N^T D_r^-1 N, so D^T S D = D^T D_b D - (N D)^T D_r^-1 (N D).
@@ -215,9 +195,8 @@ def _check_load(load: np.ndarray) -> None:
 class SolveInfo:
     """Outcome of one CG solve.
 
-    iterations counts CG iterations of the system actually solved: the
-    red-black reduced system for penalized problems, the full interior system
-    for harmonic extensions.  rel_residual is the final relative
+    iterations counts CG iterations of the red-black reduced system.
+    rel_residual is the final relative
     Jacobi-preconditioned residual of the full system, at most REL_TOL: a
     solve that misses it raises LinearSolveError.  start_applies counts
     the operator passes spent on a Galerkin start: one neighbour sum per
@@ -243,19 +222,17 @@ def _interior_rhs(p: HelmholtzProblem) -> np.ndarray:
     return b
 
 
-def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, budget, work=None):
+def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, budget, work):
     """Jacobi-PCG loop on rows pair = (v, -A v) and xr = (x, r).
 
     On entry x holds the start and r its residual; negative_apply() writes
-    -A v into pair[1].  x and r are updated in place.  work may supply a
-    float array of shape (3, v.size) for the update step and the
+    -A v into pair[1].  x and r are updated in place, both in one pass.
+    work is a float array of shape (3, v.size) for the update step and the
     preconditioned residual.  Returns the iteration count and the final
     relative residual.
     """
     v, minus_ap = pair
     x, r = xr
-    if work is None:
-        work = np.empty((3, v.size))
     tmp, z = work[:2], work[2]
     np.multiply(r, dinv, out=z)
     rz = float(r.dot(z))
@@ -275,80 +252,6 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, budget, work=None):
         np.add(z, v, out=v)  # p <- z + beta * p
         iters += 1
     return iters, res
-
-
-def _negative_operator(grid: Grid, v: np.ndarray, out: np.ndarray):
-    """A closure writing -A v, times hx^2, for zero interior weight into out (module docstring).
-
-    Exact at interior nodes, finite junk at ring nodes inside the span, out
-    not written outside it.
-    """
-    nx, size = grid.nx, grid.ny * grid.nx
-    q = grid.hx**2 / grid.hy**2
-    d = 2.0 + 2.0 * q  # the diagonal: the interior weight is zero
-    lo, hi = nx + 1, size - nx - 1  # interior nodes lie in [lo, hi), their neighbours in the array
-    centre, left, right = v[lo:hi], v[lo - 1 : hi - 1], v[lo + 1 : hi + 1]
-    down, up = v[lo - nx : hi - nx], v[lo + nx : hi + nx]
-    o = out[lo:hi]
-    t = np.empty(hi - lo)
-
-    def negative_apply() -> None:
-        np.add(down, up, out=o)
-        np.multiply(o, q, out=o)
-        np.add(left, right, out=t)
-        np.add(o, t, out=o)
-        np.multiply(d, centre, out=t)
-        np.subtract(o, t, out=o)
-
-    return negative_apply
-
-
-def _minus_trace_coupling(grid: Grid, trace_only: np.ndarray) -> np.ndarray:
-    """-A times the ring-only field, times hx^2, on the flat full grid.
-
-    At interior nodes this is the boundary coupling of the right-hand side.
-    The diagonal term multiplies the zero interior of trace_only, so the
-    result does not depend on the interior weight; ring nodes get finite junk
-    that the zero Jacobi inverse on the ring discards.
-    """
-    minus = np.zeros(grid.ny * grid.nx)
-    _negative_operator(grid, trace_only, minus)()
-    return minus
-
-
-def _full_grid_solve(p: HelmholtzProblem, x0, budget):
-    """Jacobi-PCG on the flat full grid, for zero interior weight.
-
-    x0 is a flat start or None.  Returns (x, iterations, final relative
-    residual, 0), x the flat solution field.
-    """
-    g = p.grid
-    size = g.ny * g.nx
-    hx2 = g.hx**2
-    q = hx2 / g.hy**2
-    ring = g.boundary_mask().reshape(-1)
-    dinv = np.where(ring, 0.0, 1.0 / (2.0 + 2.0 * q))
-    trace_only = np.where(ring, p.trace.reshape(-1), 0.0)
-    load = 0.0 if p.load is None else np.where(ring, 0.0, p.load.reshape(-1) * hx2)
-    b = load + _minus_trace_coupling(g, trace_only)
-    bz = float(b.dot(b * dinv))
-    if bz == 0.0:
-        # zero data: unique solution is zero (coefficient is nonnegative)
-        return trace_only, 0, 0.0, 0
-
-    # pair holds the operand v (the search direction p in the loop) and -A v;
-    # xr holds x and r.  Both CG updates are then one pass: xr += alpha * pair.
-    pair = np.zeros((2, size))
-    xr = np.empty((2, size))
-    v, minus_ap = pair
-    x, r = xr
-    negative_apply = _negative_operator(g, v, minus_ap)
-    x[:] = trace_only if x0 is None else np.where(ring, trace_only, x0)
-    v[:] = x
-    negative_apply()
-    np.add(load, minus_ap, out=r)
-    iters, res = _jacobi_pcg(pair, xr, dinv, negative_apply, math.sqrt(bz), budget)
-    return x, iters, res, 0
 
 
 def _galerkin_coefficients(gram: np.ndarray, rhs: np.ndarray) -> list[float]:
@@ -472,7 +375,10 @@ class _RedBlackPlan:
         self.trace_only.flags.writeable = False
         self.trace = self.problem.trace = self.trace_only.reshape(self.grid.shape)
         self.ring_trace = self.trace_only[self.ring_nodes]
-        self.minus_trace = _minus_trace_coupling(self.grid, self.trace_only).reshape(self.grid.shape)
+        # -A t times hx^2 at interior nodes: the diagonal meets only t's zero interior
+        t = self.trace
+        self.minus_trace = np.zeros(self.grid.shape)
+        self.minus_trace[1:-1, 1:-1] = (t[:-2, 1:-1] + t[2:, 1:-1]) * self.q + (t[1:-1, :-2] + t[1:-1, 2:])
         self.kept = 0
         self.last = np.zeros(self.nb)
         self.answer = None  # black half of the last answer of a solve given this plan
@@ -652,26 +558,19 @@ def solve_helmholtz_with_info(
     LinearSolveError if it misses that within its budget.  x0 (full-shape
     array or field) warm-starts the iteration; only its interior values are
     used.
-    Penalized problems are solved on the red-black reduced system through
-    `plan`, a `_RedBlackPlan` of p's grid and trace (a one-off plan if None);
-    a plan that has kept two or more solutions replaces x0 by a Galerkin
-    start.  Harmonic extensions are solved on the full grid from x0.  A
-    given plan is checked against p on either branch and is left the black
-    half of the answer (module docstring).
+    The solve runs on the red-black reduced system through `plan`, a
+    `_RedBlackPlan` of p's grid and trace (a one-off plan if None); a plan
+    that has kept two or more solutions replaces x0 by a Galerkin start.  A
+    given plan is checked against p and is left the black half of the
+    answer (module docstring).
     """
     if x0 is not None:
         x0 = (x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=float)).reshape(-1)
-    budget = 10 * p.grid.n_interior
-    if plan is not None:
-        plan.check(p)
-    if p.weight[1:-1, 1:-1].any():
-        if plan is None:
-            plan = _RedBlackPlan(p.grid, p.trace)
-        x, iters, res, applies = plan.solve(p, x0, budget)
+    if plan is None:
+        plan = _RedBlackPlan(p.grid, p.trace)
     else:
-        x, iters, res, applies = _full_grid_solve(p, x0, budget)
-        if plan is not None:
-            plan.answer = plan.black_half(x)
+        plan.check(p)
+    x, iters, res, applies = plan.solve(p, x0, 10 * p.grid.n_interior)
 
     if not res <= REL_TOL:
         raise LinearSolveError(

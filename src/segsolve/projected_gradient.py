@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 
+TIE = 1e-9  # relative gap below which the initial projection treats positive parts as tied
+
+
 def stability_limit(grid: Grid) -> float:
     """Upper bound 1/lambda_max for the explicit step, lambda_max <= 4/hx^2 + 4/hy^2."""
     return 1.0 / (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
@@ -219,10 +222,19 @@ class _Workspace:
 def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Projected harmonic extensions with the trace pinned on the boundary.
 
-    Returns the stack and its (3, ny, nx) zero mask, as `project_and_pin` does.
+    The projection settles ties by rule: a positive part within TIE times
+    the node's largest positive part of the smallest is tied with it, and
+    the smallest tied index is zeroed.  Symmetric data give the extensions
+    such ties, which otherwise rounding breaks, and no measured run from
+    this start has moved the zero mask they choose.  Returns the stack and
+    its (3, ny, nx) zero mask, as `project_and_pin` does.
     """
     u = np.stack([harmonic_extension(ws.grid, ws.tr[k]).values for k in range(3)])
-    return u, ws.project(u)
+    p = np.maximum(u, 0.0)
+    tied = p <= p.min(axis=0) + TIE * p.max(axis=0)
+    zero = np.arange(3)[:, None, None] == tied.argmax(axis=0)  # the first tied index
+    # hysteresis that keeps the previous phase at any gap zeroes exactly `zero`
+    return u, ws.project(u, zero, math.inf)
 
 
 def _result(ws, algorithm, trace, u, iters, converged, t0, history, meta):

@@ -36,21 +36,21 @@ from segsolve.penalty import (
 )
 
 PINS = {
-    "harmonic_extensions": "ae89042435d793aea33ecb14fe6dfbed592bc90d209d0650f5cdab1fa714d75a",
-    "plan_solve": "2af3d2049d67c195b65f22a210adda297c817f00fc3de27c984a3cc093bf9de6",
-    "plan_solve_with_load": "f507d3385dc8a66aa6b8eb97598a57665686ad1414a4af50ae721dcb7a0204f1",
-    "public_solve": "846dc6f9c74e7abaedccc1630e5e4e13369e29cd2f21b2e2fa5b439b39dc8b3f",
-    "public_solve_with_load": "c53e0145270ef623d100aedbcadba4a150e252901b723019a870e271c774abe7",
-    "zero_weight_solve_with_load": "c7ed605019a64fc11bc2fe79278a1ec0818e06b9931af6c56e3025a3fec85a20",
-    "picard_step": "b695c4ca720e8d21c9ba8b8662a0481c38bc787cbb17465bc6dbc3557f6cc916",
-    "gauss_seidel_step": "b76829db5834fc28b9af3262e62f13dcf4de1919e723d5f8fceddc9659de52ff",
-    "phase_field_step": "c8092a1271442f1caa6d9f5e5e2cee01999609398870881b8ecef162f2a4d410",
+    "harmonic_extensions": "83144857c82ce1d7131dbce55c951b69a0ca1d24b5aedf80d66cd4b88f3a93d6",
+    "plan_solve": "89e8cdd142131b67007a3b10382510b468cda1f12b0e2db93ef56b9bb3a11844",
+    "plan_solve_with_load": "5158ec5b856cab8bc352ac3939d63418955d0b0b6e7b181ac60b8ea612ea46ac",
+    "public_solve": "f492a7b1497d73b1f2a4384f5854f475a95bad95317080c1011f7d7faad2a622",
+    "public_solve_with_load": "51fbbf7e1893b085233f9f7cb60db84af8f9eba8c4a2876e16c94a2ff52e86a4",
+    "zero_weight_solve_with_load": "c0ecacd1777ff44ca9914802d7e1f492af171925e8f8f8d8de75b6edd873433d",
+    "picard_step": "4fe4740d0fcb822842dda6884e555cd2afe1d4a1218aebcf8e13c1a4e5ccc7fa",
+    "gauss_seidel_step": "177c12a03c28a26d7971f5f6e4da04fbce8a4ee7903904d933c4e70077a4a404",
+    "phase_field_step": "401724e797c06a8ae21f97816a9abe84a542665c7168b1cf5db37d945753c94d",
     # up to twelve sweeps a stage on eps 1e-2, 1e-3; from the third on, Galerkin starts
-    "run_penalty_picard": "ebd53ad2591278c7e059815f1baefa54e1798be01868370ee231f7b3f7de1e00",
-    "run_penalty_gauss_seidel": "e8eb7d039fe029720530d6ae879f79784e6f1a85c1e3fc173e5c9fb0c70ec6e2",
-    "run_penalty_semi_implicit": "5fab56ee2abef2a84bd078eee1c32ddfcec84c92d01039ed973499195f326bb7",
-    "run_penalty_phase_field": "f88ba4a41f9c712f663893d81de50b1f61dfb8deb4363e7299fa0042a4496885",
-    "even_nx": "9f31b85c4c7e8f48bb4aff41ad14ac2ea1fd6cee0335236aab06a40bd06a90d6",
+    "run_penalty_picard": "6b213a32e308f0e7e94e39a8787bb3f7811ee7772c18f0aa80854326e47986f0",
+    "run_penalty_gauss_seidel": "824defba3d0a8333a965c0871e044a4d45cedc0432a888366e73fe84d270ee97",
+    "run_penalty_semi_implicit": "1a4abd7a36e71969f0a3d48c3734dc16f2784d73af411ae1681885ea111831d2",
+    "run_penalty_phase_field": "2fe08ff4fb8b297b73d3a8d2b616745184b30e336f08d53dd90cd6fdaa58f9ba",
+    "even_nx": "8a2a927d281ce35e05046199a727d94f85f95bf6f87c7f4f081cbde378930867",
 }
 
 

@@ -6,13 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segsolve import projected_gradient
 from segsolve.boundary import BoundaryTrace, builtin_config, evaluate_bc
-from segsolve.grid import build_grid, energy_of_stack, node_weights
+from segsolve.grid import ScalarField, build_grid, energy_of_stack, node_weights
 from segsolve.linear_solver import harmonic_extension
 from segsolve.projected_gradient import (
+    TIE,
     FistaConfig,
     PgdConfig,
     _backtrack,
+    _initial_state,
     _Workspace,
     fista_run,
     next_t,
@@ -211,12 +214,7 @@ class TestFistaRun:
         state, report = fista_run(g, tr, cfg)
         a0, _ = cfg.resolve_alphas(g)
 
-        u0 = np.stack(
-            [harmonic_extension(g, tr.phi[k]).values for k in range(3)]
-        )
-        inner, _ = project_stack_interior(u0[:, 1:-1, 1:-1])
-        u0 = tr.phi.copy()
-        u0[:, 1:-1, 1:-1] = inner
+        u0, _ = plain_start(g, tr.phi)
         inner, _ = project_stack_interior(plain_gradient_step(g, u0, a0))
         expected = tr.phi.copy()
         expected[:, 1:-1, 1:-1] = inner
@@ -231,14 +229,9 @@ class TestFistaRun:
         state, report = fista_run(g, tr, cfg)
         a0, _ = cfg.resolve_alphas(g)
 
-        u0 = np.stack(
-            [harmonic_extension(g, tr.phi[k]).values for k in range(3)]
-        )
-        inner, k0 = project_stack_interior(u0[:, 1:-1, 1:-1])
-        u0 = tr.phi.copy()
-        u0[:, 1:-1, 1:-1] = inner
+        u0, k0 = plain_start(g, tr.phi)
         cand = plain_gradient_step(g, u0, a0, u0, cfg.eta)
-        inner, _ = project_stack_interior(cand, k0, cfg.tau)
+        inner, _ = plain_project(cand, k0, cfg.tau)
         expected = tr.phi.copy()
         expected[:, 1:-1, 1:-1] = inner
         assert state.stack().tobytes() == expected.tobytes()
@@ -351,10 +344,41 @@ def pinned(tr, inner):
 
 
 def plain_start(grid, tr):
-    """Projected harmonic extensions and their interior indices."""
+    """Projected harmonic extensions and their interior indices.
+
+    The start's projection settles ties by rule: positive parts within TIE
+    times the node's largest of the smallest are tied with it, and the first
+    tied index is zeroed.
+    """
     u = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
-    inner, k = plain_project(u[:, 1:-1, 1:-1])
-    return pinned(tr, inner), k
+    p = np.maximum(u[:, 1:-1, 1:-1], 0.0)
+    k = np.argmax(p <= p.min(axis=0) + TIE * p.max(axis=0), axis=0)
+    np.put_along_axis(p, k[None], 0.0, 0)
+    return pinned(tr, p), k + 1
+
+
+class TestInitialTies:
+    @pytest.mark.parametrize(
+        "parts, zeroed",
+        [
+            ((1.0, 0.3 + 5e-10, 0.3), 1),  # a gap within 1e-9 times the largest: tied
+            ((0.3 + 5e-10, 0.4, 0.3), 2),  # the same gap against 1e-9 * 0.4: the exact rule
+            ((0.3 + 2e-10, 0.3 + 2e-10, 0.3), 0),
+            ((0.3, 0.3 - 5e-10, 1.0), 0),
+            ((1.0, 0.3 + 1e-7, 0.3), 2),  # a genuine gap: the exact rule
+            ((0.0, 0.0, 0.0), 0),
+        ],
+    )
+    def test_parts_within_tie_of_the_smallest_zero_the_smaller_index(self, monkeypatch, parts, zeroed):
+        g = build_grid(3, 3, SQUARE)  # one interior node
+        values = iter(parts)
+        monkeypatch.setattr(
+            projected_gradient, "harmonic_extension",
+            lambda grid, trace: ScalarField(grid, np.full(grid.shape, next(values))),
+        )
+        u, mask = _initial_state(_Workspace(g, np.zeros((3, *g.shape))))
+        assert mask[:, 1, 1].tolist() == [k == zeroed for k in range(3)]
+        assert u[:, 1, 1].tolist() == [0.0 if k == zeroed else parts[k] for k in range(3)]
 
 
 class TestReferenceLoops:
