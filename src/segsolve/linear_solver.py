@@ -53,21 +53,20 @@ the ring; it does not depend on the interior weight.  A solve writes its
 Jacobi inverse, diagonal and right-hand side (load part, 0.0 without a
 load, plus the trace side) into the grid columns of a zero-padded
 (3, ny, W) array; two stride-2 copies of the flat rows split them into red
-and black halves.  Its scale is a dot of
-grid-ordered contiguous vectors.  Only the trace, the plan's problem and the
-kept solutions below belong to one trace; the plans of a run's three
-components share the rest (`sibling`), which each solve sets up afresh.  A
-solve without a plan (`solve_helmholtz`, `harmonic_extension`) builds a
-one-off plan, so there is one path; its bits are those of the set-up done
-per solve.
+and black halves.  Its scale is a dot of grid-ordered contiguous vectors.
+Only the trace, the plan's problem and the kept solutions below belong to
+one trace; the plans of a run's three components share the rest
+(`sibling`), which each solve sets up afresh.  A solve without a plan
+(`solve_helmholtz`, `harmonic_extension`) builds a one-off plan, so there
+is one path; its bits are those of the set-up done per solve.
 
 Where inputs are checked.  `HelmholtzProblem(...)` checks all its inputs,
 and a solve given a plan checks that the plan was built for the problem's
 grid and trace.  A plan checks its trace once, in a problem of its own on
 the read-only field; `pose` sets that problem's weight, epsilon and load and
 checks only those, with the same messages, and the plan check passes it on
-the identity of the trace array.  Every returned field is
-checked for finiteness.
+the identity of the trace array.  Every returned field is checked for
+finiteness.
 
 Galerkin starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).  A
 plan also keeps the black halves of the solutions its caller hands to
@@ -77,8 +76,8 @@ plan also keeps the black halves of the solutions its caller hands to
 solve ignores x0 and starts CG at the last one, x, plus the step D c, where
 the columns of D are the steps between the last up to START_DEPTH + 1 kept
 solutions and c solves the Galerkin system (D^T S D) c = D^T r of the
-current Schur operator, r = b - S x.  That start
-is the best in the S-norm over x + span(D).
+current Schur operator, r = b - S x.  That start is the best in the S-norm
+over x + span(D).
 
   * S = D_b - N^T D_r^-1 N, so D^T S D = D^T D_b D - (N D)^T D_r^-1 (N D).
     N D does not depend on the weight and is formed once per kept step, so
@@ -196,12 +195,11 @@ class SolveInfo:
     """Outcome of one CG solve.
 
     iterations counts CG iterations of the red-black reduced system.
-    rel_residual is the final relative
-    Jacobi-preconditioned residual of the full system, at most REL_TOL: a
-    solve that misses it raises LinearSolveError.  start_applies counts
-    the operator passes spent on a Galerkin start: one neighbour sum per
-    newly kept step and one Schur complement application when the step is
-    taken (0 without a start).
+    rel_residual is the final relative Jacobi-preconditioned residual of
+    the full system, at most REL_TOL: a solve that misses it raises
+    LinearSolveError.  start_applies counts the operator passes spent on a
+    Galerkin start: one neighbour sum per newly kept step and one Schur
+    complement application when the step is taken (0 without a start).
     """
 
     iterations: int
