@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,52 @@ class TestExtraction:
         assert len(polys1) == len(polys2)
         for a, b in zip(polys1, polys2):
             assert np.array_equal(a, b)
+
+    # cell (0, 0) of a 3x3 grid holds the saddle; its corners are
+    # (bottom-left, bottom-right, top-right, top-left) before delta = 0.5
+    # is subtracted, and the other five nodes lie below the level
+    @pytest.mark.parametrize("corners, pairs", [
+        # case 5: bottom-left and top-right inside
+        ((1.0, 0.2, 1.0, 0.2), {("bottom", "right"), ("top", "left")}),  # centre inside
+        ((1.0, 0.0, 1.0, 0.0), {("bottom", "right"), ("top", "left")}),  # centre on the level
+        ((0.6, 0.0, 0.6, 0.0), {("left", "bottom"), ("right", "top")}),  # centre outside
+        # case 10: bottom-right and top-left inside
+        ((0.2, 1.0, 0.2, 1.0), {("left", "bottom"), ("right", "top")}),
+        ((0.0, 1.0, 0.0, 1.0), {("left", "bottom"), ("right", "top")}),
+        ((0.0, 0.6, 0.0, 0.6), {("bottom", "right"), ("top", "left")}),
+    ])
+    def test_saddle_pairing(self, corners, pairs):
+        g = build_grid(3, 3, SQUARE)
+        vals = np.zeros(g.shape)
+        vals[0, 0], vals[0, 1], vals[1, 1], vals[1, 0] = corners
+        # the crossings on the edges of cell (0, 0): y = -1, y = 0, x = -1, x = 0
+        edge_of = {"bottom": (1, -1.0), "top": (1, 0.0), "left": (0, -1.0), "right": (0, 0.0)}
+        order = list(edge_of).index
+
+        def on_edge(v, name):
+            axis, at = edge_of[name]
+            return v[axis] == at and -1.0 < v[1 - axis] < 0.0
+
+        found = set()
+        for poly in extract_field_contours(g, vals, 0.5):
+            for a, b in zip(poly[:-1], poly[1:]):
+                names = [n for n in edge_of for v in (a, b) if on_edge(v, n)]
+                if len(names) == 2:  # both ends on cell (0, 0): the cell's own segment
+                    found.add(tuple(sorted(names, key=order)))
+        assert found == {tuple(sorted(p, key=order)) for p in pairs}
+
+    def test_field_with_exact_zeros_and_saddles_pinned(self):
+        # values in {0, 0.5, 1} at delta = 0.5: exact zeros on the level and
+        # many saddle cells, on grids with nx != ny
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(17)
+        for nx, ny in ((17, 12), (12, 17)):
+            g = build_grid(nx, ny, SQUARE)
+            for _ in range(3):
+                vals = rng.choice([0.0, 0.5, 1.0], size=g.shape)
+                for poly in extract_field_contours(g, vals, 0.5):
+                    digest.update(np.int64(len(poly)).tobytes() + poly.tobytes())
+        assert digest.hexdigest() == "ed0d5df71a08fa9832c0aaa0c54ccf540293b0a8d0a4d0a95930a51b904d6b7d"
 
     def test_delta_must_be_positive(self):
         g = build_grid(5, 5, SQUARE)
