@@ -1,11 +1,14 @@
 """Level-curve extraction by marching squares and SVG rendering.
 
 Each component's interface is approximated by the level curve u = delta.
-Crossing points are placed by linear interpolation along grid edges, cells
-fully above or below the level produce nothing, and the two ambiguous saddle
-cases are resolved with the cell-center average.  Crossings are computed once
-per grid edge, so segments sharing an edge reference the identical point and
-chain into polylines without any coordinate matching tolerance.
+Crossing points are placed by linear interpolation along grid edges.  All
+cells are classified at once with numpy by the four corner bits of
+values >= delta; only the cells the level crosses are visited, and each takes
+its segments from one case table.  The two ambiguous saddle cases are
+resolved with the cell-center average: each has a table row for a center
+inside and one for a center outside.  Crossings are computed once per grid
+edge, so segments sharing an edge reference the identical point and chain
+into polylines without any coordinate matching tolerance.
 """
 
 from __future__ import annotations
@@ -36,91 +39,59 @@ class ContourSet:
     polylines: dict[int, list[np.ndarray]] = field(default_factory=lambda: {1: [], 2: [], 3: []})
 
 
-def _edge_points(grid: Grid, f: np.ndarray):
-    """Crossing coordinates on horizontal and vertical grid edges.
-
-    Inside means f >= 0.  Returns dicts keyed by ('h', j, i) / ('v', j, i)
-    mapping to the interpolated (x, y) crossing.
-    """
-    xs, ys = grid.xs(), grid.ys()
-    inside = f >= 0.0
-    points: dict[tuple, tuple[float, float]] = {}
-
-    hcross = inside[:, :-1] != inside[:, 1:]
-    for j, i in zip(*np.nonzero(hcross)):
-        fa, fb = f[j, i], f[j, i + 1]
-        t = fa / (fa - fb)
-        points[("h", int(j), int(i))] = (xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
-
-    vcross = inside[:-1, :] != inside[1:, :]
-    for j, i in zip(*np.nonzero(vcross)):
-        fa, fb = f[j, i], f[j + 1, i]
-        t = fa / (fa - fb)
-        points[("v", int(j), int(i))] = (xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
-
-    return inside, points
-
-
-# segment endpoints per marching-squares case, as cell-edge names;
-# cases 5 and 10 are saddles handled separately
+# segment endpoints per marching-squares case, as edges of cell (j, i) given
+# by offsets: bottom (h, j, i), top (h, j+1, i), left (v, j, i), right
+# (v, j, i+1).  The case code holds the corner bits 1 bottom-left,
+# 2 bottom-right, 4 top-right and 8 top-left.  The saddles 5 and 10 pair
+# their edges by the cell-center average: their rows hold the pairing for a
+# center inside, rows 21 and 26 (case + 16) the pairing for a center outside.
+_B, _T, _L, _R = ("h", 0, 0), ("h", 1, 0), ("v", 0, 0), ("v", 0, 1)
 _CASES = {
-    1: [("left", "bottom")],
-    2: [("bottom", "right")],
-    3: [("left", "right")],
-    4: [("right", "top")],
-    6: [("bottom", "top")],
-    7: [("left", "top")],
-    8: [("top", "left")],
-    9: [("bottom", "top")],
-    11: [("right", "top")],
-    12: [("right", "left")],
-    13: [("bottom", "right")],
-    14: [("left", "bottom")],
+    1: [(_L, _B)], 2: [(_B, _R)], 3: [(_L, _R)], 4: [(_R, _T)],
+    6: [(_B, _T)], 7: [(_L, _T)], 8: [(_T, _L)], 9: [(_B, _T)],
+    11: [(_R, _T)], 12: [(_R, _L)], 13: [(_B, _R)], 14: [(_L, _B)],
+    5: [(_B, _R), (_T, _L)], 21: [(_L, _B), (_R, _T)],
+    10: [(_L, _B), (_R, _T)], 26: [(_B, _R), (_T, _L)],
 }
 
 
-def _cell_edges(j: int, i: int) -> dict[str, tuple]:
-    return {
-        "bottom": ("h", j, i),
-        "top": ("h", j + 1, i),
-        "left": ("v", j, i),
-        "right": ("v", j, i + 1),
+def _segments_and_points(grid: Grid, f: np.ndarray):
+    """Segments as (edge_key_a, edge_key_b) in cell scan order, and the crossings.
+
+    Inside means f >= 0.  Edge keys are ('h', j, i) for the edge from node
+    (j, i) to (j, i+1) and ('v', j, i) for the edge from (j, i) to (j+1, i);
+    `points` maps each key the level crosses to its interpolated (x, y).
+    Only the cells the level crosses are visited, row by row.
+    """
+    xs, ys = grid.xs(), grid.ys()
+    inside = f >= 0.0
+
+    j, i = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    t = f[j, i] / (f[j, i] - f[j, i + 1])
+    x = xs[i] + t * (xs[i + 1] - xs[i])
+    points = {
+        ("h", a, b): p for a, b, p in zip(j.tolist(), i.tolist(), zip(x.tolist(), ys[j].tolist()))
     }
+    j, i = np.nonzero(inside[:-1, :] != inside[1:, :])
+    t = f[j, i] / (f[j, i] - f[j + 1, i])
+    y = ys[j] + t * (ys[j + 1] - ys[j])
+    points.update(
+        (("v", a, b), p) for a, b, p in zip(j.tolist(), i.tolist(), zip(xs[i].tolist(), y.tolist()))
+    )
 
+    bit = inside.astype(np.uint8)
+    case = bit[:-1, :-1] | bit[:-1, 1:] << 1 | bit[1:, 1:] << 2 | bit[1:, :-1] << 3
+    cells = np.nonzero((case > 0) & (case < 15))
+    j, i = np.nonzero((case == 5) | (case == 10))
+    center = 0.25 * (f[j, i] + f[j, i + 1] + f[j + 1, i] + f[j + 1, i + 1])
+    outside = ~(center >= 0.0)
+    case[j[outside], i[outside]] += 16
 
-def _cell_segments(grid: Grid, f: np.ndarray, inside: np.ndarray):
-    """Yield segments as (edge_key_a, edge_key_b) in cell scan order."""
-    ny, nx = grid.shape
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            case = (
-                int(inside[j, i])
-                | int(inside[j, i + 1]) << 1
-                | int(inside[j + 1, i + 1]) << 2
-                | int(inside[j + 1, i]) << 3
-            )
-            if case in (0, 15):
-                continue
-            edges = _cell_edges(j, i)
-            if case in (5, 10):
-                center = 0.25 * (f[j, i] + f[j, i + 1] + f[j + 1, i] + f[j + 1, i + 1])
-                center_inside = center >= 0.0
-                if case == 5:  # bl and tr inside
-                    names = (
-                        [("bottom", "right"), ("top", "left")]
-                        if center_inside
-                        else [("left", "bottom"), ("right", "top")]
-                    )
-                else:  # br and tl inside
-                    names = (
-                        [("left", "bottom"), ("right", "top")]
-                        if center_inside
-                        else [("bottom", "right"), ("top", "left")]
-                    )
-            else:
-                names = _CASES[case]
-            for a, b in names:
-                yield edges[a], edges[b]
+    segments = []
+    for j, i, c in zip(*(a.tolist() for a in cells), case[cells].tolist()):
+        for (ka, ja, ia), (kb, jb, ib) in _CASES[c]:
+            segments.append(((ka, j + ja, i + ia), (kb, j + jb, i + ib)))
+    return segments, points
 
 
 def _chain(segments: list[tuple]) -> list[list]:
@@ -159,8 +130,7 @@ def _chain(segments: list[tuple]) -> list[list]:
 def extract_field_contours(grid: Grid, values: np.ndarray, delta: float) -> list[np.ndarray]:
     """Polylines of the level curve {values = delta} on the grid."""
     f = values - delta
-    inside, points = _edge_points(grid, f)
-    segments = list(_cell_segments(grid, f, inside))
+    segments, points = _segments_and_points(grid, f)
     polylines = []
     for path in _chain(segments):
         closed = path[0] == path[-1] and len(path) > 2

@@ -127,7 +127,7 @@ class TestExtraction:
         ((0.2, 1.0, 0.2, 1.0), {("left", "bottom"), ("right", "top")}),
         ((0.0, 1.0, 0.0, 1.0), {("left", "bottom"), ("right", "top")}),
         ((0.0, 0.6, 0.0, 0.6), {("bottom", "right"), ("top", "left")}),
-    ])
+    ], ids=[f"case{c}-center-{s}" for c in (5, 10) for s in ("inside", "on-level", "outside")])
     def test_saddle_pairing(self, corners, pairs):
         g = build_grid(3, 3, SQUARE)
         vals = np.zeros(g.shape)
