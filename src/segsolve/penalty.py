@@ -19,9 +19,9 @@ Four fixed-point sweeps are provided:
                 clips negatives, then damps like picard:
                 u <- alpha * max(solve, 0) + (1 - alpha) * u
 
-A run starts all components from their harmonic extensions and continues a
-geometrically decreasing ladder of penalty parameters, warm-starting each
-stage from the previous.  The sweeps and the loop work on raw (3, ny, nx)
+A run starts all components from their harmonic extensions, which it
+solves on its own plans (below), and continues a geometrically decreasing
+ladder of penalty parameters, warm-starting each stage from the previous.  The sweeps and the loop work on raw (3, ny, nx)
 stacks; all sweeps take (u, eps, alpha, plans), and `run_penalty` picks the
 sweep and its damping once per run (Gauss-Seidel is damped only with
 `damp_gauss_seidel`).  The loop stops a stage on
@@ -71,7 +71,7 @@ import numpy as np
 
 from .boundary import BoundaryTrace, resolve_trace
 from .grid import Grid, SystemState, energy_of_stack, max_l2_step, node_weights
-from .linear_solver import _RedBlackPlan, harmonic_extension, solve_helmholtz_with_info
+from .linear_solver import _RedBlackPlan, solve_helmholtz_with_info
 from .reporting import SolveReport
 
 __all__ = [
@@ -245,8 +245,9 @@ def run_penalty(
     t0 = time.perf_counter()
     trace = resolve_trace(bc, grid)
     tr = trace.phi
-    u = np.stack([harmonic_extension(grid, tr[k]).values for k in range(3)])
     plans = _plans(grid, tr)
+    zero = np.zeros(grid.shape)
+    u = np.stack([_solve(plan, zero, 1.0, None)[0] for plan in plans])  # harmonic extensions
 
     # looked up per run, so that wrappers installed on the module names apply
     sweep = {
