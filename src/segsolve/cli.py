@@ -49,8 +49,16 @@ _PENALTY_SCHEMES = {
 
 ALGORITHMS = (*_PENALTY_SCHEMES, "pgd", "fista")
 
-# RunConfig fields that pgd and fista never read
-_PENALTY_ONLY = ("eps", "eps_start", "eps_factor", "damping")
+# RunConfig fields each algorithm never reads, left out of its config echo
+_PG_UNREAD = ("eps", "eps_start", "eps_factor", "damping")
+_UNREAD = {
+    "penalty-picard": ("alpha",),
+    "penalty-gs": ("alpha", "damping"),
+    "penalty-semi": ("alpha", "damping"),
+    "penalty-phasefield": ("alpha",),
+    "pgd": _PG_UNREAD,
+    "fista": _PG_UNREAD,
+}
 
 BENCH_BCS = tuple(f"bc{k}" for k in range(1, 10))
 
@@ -194,9 +202,8 @@ def _run_single(cfg: RunConfig):
     report.meta["n"] = cfg.n
     # the echo holds what the run read: machine-local fields stay out, so that
     # identical runs into different directories produce byte-identical
-    # reports, and so do the flags of the other solver family
-    unread = ("alpha",) if cfg.algorithm in _PENALTY_SCHEMES else _PENALTY_ONLY
-    skip = ("out", "jobs", *unread)
+    # reports, and so do the values the algorithm does not read
+    skip = ("out", "jobs", *_UNREAD[cfg.algorithm])
     report.meta["config"] = {k: v for k, v in asdict(cfg).items() if k not in skip}
     if cfg.deterministic:
         report.wall_time_seconds = 0.0

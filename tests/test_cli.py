@@ -235,6 +235,19 @@ class TestConfigEcho:
             assert (again / name).read_bytes() == (out / name).read_bytes() == (
                 plain / name).read_bytes(), name
 
+    @pytest.mark.parametrize("algo", ["penalty-gs", "penalty-semi"])
+    def test_undamped_schemes_echo_no_damping(self, tmp_path, algo):
+        out, plain, again = tmp_path / "a", tmp_path / "plain", tmp_path / "again"
+        args = ["solve", "--algo", algo, "--bc", "bc4", "--n", "9", "--eps", "1e-3"]
+        assert run_cli(*args, "--damping", "0.3", "--out", str(out)) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert not {"alpha", "damping"} & set(config) and config["algorithm"] == algo
+        assert run_cli(*args, "--out", str(plain)) == 0
+        assert run_cli("solve", "--config", str(out / "report.json"), "--out", str(again)) == 0
+        for name in ("u1.csv", "u2.csv", "u3.csv"):
+            assert (again / name).read_bytes() == (out / name).read_bytes() == (
+                plain / name).read_bytes(), name
+
     @pytest.mark.parametrize("algo", ["pgd", "fista"])
     def test_gradient_run_echoes_no_penalty_values(self, tmp_path, algo):
         out = tmp_path / "run"
