@@ -50,14 +50,10 @@ _PENALTY_SCHEMES = {
 ALGORITHMS = (*_PENALTY_SCHEMES, "pgd", "fista")
 
 # RunConfig fields each algorithm never reads, left out of its config echo
-_PG_UNREAD = ("eps", "eps_start", "eps_factor", "damping")
 _UNREAD = {
-    "penalty-picard": ("alpha",),
-    "penalty-gs": ("alpha", "damping"),
-    "penalty-semi": ("alpha", "damping"),
-    "penalty-phasefield": ("alpha",),
-    "pgd": _PG_UNREAD,
-    "fista": _PG_UNREAD,
+    **dict.fromkeys(("penalty-picard", "penalty-phasefield"), ("alpha",)),
+    **dict.fromkeys(("penalty-gs", "penalty-semi"), ("alpha", "damping")),
+    **dict.fromkeys(("pgd", "fista"), ("eps", "eps_start", "eps_factor", "damping")),
 }
 
 BENCH_BCS = tuple(f"bc{k}" for k in range(1, 10))

@@ -75,9 +75,9 @@ def _segments_and_points(grid: Grid, f: np.ndarray):
     j, i = np.nonzero(inside[:-1, :] != inside[1:, :])
     t = f[j, i] / (f[j, i] - f[j + 1, i])
     y = ys[j] + t * (ys[j + 1] - ys[j])
-    points.update(
-        (("v", a, b), p) for a, b, p in zip(j.tolist(), i.tolist(), zip(xs[i].tolist(), y.tolist()))
-    )
+    points.update({
+        ("v", a, b): p for a, b, p in zip(j.tolist(), i.tolist(), zip(xs[i].tolist(), y.tolist()))
+    })
 
     bit = inside.astype(np.uint8)
     case = bit[:-1, :-1] | bit[:-1, 1:] << 1 | bit[1:, 1:] << 2 | bit[1:, :-1] << 3
