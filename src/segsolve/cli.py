@@ -6,10 +6,13 @@ Subcommands:
   project-selftest  compare the pointwise projection against face enumeration
   contours          re-extract level curves from saved field CSVs
 
-Exit codes: 0 success/converged, 1 configuration error, 2 non-convergence or
-failed runs (artifacts are still written).  Flags override config-file values
-which override defaults.  The environment variable SEGSOLVE_OUT supplies the
-default output root.
+Exit codes, set in `main` for every command: 0 success/converged; 1 bad
+input, reported as one `error: ...` line (a configuration error, an
+unreadable input file, an output path that cannot be written); 2
+non-convergence or failed bench cells (artifacts are still written), or an
+inner solver failure (`inner solver failed: ...`, nothing written).  Flags
+override config-file values which override defaults.  The environment
+variable SEGSOLVE_OUT supplies the default output root.
 """
 
 from __future__ import annotations
@@ -59,10 +62,6 @@ _UNREAD = {
 BENCH_BCS = tuple(f"bc{k}" for k in range(1, 10))
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class RunConfig:
     algorithm: str = "fista"
@@ -83,43 +82,45 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}"
             )
         if self.bc != "custom" and self.bc not in BUILTIN_IDS:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown boundary config {self.bc!r}; choose from "
                 f"{', '.join(BUILTIN_IDS)} or 'custom'"
             )
         if self.bc == "custom" and not self.custom_bc_csv:
-            raise ConfigError("bc 'custom' requires custom_bc_csv in the config file")
+            raise ValueError("bc 'custom' requires custom_bc_csv in the config file")
         if self.n < 3:
-            raise ConfigError("resolution n must be >= 3")
+            raise ValueError("resolution n must be >= 3")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.delta is not None and not self.delta > 0.0:
-            raise ConfigError("contour threshold delta must be positive")
+            raise ValueError("contour threshold delta must be positive")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("damping must lie in (0, 1]")
         if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+            raise ValueError("jobs must be >= 1")
 
 
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]  # accept a previously written report.json
     data.pop("seed", None)  # written by older versions; nothing reads it
     types = {f.name: f.type for f in fields(RunConfig)}
     unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for name, value in data.items():
         if not _has_type(value, types[name]):
-            raise ConfigError(f"config key {name!r} must be {types[name]}, got {value!r}")
+            raise ValueError(f"config key {name!r} must be {types[name]}, got {value!r}")
     return data
 
 
@@ -143,7 +144,7 @@ def _merge_config(args: argparse.Namespace, bench_keys: tuple[str, ...] = ()) ->
         values.update(_load_config_file(args.config))
         for key in bench_keys:
             if key in values:
-                raise ConfigError(f"config key {key!r} belongs to bench; solve runs one cell")
+                raise ValueError(f"config key {key!r} belongs to bench; solve runs one cell")
     for f in fields(RunConfig):
         cli_val = getattr(args, f.name, None)
         if cli_val is not None:
@@ -165,12 +166,11 @@ def _given(**values) -> dict:
 def _solver_config(cfg: RunConfig, grid) -> PenaltyConfig | PgdConfig | FistaConfig:
     """The solver's own config, step sizes checked on grid; ValueError for values it rejects."""
     if cfg.algorithm in _PENALTY_SCHEMES:
-        eps_start = cfg.eps_start if cfg.eps_start is not None else max(1e-2, cfg.eps)
         return PenaltyConfig(
             epsilon_target=cfg.eps,
-            epsilon_start=eps_start,
+            epsilon_start=cfg.eps_start,
             continuation_factor=cfg.eps_factor,
-            alpha=cfg.damping,
+            alpha=None if "damping" in _UNREAD[cfg.algorithm] else cfg.damping,
             scheme=_PENALTY_SCHEMES[cfg.algorithm],
             **_given(outer_tol=cfg.tol, max_outer=cfg.max_iters),
         )
@@ -194,7 +194,6 @@ def _run_single(cfg: RunConfig):
         state, report = pgd_run(grid, trace, solver_cfg)
     else:
         state, report = fista_run(grid, trace, solver_cfg)
-    report.bc_id = cfg.bc
     report.meta["n"] = cfg.n
     # the echo holds what the run read: machine-local fields stay out, so that
     # identical runs into different directories produce byte-identical
@@ -244,26 +243,11 @@ def _output_dir(cfg: RunConfig, suffix: str) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        cfg = _merge_config(args, bench_keys=("jobs",))
-        cfg.validate()
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _merge_config(args, bench_keys=("jobs",))
+    cfg.validate()
     outdir = _output_dir(cfg, f"{cfg.algorithm}_{cfg.bc}_n{cfg.n}")
-    try:
-        state, report, trace = _run_single(cfg)
-    except (ValueError, KeyError, OSError) as exc:  # OSError: unreadable custom trace
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LinearSolveError as exc:
-        print(f"inner solver failed: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _write_artifacts(outdir, state, report, _default_delta(cfg, trace))
-    except OSError as exc:
-        print(f"error writing artifacts: {exc}", file=sys.stderr)
-        return 1
+    state, report, trace = _run_single(cfg)
+    _write_artifacts(outdir, state, report, _default_delta(cfg, trace))
     print(
         f"{cfg.algorithm} on {cfg.bc} (n={cfg.n}): "
         f"{'converged' if report.converged else 'NOT converged'} "
@@ -300,30 +284,22 @@ def _bench_worker(payload: dict):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        cfg = _merge_config(args)
-        algos = [a.strip() for a in (args.algos or "").split(",") if a.strip()]
-        if not algos:
-            raise ConfigError("at least one algorithm is required (--algos)")
-        if len(set(algos)) < len(algos):
-            raise ConfigError("an algorithm is listed more than once in --algos")
-        outroot = _output_dir(cfg, f"bench_n{cfg.n}")
-        cells = [
-            replace(cfg, bc=bc, algorithm=algo, out=outroot) for bc in BENCH_BCS for algo in algos
-        ]
-        for cell in cells:
-            cell.validate()
-            # the solver values, too, are checked before any cell runs
-            _solver_config(cell, build_grid(cell.n, cell.n, (-1.0, 1.0, -1.0, 1.0)))
-    except (ValueError, OSError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _merge_config(args)
+    algos = [a.strip() for a in (args.algos or "").split(",") if a.strip()]
+    if not algos:
+        raise ValueError("at least one algorithm is required (--algos)")
+    if len(set(algos)) < len(algos):
+        raise ValueError("an algorithm is listed more than once in --algos")
+    outroot = _output_dir(cfg, f"bench_n{cfg.n}")
+    cells = [
+        replace(cfg, bc=bc, algorithm=algo, out=outroot) for bc in BENCH_BCS for algo in algos
+    ]
+    for cell in cells:
+        cell.validate()
+        # the solver values, too, are checked before any cell runs
+        _solver_config(cell, build_grid(cell.n, cell.n, (-1.0, 1.0, -1.0, 1.0)))
 
-    try:
-        os.makedirs(outroot, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    os.makedirs(outroot, exist_ok=True)
     payloads = [asdict(cell) for cell in cells]
     # the pool starts all its workers at once, so it gets no more than there are cells
     jobs = min(cfg.jobs, len(cells))
@@ -364,9 +340,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_project_selftest(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        print("error: count must be >= 1", file=sys.stderr)
-        return 1
     ok, failures = projection_selftest(args.count, args.seed)
     if ok:
         print(f"projection selftest: {args.count} vectors OK (seed {args.seed})")
@@ -381,24 +354,16 @@ def cmd_project_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_contours(args: argparse.Namespace) -> int:
-    try:
-        if args.delta is not None and not args.delta > 0.0:
-            raise ValueError("contour threshold delta must be positive")
-        comps = [field_from_csv(os.path.join(args.fields_dir, f"u{k}.csv")) for k in (1, 2, 3)]
-        state = SystemState(*comps)  # ValueError unless the three share a grid
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.delta is not None and not args.delta > 0.0:
+        raise ValueError("contour threshold delta must be positive")
+    comps = [field_from_csv(os.path.join(args.fields_dir, f"u{k}.csv")) for k in (1, 2, 3)]
+    state = SystemState(*comps)  # ValueError unless the three share a grid
     delta = args.delta
     if delta is None:
         delta = _delta_of_bound(max(float(np.max(np.abs(c.values))) for c in comps))
     outdir = args.out or args.fields_dir
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        contours = _write_contours(outdir, state, delta)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    os.makedirs(outdir, exist_ok=True)
+    contours = _write_contours(outdir, state, delta)
     n_polys = sum(len(v) for v in contours.polylines.values())
     print(f"extracted {n_polys} polylines at delta={delta:g} -> {outdir}")
     return 0
@@ -460,8 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that turns its errors into exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LinearSolveError as exc:
+        print(f"inner solver failed: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:  # bad input, unreadable files, unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

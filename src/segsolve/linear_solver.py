@@ -152,10 +152,6 @@ class HelmholtzProblem:
     load: np.ndarray | None = None
 
     def __post_init__(self):
-        if isinstance(self.weight, ScalarField):
-            self.weight = self.weight.values
-        if isinstance(self.trace, ScalarField):
-            self.trace = self.trace.values
         self.weight = np.asarray(self.weight, dtype=float)
         self.trace = np.asarray(self.trace, dtype=float)
         if self.weight.shape != self.grid.shape or self.trace.shape != self.grid.shape:
@@ -584,7 +580,7 @@ def solve_helmholtz(p: HelmholtzProblem, x0: np.ndarray | ScalarField | None = N
     return fld
 
 
-def harmonic_extension(grid: Grid, trace: np.ndarray | ScalarField) -> ScalarField:
+def harmonic_extension(grid: Grid, trace: np.ndarray) -> ScalarField:
     """Field with zero discrete Laplacian at interior nodes matching the trace."""
     return solve_helmholtz(HelmholtzProblem(grid, np.zeros(grid.shape), 1.0, trace))
 

@@ -13,23 +13,25 @@ Four fixed-point sweeps are provided:
   gauss_seidel  sequential solves; later components average the previous and
                 freshly updated squares of earlier components
   semi_implicit the symmetrized-coefficient variant; its averaged coefficients
-                are the Gauss-Seidel ones, so it runs the undamped
-                Gauss-Seidel sweep
+                are the Gauss-Seidel ones, so it runs the Gauss-Seidel sweep
   phase_field   solves with the penalty split half-implicit / half-explicit,
                 clips negatives, then damps like picard:
                 u <- alpha * max(solve, 0) + (1 - alpha) * u
 
+The two sequential sweeps damp like picard too, u <- alpha * sweep +
+(1 - alpha) * u; `PenaltyConfig.alpha` damps every scheme, and defaults to 1
+(undamped) for gauss_seidel and semi_implicit and to 0.5 for the others.
+
 A run starts all components from their harmonic extensions, which it
 solves on its own plans (below), and continues a geometrically decreasing
-ladder of penalty parameters, warm-starting each stage from the previous.  The sweeps and the loop work on raw (3, ny, nx)
-stacks; all sweeps take (u, eps, alpha, plans), and `run_penalty` picks the
-sweep and its damping once per run (Gauss-Seidel is damped only with
-`damp_gauss_seidel`).  The loop stops a stage on
-:func:`segsolve.grid.max_l2_step`; its history is a plain list of one dict
-per sweep, which is also the report's history.  Each stage summary holds the
-values of the stage's last sweep, its total CG iterations (`cg_iterations`),
-its largest single solve (`cg_max`) and the operator passes of its CG starts
-(`start_applies`).
+ladder of penalty parameters, warm-starting each stage from the previous.
+The sweeps and the loop work on raw (3, ny, nx) stacks; all sweeps take
+(u, eps, alpha, plans), and `run_penalty` picks the sweep once per run.
+The loop stops a stage on :func:`segsolve.grid.max_l2_step`; its history is
+a plain list of one dict per sweep, which is also the report's history.
+Each stage summary holds the values of the stage's last sweep, its total CG
+iterations (`cg_iterations`), its largest single solve (`cg_max`) and the
+operator passes of its CG starts (`start_applies`).
 
 CG starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998): the three
 Helmholtz answers change slowly from sweep to sweep.  `run_penalty` builds
@@ -90,16 +92,20 @@ SCHEMES = ("picard", "gauss_seidel", "semi_implicit", "phase_field")
 @dataclass
 class PenaltyConfig:
     epsilon_target: float
-    epsilon_start: float = 1e-2
+    epsilon_start: float | None = None  # None: max(1e-2, epsilon_target)
     continuation_factor: float = 0.1
-    alpha: float = 0.5
+    alpha: float | None = None  # None: 1.0 for gauss_seidel and semi_implicit, else 0.5
     outer_tol: float = 1e-8
     max_outer: int = 500
     scheme: str = "picard"
-    damp_gauss_seidel: bool = False
 
     def __post_init__(self):
-        for name in ("epsilon_start", "outer_tol"):
+        if self.epsilon_start is None:
+            self.epsilon_start = max(1e-2, self.epsilon_target)
+        if self.alpha is None:
+            self.alpha = 1.0 if self.scheme in ("gauss_seidel", "semi_implicit") else 0.5
+        # epsilon_target first: an infinite target is named, not the start resolved from it
+        for name in ("epsilon_target", "epsilon_start", "outer_tol"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not 0.0 < self.epsilon_target <= self.epsilon_start:
@@ -256,10 +262,6 @@ def run_penalty(
         "semi_implicit": _semi_implicit_sweep,
         "phase_field": _phase_field_sweep,
     }[cfg.scheme]
-    undamped = cfg.scheme == "semi_implicit" or (
-        cfg.scheme == "gauss_seidel" and not cfg.damp_gauss_seidel
-    )
-    alpha = 1.0 if undamped else cfg.alpha
 
     weights = node_weights(grid)
     work = np.empty((2, u.size))  # the step norm's two stacks, then the energy's differences
@@ -270,7 +272,7 @@ def run_penalty(
         for plan in plans:
             plan.clear()  # starts project on this stage's solutions only
         for it in range(1, cfg.max_outer + 1):
-            new, infos = sweep(u, eps, alpha, plans)
+            new, infos = sweep(u, eps, cfg.alpha, plans)
             cg = [info.iterations for info in infos]
             cg_total += sum(cg)
             cg_max = max(cg_max, *cg)

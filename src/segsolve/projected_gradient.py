@@ -293,7 +293,6 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
 
 @dataclass
 class BacktrackResult:
-    values: np.ndarray  # candidate stack, feasible, boundary pinned
     assignment: np.ndarray  # (3, ny, nx) zero mask, meaningless on the ring
     alpha: float
     energy: float
@@ -318,9 +317,9 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev):
         mask = ws.project(out, prev, cfg.tau)
         energy = ws.energy(out)
         if energy <= current_energy:
-            return BacktrackResult(out, mask, a, energy, False, shrinks)
+            return BacktrackResult(mask, a, energy, False, shrinks)
         if a <= alpha_min * (1.0 + 1e-12):
-            return BacktrackResult(out, mask, a, energy, True, shrinks)
+            return BacktrackResult(mask, a, energy, True, shrinks)
         a = max(cfg.rho * a, alpha_min)
         shrinks += 1
 

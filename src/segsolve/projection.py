@@ -141,6 +141,8 @@ def projection_selftest(count: int, seed: int, tol: float = 1e-12):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     vs = rng.uniform(-1.0, 2.0, size=(count, 3))
     failures = []

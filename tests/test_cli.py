@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from segsolve import cli
+from segsolve import cli, linear_solver
 from segsolve.cli import main
 from segsolve.grid import ScalarField, build_grid, field_from_csv, field_to_csv
 
@@ -104,6 +104,30 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_output_under_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "u1.csv").write_text("")
+        code = run_cli("solve", "--algo", "pgd", "--n", "5", "--out", str(tmp_path / "u1.csv" / "sub"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_inner_solver_failure_exits_2_without_artifacts(self, tmp_path, capsys, monkeypatch):
+        # no residual passes a NaN tolerance, so the first CG solve raises
+        monkeypatch.setattr(linear_solver, "REL_TOL", float("nan"))
+        out = tmp_path / "run"
+        code = run_cli("solve", "--algo", "pgd", "--bc", "ex41", "--n", "9", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("inner solver failed:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["pgd", "penalty-gs"])
+    def test_damping_outside_the_unit_interval_exits_1(self, tmp_path, capsys, algo):
+        # refused by every algorithm, also by those that do not read it
+        out = tmp_path / "run"
+        code = run_cli("solve", "--algo", algo, "--n", "9", "--damping", "2", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: damping must lie in (0, 1]")
+        assert not out.exists()
+
     def test_seed_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("solve", "--algo", "fista", "--seed", "1", "--out", str(tmp_path / "x"))
@@ -147,6 +171,17 @@ class TestConfigFile:
         ))
         out = tmp_path / "run"
         assert run_cli("solve", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["bench", "--algos", "pgd"]], ids=["solve", "bench"]
+    )
+    def test_config_file_not_utf8_exits_1(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"algorithm": "pgd", "bc": "bc4\xff", "n": 9}')
+        out = tmp_path / "run"
+        assert run_cli(*command, "--config", str(cfg), "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
@@ -395,6 +430,10 @@ class TestSelftestAndContours:
 
     def test_selftest_zero_count_exits_1(self):
         assert run_cli("project-selftest", "--count", "0") == 1
+
+    def test_selftest_negative_seed_exits_1(self, capsys):
+        assert run_cli("project-selftest", "--count", "10", "--seed", "-1") == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
 
     def test_contours_recompute(self, tmp_path):
         out = tmp_path / "run"

@@ -152,24 +152,24 @@ class TestGaussSeidelStep:
         assert out.stack().min() >= -1e-10
 
 
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "semi_implicit"])
     @pytest.mark.parametrize("bc_id", ["ex41", "bc7"])
-    def test_damped_sweep_is_bitwise_the_convex_combination(self, bc_id):
+    def test_damped_sweep_is_bitwise_the_convex_combination(self, bc_id, scheme):
         # one damped sweep from the harmonic extensions u0 equals
-        # alpha * (undamped sweep) + (1 - alpha) * u0, bit for bit
+        # alpha * (undamped sweep) + (1 - alpha) * u0, bit for bit; these
+        # schemes run undamped by default
         g = build_grid(21, 21, SQUARE)
         tr = evaluate_bc(builtin_config(bc_id), g)
         u0 = np.stack([harmonic_extension(g, tr.phi[k]).values for k in range(3)])
         alpha = 0.3
         runs = {}
-        for damp in (False, True):
-            cfg = PenaltyConfig(
-                1e-2, scheme="gauss_seidel", alpha=alpha, damp_gauss_seidel=damp, max_outer=1
-            )
+        for given in (None, alpha):
+            cfg = PenaltyConfig(1e-2, scheme=scheme, alpha=given, max_outer=1)
             state, _, _ = run_penalty(g, tr, cfg, stages=[1e-2])
-            runs[damp] = state.stack()
-        expected = alpha * runs[False] + (1.0 - alpha) * u0
-        assert runs[True].tobytes() == expected.tobytes()
-        assert not np.array_equal(runs[True], runs[False])
+            runs[given] = state.stack()
+        expected = alpha * runs[None] + (1.0 - alpha) * u0
+        assert runs[alpha].tobytes() == expected.tobytes()
+        assert not np.array_equal(runs[alpha], runs[None])
 
 
 class TestSemiImplicitStep:
@@ -665,10 +665,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", ["epsilon_target", "epsilon_start", "outer_tol"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_value_rejected(self, field, value):
-        # an infinite start made stages() grow its ladder without end
+        # an infinite start made stages() grow its ladder without end; the
+        # message names the field that was set, not the start resolved from it
         kwargs = {"epsilon_target": 1e-3, field: value}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PenaltyConfig(**kwargs)
+
+    def test_start_defaults_to_a_target_above_1e_2(self):
+        assert PenaltyConfig(0.05).stages() == [0.05]
+        assert PenaltyConfig(1e-3).stages()[0] == 1e-2
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
