@@ -13,6 +13,10 @@ non-convergence or failed bench cells (artifacts are still written), or an
 inner solver failure (`inner solver failed: ...`, nothing written).  Flags
 override config-file values which override defaults.  The environment
 variable SEGSOLVE_OUT supplies the default output root.
+
+One table, `_ALGORITHMS`, says what each algorithm reads: its row builds the
+solver's config and decides what the report's `config` echo holds, which
+`solve --config report.json` replays.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from . import __version__
 from .boundary import BUILTIN_IDS, builtin_config, evaluate_bc, sup_bound, trace_from_csv
 from .contours import (
     ContourSet,
+    check_delta,
     contours_to_csv,
     extract_contours,
     render_svg,
@@ -43,21 +49,33 @@ from .projected_gradient import FistaConfig, PgdConfig, fista_run, pgd_run
 from .projection import projection_selftest
 from .reporting import write_history_jsonl, write_report_json
 
-_PENALTY_SCHEMES = {
-    "penalty-picard": "picard",
-    "penalty-gs": "gauss_seidel",
-    "penalty-semi": "semi_implicit",
-    "penalty-phasefield": "phase_field",
+_PENALTY_READS = dict(
+    eps="epsilon_target", eps_start="epsilon_start", eps_factor="continuation_factor",
+    tol="outer_tol", max_iters="max_outer",
+)
+_DAMPED_READS = {**_PENALTY_READS, "damping": "alpha"}
+
+
+class _Algorithm(NamedTuple):
+    config: type  # the solver's config class
+    reads: dict[str, str]  # RunConfig field -> config field; the config echo holds these
+    fixed: dict = {}
+
+
+# no runners in the table: wrappers around them are installed on their module names
+_ALGORITHMS = {
+    "penalty-picard": _Algorithm(PenaltyConfig, _DAMPED_READS, {"scheme": "picard"}),
+    "penalty-gs": _Algorithm(PenaltyConfig, _PENALTY_READS, {"scheme": "gauss_seidel"}),
+    "penalty-semi": _Algorithm(PenaltyConfig, _PENALTY_READS, {"scheme": "semi_implicit"}),
+    "penalty-phasefield": _Algorithm(PenaltyConfig, _DAMPED_READS, {"scheme": "phase_field"}),
+    "pgd": _Algorithm(PgdConfig, dict(alpha="alpha", tol="tol", max_iters="max_iters")),
+    "fista": _Algorithm(FistaConfig, dict(alpha="alpha0", tol="tol", max_iters="max_iters")),
 }
 
-ALGORITHMS = (*_PENALTY_SCHEMES, "pgd", "fista")
+ALGORITHMS = tuple(_ALGORITHMS)
 
-# RunConfig fields each algorithm never reads, left out of its config echo
-_UNREAD = {
-    **dict.fromkeys(("penalty-picard", "penalty-phasefield"), ("alpha",)),
-    **dict.fromkeys(("penalty-gs", "penalty-semi"), ("alpha", "damping")),
-    **dict.fromkeys(("pgd", "fista"), ("eps", "eps_start", "eps_factor", "damping")),
-}
+# the RunConfig fields some algorithm reads; the others leave them out of their echo
+_SOLVER_FIELDS = {name for algo in _ALGORITHMS.values() for name in algo.reads}
 
 BENCH_BCS = tuple(f"bc{k}" for k in range(1, 10))
 
@@ -98,8 +116,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.delta is not None and not self.delta > 0.0:
-            raise ValueError("contour threshold delta must be positive")
+        if self.delta is not None:
+            check_delta(self.delta)
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.jobs < 1:
@@ -158,39 +176,31 @@ def _resolve_trace(cfg: RunConfig, grid):
     return evaluate_bc(builtin_config(cfg.bc), grid)
 
 
-def _given(**values) -> dict:
-    """The values that were set; the config classes supply the rest."""
-    return {k: v for k, v in values.items() if v is not None}
+def _grid(n: int):
+    return build_grid(n, n, (-1.0, 1.0, -1.0, 1.0))
 
 
 def _solver_config(cfg: RunConfig, grid) -> PenaltyConfig | PgdConfig | FistaConfig:
     """The solver's own config, step sizes checked on grid; ValueError for values it rejects."""
-    if cfg.algorithm in _PENALTY_SCHEMES:
-        return PenaltyConfig(
-            epsilon_target=cfg.eps,
-            epsilon_start=cfg.eps_start,
-            continuation_factor=cfg.eps_factor,
-            alpha=None if "damping" in _UNREAD[cfg.algorithm] else cfg.damping,
-            scheme=_PENALTY_SCHEMES[cfg.algorithm],
-            **_given(outer_tol=cfg.tol, max_outer=cfg.max_iters),
-        )
-    if cfg.algorithm == "pgd":
-        pgd_cfg = PgdConfig(**_given(alpha=cfg.alpha, tol=cfg.tol, max_iters=cfg.max_iters))
-        pgd_cfg.resolve_alpha(grid)
-        return pgd_cfg
-    fista_cfg = FistaConfig(**_given(alpha0=cfg.alpha, tol=cfg.tol, max_iters=cfg.max_iters))
-    fista_cfg.resolve_alphas(grid)
-    return fista_cfg
+    algo = _ALGORITHMS[cfg.algorithm]
+    # values left unset (None) are not passed, so the config class supplies them
+    given = {ours: getattr(cfg, run) for run, ours in algo.reads.items()}
+    solver_cfg = algo.config(**{k: v for k, v in given.items() if v is not None}, **algo.fixed)
+    if isinstance(solver_cfg, PgdConfig):
+        solver_cfg.resolve_alpha(grid)
+    elif isinstance(solver_cfg, FistaConfig):
+        solver_cfg.resolve_alphas(grid)
+    return solver_cfg
 
 
 def _run_single(cfg: RunConfig):
     """Run one (algorithm, bc) pair; returns (state, report, trace)."""
-    grid = build_grid(cfg.n, cfg.n, (-1.0, 1.0, -1.0, 1.0))
+    grid = _grid(cfg.n)
     trace = _resolve_trace(cfg, grid)
     solver_cfg = _solver_config(cfg, grid)
-    if cfg.algorithm in _PENALTY_SCHEMES:
+    if isinstance(solver_cfg, PenaltyConfig):
         state, _, report = run_penalty(grid, trace, solver_cfg)
-    elif cfg.algorithm == "pgd":
+    elif isinstance(solver_cfg, PgdConfig):
         state, report = pgd_run(grid, trace, solver_cfg)
     else:
         state, report = fista_run(grid, trace, solver_cfg)
@@ -198,7 +208,7 @@ def _run_single(cfg: RunConfig):
     # the echo holds what the run read: machine-local fields stay out, so that
     # identical runs into different directories produce byte-identical
     # reports, and so do the values the algorithm does not read
-    skip = ("out", "jobs", *_UNREAD[cfg.algorithm])
+    skip = {"out", "jobs", *_SOLVER_FIELDS.difference(_ALGORITHMS[cfg.algorithm].reads)}
     report.meta["config"] = {k: v for k, v in asdict(cfg).items() if k not in skip}
     if cfg.deterministic:
         report.wall_time_seconds = 0.0
@@ -213,7 +223,7 @@ def _delta_of_bound(m: float) -> float:
 def _default_delta(cfg: RunConfig, trace) -> float:
     if cfg.delta is not None:
         return cfg.delta
-    if cfg.algorithm in _PENALTY_SCHEMES:
+    if _ALGORITHMS[cfg.algorithm].config is PenaltyConfig:
         return float(np.sqrt(cfg.eps))
     return _delta_of_bound(sup_bound(trace))
 
@@ -262,18 +272,10 @@ def _bench_worker(payload: dict):
     try:
         state, report, trace = _run_single(cfg)
     except Exception as exc:  # recorded in the summary, the suite continues
-        return {
-            "bc": cfg.bc,
-            "algorithm": cfg.algorithm,
-            "ok": False,
-            "error": str(exc),
-        }
+        return {"error": str(exc)}
     outdir = os.path.join(cfg.out, cfg.algorithm, cfg.bc)
     contours = _write_artifacts(outdir, state, report, _default_delta(cfg, trace))
     return {
-        "bc": cfg.bc,
-        "algorithm": cfg.algorithm,
-        "ok": True,
         "converged": report.converged,
         "iterations": report.iters,
         "final_energy": report.final_energy,
@@ -294,49 +296,46 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cells = [
         replace(cfg, bc=bc, algorithm=algo, out=outroot) for bc in BENCH_BCS for algo in algos
     ]
-    for cell in cells:
+    grid = _grid(cfg.n)
+    # cells of one algorithm differ only in their built-in bc, on which neither
+    # check depends: one cell per algorithm checks every value before any runs
+    for cell in cells[: len(algos)]:
         cell.validate()
-        # the solver values, too, are checked before any cell runs
-        _solver_config(cell, build_grid(cell.n, cell.n, (-1.0, 1.0, -1.0, 1.0)))
+        _solver_config(cell, grid)
 
     os.makedirs(outroot, exist_ok=True)
     payloads = [asdict(cell) for cell in cells]
     # the pool starts all its workers at once, so it gets no more than there are cells
     jobs = min(cfg.jobs, len(cells))
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        runs = (pool.map if pool else map)(_bench_worker, payloads)
-        results = {(res["bc"], res["algorithm"]): res for res in runs}
+        results = list((pool.map if pool else map)(_bench_worker, payloads))
 
-    summary_path = os.path.join(outroot, "summary.csv")
-    any_failed = False
-    with open(summary_path, "w", newline="") as fh:
+    with open(os.path.join(outroot, "summary.csv"), "w", newline="") as fh:
         fh.write("bc,algorithm,iterations,final_energy,final_violation,converged,wall_time_seconds\n")
-        for bc in BENCH_BCS:
-            for algo in algos:
-                res = results[(bc, algo)]
-                if not res["ok"]:
-                    any_failed = True
-                    fh.write(f"{bc},{algo},,,,error,\n")
-                    continue
-                if not res["converged"]:
-                    any_failed = True
-                wall = 0.0 if cfg.deterministic else res["wall_time_seconds"]
-                fh.write(
-                    f"{bc},{algo},{res['iterations']},{res['final_energy']:.17g},"
-                    f"{res['final_violation']:.17g},{res['converged']},{wall:.17g}\n"
-                )
+        for cell, res in zip(cells, results):
+            bc, algo = cell.bc, cell.algorithm
+            if "error" in res:
+                print(f"bench: {bc} {algo} failed: {res['error']}", file=sys.stderr)
+                fh.write(f"{bc},{algo},,,,error,\n")
+                continue
+            wall = 0.0 if cfg.deterministic else res["wall_time_seconds"]
+            fh.write(
+                f"{bc},{algo},{res['iterations']},{res['final_energy']:.17g},"
+                f"{res['final_violation']:.17g},{res['converged']},{wall:.17g}\n"
+            )
 
-    grid = build_grid(cfg.n, cfg.n, (-1.0, 1.0, -1.0, 1.0))
     for algo in algos:
-        entries = []
-        for bc in BENCH_BCS:
-            entries.append((bc, results[(bc, algo)].get("contours", ContourSet(delta=0.0))))
+        entries = [
+            (cell.bc, res.get("contours", ContourSet(delta=0.0)))
+            for cell, res in zip(cells, results)
+            if cell.algorithm == algo
+        ]
         with open(os.path.join(outroot, f"{algo}_sheet.svg"), "w") as fh:
             fh.write(render_tiled_svg(entries, grid))
 
-    n_ok = sum(1 for r in results.values() if r["ok"] and r["converged"])
+    n_ok = sum(1 for r in results if r.get("converged"))
     print(f"bench: {n_ok}/{len(results)} runs converged -> {outroot}")
-    return 2 if any_failed else 0
+    return 0 if n_ok == len(results) else 2
 
 
 def cmd_project_selftest(args: argparse.Namespace) -> int:
@@ -354,8 +353,8 @@ def cmd_project_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_contours(args: argparse.Namespace) -> int:
-    if args.delta is not None and not args.delta > 0.0:
-        raise ValueError("contour threshold delta must be positive")
+    if args.delta is not None:
+        check_delta(args.delta)
     comps = [field_from_csv(os.path.join(args.fields_dir, f"u{k}.csv")) for k in (1, 2, 3)]
     state = SystemState(*comps)  # ValueError unless the three share a grid
     delta = args.delta

@@ -21,6 +21,7 @@ from .grid import Grid, SystemState
 
 __all__ = [
     "ContourSet",
+    "check_delta",
     "extract_contours",
     "extract_field_contours",
     "render_svg",
@@ -141,10 +142,15 @@ def extract_field_contours(grid: Grid, values: np.ndarray, delta: float) -> list
     return polylines
 
 
+def check_delta(delta: float) -> None:
+    """ValueError unless the contour threshold delta is positive and finite."""
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"contour threshold delta must be positive and finite, got {delta}")
+
+
 def extract_contours(state: SystemState, delta: float) -> ContourSet:
     """Marching-squares level curves of each component at threshold delta."""
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
+    check_delta(delta)
     cs = ContourSet(delta=delta)
     for k, comp in enumerate(state.components, start=1):
         cs.polylines[k] = extract_field_contours(state.grid, comp.values, delta)

@@ -356,7 +356,9 @@ def field_from_csv(path) -> ScalarField:
     """Rebuild a field from :func:`field_to_csv` output.
 
     Raises ValueError on an empty or header-only file, a row without three
-    columns, or rows that do not form a rectangular grid.
+    columns, or rows that are not the row-major nodes of a uniform grid.  A
+    coordinate may miss its node by 1e-3 of the spacing, so that coordinates
+    written by hand with a few decimals load.
     """
     xs, ys, vals = [], [], []
     with open(path, newline="") as fh:
@@ -383,4 +385,8 @@ def field_from_csv(path) -> ScalarField:
         raise ValueError("CSV rows do not form a full rectangular grid")
     ny = len(xs) // nx
     grid = Grid(nx, ny, float(xs[0]), float(xs[nx - 1]), float(ys[0]), float(ys[-1]))
+    off_x = np.max(np.abs(xs.reshape(ny, nx) - grid.xs()))
+    off_y = np.max(np.abs(ys.reshape(ny, nx) - grid.ys()[:, None]))
+    if not (off_x <= 1e-3 * grid.hx and off_y <= 1e-3 * grid.hy):  # NaN fails too
+        raise ValueError(f"field CSV {path} rows are not the row-major nodes of a uniform grid")
     return ScalarField(grid, np.asarray(vals).reshape(ny, nx))

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,6 +295,21 @@ class TestConfigEcho:
         assert not {"eps", "eps_start", "eps_factor", "damping"} & set(config)
         assert config["alpha"] is None and config["algorithm"] == algo
 
+    @pytest.mark.parametrize("algo", cli.ALGORITHMS)
+    def test_echo_holds_what_the_solver_reads(self, algo):
+        # each solver field of RunConfig with a valid value other than its default:
+        # it is echoed if and only if it changes the solver's config
+        other = dict(eps=1e-3, eps_start=0.5, eps_factor=0.5, alpha=1e-3, damping=0.3,
+                     tol=1e-6, max_iters=7)
+        assert set(other) == cli._SOLVER_FIELDS
+        cfg = cli.RunConfig(algorithm=algo, bc="bc4", n=5)
+        echo = cli._run_single(cfg)[1].meta["config"]
+        grid = cli._grid(cfg.n)
+        built = cli._solver_config(cfg, grid)
+        for name, value in other.items():
+            changed = cli._solver_config(replace(cfg, **{name: value}), grid) != built
+            assert (name in echo) == changed, name
+
 
 class TestReportWriters:
     @pytest.mark.parametrize("algo", ["pgd", "fista", "penalty-picard"])
@@ -393,6 +409,21 @@ class TestBench:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_failed_cell_says_why_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # no residual passes a NaN tolerance, so the first CG solve of every cell raises
+        monkeypatch.setattr(linear_solver, "REL_TOL", float("nan"))
+        out = tmp_path / "bench"
+        code = run_cli(
+            "bench", "--algos", "penalty-picard", "--n", "7", "--eps", "1e-2", "--out", str(out)
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 9
+        for k, line in enumerate(err, start=1):
+            assert line.startswith(f"bench: bc{k} penalty-picard failed: CG did not reach"), line
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert rows == [f"bc{k},penalty-picard,,,,error," for k in range(1, 10)]
+
     def test_empty_algorithm_list_exits_1(self, tmp_path):
         assert run_cli("bench", "--algos", "", "--out", str(tmp_path / "x")) == 1
 
@@ -448,9 +479,11 @@ class TestSelftestAndContours:
     def test_contours_nonpositive_delta_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli("solve", "--algo", "fista", "--bc", "bc4", "--n", "9", "--out", str(out))
-        assert run_cli("contours", str(out), "--delta", "0", "--out", str(tmp_path / "re")) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (tmp_path / "re").exists()
+        capsys.readouterr()
+        for delta in ("0", "inf", "nan"):
+            assert run_cli("contours", str(out), "--delta", delta, "--out", str(tmp_path / "re")) == 1
+            assert capsys.readouterr().err.startswith("error: contour threshold delta"), delta
+            assert not (tmp_path / "re").exists()
 
     def test_contours_missing_fields_exits_1(self, tmp_path):
         assert run_cli("contours", str(tmp_path)) == 1
@@ -462,6 +495,17 @@ class TestSelftestAndContours:
         (out / "u2.csv").write_text(text)
         assert run_cli("contours", str(out), "--out", str(tmp_path / "re")) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_contours_field_off_its_grid_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli("solve", "--algo", "fista", "--bc", "bc4", "--n", "9", "--out", str(out))
+        capsys.readouterr()
+        # two inner nodes of the first row swapped: the grid's bounds stay as they were
+        header, x0, x1, x2, *rest = (out / "u2.csv").read_text().splitlines()
+        (out / "u2.csv").write_text("\n".join([header, x0, x2, x1, *rest]) + "\n")
+        assert run_cli("contours", str(out), "--out", str(tmp_path / "re")) == 1
+        assert "not the row-major nodes" in capsys.readouterr().err
+        assert not (tmp_path / "re").exists()
 
     def test_contours_fields_of_two_grids_exit_1(self, tmp_path, capsys):
         for k, n in ((1, 5), (2, 7), (3, 7)):

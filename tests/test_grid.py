@@ -376,3 +376,26 @@ class TestCsvRoundTrip:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             field_from_csv(path)
+
+    @pytest.mark.parametrize("edit", ["shifted-column", "rows-out-of-order"])
+    def test_rows_off_the_grid_rejected(self, tmp_path, edit):
+        g = build_grid(4, 3, (0, 1, 0, 2))
+        rows = [[x, y, x + y] for y in g.ys().tolist() for x in g.xs().tolist()]
+        if edit == "shifted-column":
+            for row in rows[1::4]:  # x = 1/3; the end columns set the grid as before
+                row[0] += 0.3
+        else:
+            rows[5], rows[6] = rows[6], rows[5]
+        path = tmp_path / "field.csv"
+        path.write_text("x,y,value\n" + "".join(f"{x!r},{y!r},{v!r}\n" for x, y, v in rows))
+        with pytest.raises(ValueError, match="not the row-major nodes"):
+            field_from_csv(path)
+
+    def test_decimal_coordinates_load(self, tmp_path):
+        # 0.1 and 0.2 are not the nodes np.linspace(0, 0.3, 4) computes, but lie within rounding
+        path = tmp_path / "field.csv"
+        rows = [f"{x},{y},{x + y}" for y in (0, 0.1, 0.2) for x in (0, 0.1, 0.2, 0.3)]
+        path.write_text("x,y,value\n" + "\n".join(rows) + "\n")
+        f = field_from_csv(path)
+        assert f.grid == build_grid(4, 3, (0.0, 0.3, 0.0, 0.2))
+        assert f.values[2, 3] == 0.2 + 0.3
