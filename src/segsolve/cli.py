@@ -267,7 +267,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _bench_worker(payload: dict):
-    """Run one bench cell; returns summary info and its ContourSet."""
+    """Run one bench cell; returns its summary values and ContourSet, or its error."""
     cfg = RunConfig(**payload)
     try:
         state, report, trace = _run_single(cfg)
