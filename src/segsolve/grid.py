@@ -16,6 +16,8 @@ The measures every solver shares are defined once, on raw arrays:
 `max_l2_step` (the largest per-component L2 norm of a stack difference, the
 stopping measure of every outer loop) and `l2_norm`.  `dirichlet_energy`,
 `l2_diff` and `product_violation` are their wrappers on the dataclasses.
+A loop that measures the same buffers every iteration builds their
+`energy_views` once and passes them to `energy_of_stack`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "apply_laplacian",
     "dirichlet_energy",
     "energy_of_stack",
+    "energy_views",
     "max_l2_step",
     "product_violation",
     "interior_product_max",
@@ -241,6 +244,42 @@ def dirichlet_energy(state: SystemState) -> float:
     return energy_of_stack(state.grid, state.stack())
 
 
+class EnergyViews(NamedTuple):
+    """What :func:`energy_of_stack` reads and writes for one stack; see :func:`energy_views`."""
+
+    hx: float
+    hy: float
+    hx2: float
+    hy2: float
+    right: np.ndarray  # f[p + 1] for every corner p of the flat stack f
+    up: np.ndarray  # f[p + nx]
+    corner: np.ndarray  # f[p]
+    dx_rows: np.ndarray  # the differences, written in place
+    dy_rows: np.ndarray
+    dx: np.ndarray  # their (3, ny-1, nx-1) cell views
+    dy: np.ndarray
+
+
+def energy_views(grid: Grid, arr: np.ndarray, work=None) -> EnergyViews:
+    """The spacings and array views :func:`energy_of_stack` uses on the (3, ny, nx) stack `arr`.
+
+    Built once per stack buffer, they let repeated energy calls on that
+    buffer skip every reshape, slice and `Grid` property read.  `arr` must be
+    C-contiguous (ValueError otherwise), so that the views see its later
+    values.  `work` may supply a float array of shape (2, 3*ny*nx) to
+    hold the differences; buffers of one grid can share it.
+    """
+    ny, nx = grid.ny, grid.nx
+    if work is None:
+        work = np.empty((2, 3 * ny * nx))
+    f = arr.reshape(-1, copy=False)
+    m = f.size - nx  # every cell corner p has p + nx < f.size
+    dx, dy = work.reshape(2, 3, ny, nx)[:, :, :-1, :-1]  # cell views, no copy
+    hx, hy = grid.hx, grid.hy
+    return EnergyViews(hx, hy, hx**2, hy**2, f[1 : m + 1], f[nx:], f[:m], work[0, :m],
+                       work[1, :m], dx, dy)
+
+
 def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
     """Cell-based Dirichlet energy surrogate of a raw (3, ny, nx) array.
 
@@ -262,37 +301,34 @@ def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
     this expression written out on plain arrays.
 
     `work` may supply a float array of shape (2, 3*ny*nx) to hold the
-    differences, so repeated calls allocate nothing; the value is the same
-    bit for bit as without it.
+    differences, so repeated calls allocate nothing, or the
+    :func:`energy_views` of `arr`, so they also build no views; the value is
+    the same bit for bit either way.
     """
-    ny, nx = grid.ny, grid.nx
-    if work is None:
-        work = np.empty((2, 3 * ny * nx))
-    f = arr.reshape(-1)
-    m = f.size - nx  # every cell corner p has p + nx < f.size
-    np.subtract(f[1 : m + 1], f[:m], out=work[0, :m])
-    np.subtract(f[nx:], f[:m], out=work[1, :m])
-    dx, dy = work.reshape(2, 3, ny, nx)[:, :, :-1, :-1]  # cell views, no copy
+    if not isinstance(work, EnergyViews):
+        work = energy_views(grid, np.ascontiguousarray(arr), work)
+    hx, hy, hx2, hy2, right, up, corner, dx_rows, dy_rows, dx, dy = work
+    np.subtract(right, corner, out=dx_rows)
+    np.subtract(up, corner, out=dy_rows)
     sx = float(np.einsum("kij,kij->", dx, dx))
     sy = float(np.einsum("kij,kij->", dy, dy))
-    return 0.5 * (sx / grid.hx**2 + sy / grid.hy**2) * grid.hx * grid.hy
+    return 0.5 * (sx / hx2 + sy / hy2) * hx * hy
 
 
 def max_l2_step(weights: np.ndarray, a: np.ndarray, b: np.ndarray, work=None) -> float:
     """Largest per-component discrete L2 norm of a - b, for (3, ny, nx) arrays.
 
     max_k sqrt(sum(weights * (a_k - b_k)^2)) with the (ny, nx) node weights
-    of :func:`node_weights`.  `work` may supply two float arrays of the
-    stacks' shape, so repeated calls allocate nothing; the value is the same
-    bit for bit as without them.
+    of :func:`node_weights`, in two passes over the stacks: one subtract,
+    then one ``np.einsum("kij,ij,kij->k", d, weights, d)`` that multiplies
+    and sums each component's weighted squares without a temporary and
+    without BLAS.  The weights broadcast over the components; no
+    (3, ny, nx) copy of them is made.  `work` may supply a float array of
+    the stacks' shape for the difference, so repeated calls allocate
+    nothing; the value is the same bit for bit as without it.
     """
-    if work is None:
-        work = (np.empty(a.shape), np.empty(a.shape))
-    d, wd = work
-    np.subtract(a, b, out=d)
-    np.multiply(weights, d, out=wd)
-    np.multiply(wd, d, out=wd)
-    return math.sqrt(wd.reshape(3, -1).sum(axis=1).max())
+    d = np.subtract(a, b, out=work)
+    return math.sqrt(np.maximum.reduce(np.einsum("kij,ij,kij->k", d, weights, d)))
 
 
 class ProductViolation(NamedTuple):

@@ -65,6 +65,7 @@ every solve.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -100,6 +101,12 @@ class PenaltyConfig:
     scheme: str = "picard"
 
     def __post_init__(self):
+        # a bool is neither a float nor an iteration count; range() rejects a float count late
+        for name in ("epsilon_target", "epsilon_start", "continuation_factor", "alpha", "outer_tol"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a float, got {getattr(self, name)!r}")
+        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, numbers.Integral):
+            raise ValueError(f"max_outer must be an integer, got {self.max_outer!r}")
         if self.epsilon_start is None:
             self.epsilon_start = max(1e-2, self.epsilon_target)
         if self.alpha is None:
@@ -264,7 +271,7 @@ def run_penalty(
     }[cfg.scheme]
 
     weights = node_weights(grid)
-    work = np.empty((2, u.size))  # the step norm's two stacks, then the energy's differences
+    work = np.empty((2, u.size))  # the step norm's difference, then the energy's differences
     history = []
     stage_summaries = []
     for eps in ladder:
@@ -278,7 +285,7 @@ def run_penalty(
             cg_max = max(cg_max, *cg)
             start_applies += sum(info.start_applies for info in infos)
 
-            sn = max_l2_step(weights, new, u, work.reshape(2, *u.shape))
+            sn = max_l2_step(weights, new, u, work[0].reshape(u.shape))
             u = new
             prod = u[0] * u[1] * u[2]
             prod_l2 = float(np.sqrt(np.sum(weights * prod * prod)))  # grid.l2_norm's bits

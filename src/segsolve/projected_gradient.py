@@ -11,9 +11,11 @@ the cell-based energy surrogate, an optional proximal bias toward the current
 iterate before projection, projection hysteresis, and a momentum restart
 (t = 1, y = u) when even the smallest step cannot decrease the energy.
 
-Both loops run on raw (3, ny, nx) stacks in buffers allocated once per run
-(`_Workspace`); the energy and the step norm are the shared measures of
-:mod:`segsolve.grid`, and a `SystemState` is built only for the result.
+Both loops run on raw (3, ny, nx) stacks in buffers allocated once per run,
+each with the views its kernels read built once beside it (`_Workspace`):
+no kernel reshapes or slices per call.  The energy and the step norm are
+the shared measures of :mod:`segsolve.grid` (the step norm one subtract and
+one einsum), and a `SystemState` is built only for the result.
 The hysteresis state is the (3, ny, nx) boolean zero mask of the last
 accepted projection, as :func:`segsolve.projection.project_and_pin`
 returns it.
@@ -22,13 +24,14 @@ returns it.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .boundary import resolve_trace
-from .grid import Grid, SystemState, energy_of_stack, max_l2_step, node_weights
+from .grid import Grid, SystemState, energy_of_stack, energy_views, max_l2_step, node_weights
 from .linear_solver import harmonic_extension
 from .projection import project_and_pin
 from .reporting import SolveReport
@@ -53,10 +56,16 @@ def stability_limit(grid: Grid) -> float:
 
 
 def _check_config(cfg) -> None:
-    """ValueError for a non-finite float field, tol <= 0 or max_iters < 1."""
+    """ValueError for a bool or non-finite value in a float field, tol <= 0, or a
+    max_iters that is not an integer >= 1."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, float) and not np.isfinite(value):
+        if f.name == "max_iters":  # a bool is no integer
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"max_iters must be an integer, got {value!r}")
+        elif isinstance(value, bool):
+            raise ValueError(f"{f.name} must be a float, got {value!r}")
+        elif isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
     if not cfg.tol > 0.0:
         raise ValueError("step-norm tolerance tol must be positive")
@@ -119,13 +128,34 @@ def next_t(t: float) -> float:
     return (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
+class _Buffer:
+    """One (3, ny, nx) loop buffer and the views of it that the kernels read.
+
+    On the stack read as one flat C-ordered run: `windows` are its right,
+    left, down and up neighbour windows of the stencil, `centre` the span
+    they are centred on (the span `step_into` writes), and `parts` the three
+    components as flat runs; `energy` is the
+    :func:`segsolve.grid.energy_views` of the stack.  Built once per run by
+    `_Workspace.buffer`.
+    """
+
+    __slots__ = ("stack", "windows", "centre", "parts", "energy")
+
+
 class _Workspace:
-    """Preallocated buffers for the iteration loops on one grid and trace.
+    """Preallocated buffers and views for the iteration loops on one grid and trace.
+
+    Everything a kernel reads is built once per run: the scratch arrays
+    here, the spacings as plain floats, and for each loop buffer (PGD's u
+    and new, FISTA's u, cand and y) the views of `buffer`.  The kernels
+    then reshape, slice and look up nothing per call; they take buffers, not
+    arrays, and the loops swap buffers as they swapped arrays.
 
     The step, projection, energy, step norm and violation match plain array
     expressions bit for bit: the step the three-coefficient stencil of
     `step_into`, the energy the einsum cell sums of
-    :func:`segsolve.grid.energy_of_stack`.  The reference loops of
+    :func:`segsolve.grid.energy_of_stack`, the step norm the two-pass einsum
+    of :func:`segsolve.grid.max_l2_step`.  The reference loops of
     `tests/test_projected_gradient.py` (`TestReferenceLoops`, and the
     first-step tests of `TestFistaRun`) pin every iterate and history row
     with those expressions written out.  Every pass but the energy's sums
@@ -148,7 +178,6 @@ class _Workspace:
         self.tr = tr
         self.weights = node_weights(grid)
         self.diff = np.empty(tr.shape)
-        self.weighted = np.empty(tr.shape)
         self.hx2 = grid.hx**2
         self.hy2 = grid.hy**2
         nx = grid.nx
@@ -158,12 +187,25 @@ class _Workspace:
         self.shifts = (nx + 2, nx, 2 * nx + 1, 1)  # right, left, down, up
         self.tmp = np.empty(self.span.stop - self.span.start)
         self.energy_work = np.empty((2, tr.size))
-        self.prod = np.empty(grid.shape)
+        self.prod = np.empty(grid.ny * nx)
         # the projection's threshold plane is scratch within one call, like prod
         keep = np.empty(tr.shape, bool)
-        self.project_work = tuple((np.empty(tr.shape, bool), keep, self.prod) for _ in range(2))
+        thr = self.prod.reshape(grid.shape)
+        self.project_work = tuple((np.empty(tr.shape, bool), keep, thr) for _ in range(2))
 
-    def step_into(self, out, y, alpha, u=None, eta=0.0):
+    def buffer(self, stack: np.ndarray) -> _Buffer:
+        """The views of the C-contiguous (3, ny, nx) `stack` (ValueError otherwise)."""
+        buf = _Buffer()
+        buf.stack = stack
+        f = stack.reshape(-1, copy=False)
+        length = self.tmp.size
+        buf.windows = tuple(f[s : s + length] for s in self.shifts)
+        buf.centre = f[self.span]
+        buf.parts = tuple(f.reshape(3, -1))
+        buf.energy = energy_views(self.grid, stack, self.energy_work)
+        return buf
+
+    def step_into(self, out: _Buffer, y: _Buffer, alpha, u: _Buffer | None = None, eta=0.0):
         """out <- y + alpha * lap_h(y), then (. + eta*u)/(1 + eta) if eta > 0.
 
         Evaluated as the three-coefficient stencil
@@ -180,43 +222,42 @@ class _Workspace:
         if eta > 0.0:
             scale = 1.0 / (1.0 + eta)
             k0, k1, k2 = k0 * scale, k1 * scale, k2 * scale
-        f = y.reshape(-1, copy=False)
-        length = self.tmp.size
-        right, left, down, up = (f[s : s + length] for s in self.shifts)
-        o = out.reshape(-1, copy=False)[self.span]
+        right, left, down, up = y.windows
+        o = out.centre
         t = self.tmp
         np.add(left, right, out=t)
         np.multiply(t, k1, out=t)
         np.add(down, up, out=o)
         np.multiply(o, k2, out=o)
         np.add(o, t, out=o)
-        np.multiply(f[self.span], k0, out=t)
+        np.multiply(y.centre, k0, out=t)
         np.add(o, t, out=o)
         if eta > 0.0:
-            np.multiply(u.reshape(-1, copy=False)[self.span], eta * scale, out=t)
+            np.multiply(u.centre, eta * scale, out=t)
             np.add(o, t, out=o)
 
-    def project(self, out, prev=None, tau=0.0):
-        """`project_and_pin` of `out` with this workspace's buffers; returns the zero mask.
+    def project(self, out: np.ndarray, prev=None, tau=0.0):
+        """`project_and_pin` of the stack `out` with this workspace's buffers; returns the zero mask.
 
         The mask is written into the mask buffer that `prev` is not.
         """
         work = self.project_work[prev is self.project_work[0][0]]
         return project_and_pin(out, self.tr, prev, tau, work)
 
-    def energy(self, u) -> float:
-        return energy_of_stack(self.grid, u, self.energy_work)
+    def energy(self, u: _Buffer) -> float:
+        return energy_of_stack(self.grid, u.stack, u.energy)
 
-    def step_norm(self, a, b) -> float:
-        return max_l2_step(self.weights, a, b, (self.diff, self.weighted))
+    def step_norm(self, a: _Buffer, b: _Buffer) -> float:
+        return max_l2_step(self.weights, a.stack, b.stack, self.diff)
 
-    def violation_max(self, u) -> float:
+    def violation_max(self, u: _Buffer) -> float:
         """max |u1 * u2 * u3| over all nodes."""
+        u1, u2, u3 = u.parts
         p = self.prod
-        np.multiply(u[0], u[1], out=p)
-        np.multiply(p, u[2], out=p)
+        np.multiply(u1, u2, out=p)
+        np.multiply(p, u3, out=p)
         np.abs(p, out=p)
-        return float(p.max())
+        return float(np.maximum.reduce(p))
 
 
 def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +279,7 @@ def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _result(ws, algorithm, trace, u, iters, converged, t0, history, meta):
-    """The (state, report) of a finished loop; the final energy and violation are measured on u."""
+    """The (state, report) of a finished loop; the final energy and violation are measured on buffer u."""
     report = SolveReport(
         algorithm=algorithm,
         bc_id=trace.config_id,
@@ -251,7 +292,7 @@ def _result(ws, algorithm, trace, u, iters, converged, t0, history, meta):
         history=history,
         meta=meta,
     )
-    return SystemState.from_stack(ws.grid, u), report
+    return SystemState.from_stack(ws.grid, u.stack), report
 
 
 def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, SolveReport]:
@@ -263,14 +304,14 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
     alpha = cfg.resolve_alpha(grid)
 
     ws = _Workspace(grid, tr)
-    u, _ = _initial_state(ws)
-    new = np.empty_like(u)
+    u0, _ = _initial_state(ws)
+    u, new = ws.buffer(u0), ws.buffer(np.empty_like(u0))
     history = []
     converged = False
     iters = 0
     for k in range(cfg.max_iters):
         ws.step_into(new, u, alpha)
-        ws.project(new)
+        ws.project(new.stack)
         step = ws.step_norm(new, u)
         u, new = new, u
         iters = k + 1
@@ -305,8 +346,8 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev):
 
     Trial steps start at `alpha` and shrink geometrically by cfg.rho with
     floor alpha_min; if even the floor candidate increases the energy it is
-    returned flagged for a momentum restart.  Each trial candidate is
-    written into `out`; prev and the returned assignment are (3, ny, nx)
+    returned flagged for a momentum restart.  out, y and u are the
+    workspace's buffers, and each trial candidate is written into `out`; prev and the returned assignment are (3, ny, nx)
     zero masks, the assignment in the workspace's mask buffer that prev is
     not.
     """
@@ -314,7 +355,7 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev):
     a = alpha
     while True:
         ws.step_into(out, y, a, u, cfg.eta)
-        mask = ws.project(out, prev, cfg.tau)
+        mask = ws.project(out.stack, prev, cfg.tau)
         energy = ws.energy(out)
         if energy <= current_energy:
             return BacktrackResult(mask, a, energy, False, shrinks)
@@ -333,11 +374,12 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
     alpha0, alpha_min = cfg.resolve_alphas(grid)
 
     ws = _Workspace(grid, tr)
-    u, mask = _initial_state(ws)
+    u0, mask = _initial_state(ws)
+    u = ws.buffer(u0)
     energy_u = ws.energy(u)
     t = 1.0  # Nesterov t-sequence
-    y = u.copy()  # extrapolated point
-    cand = np.empty_like(u)  # trial buffer, swapped with u on acceptance
+    y = ws.buffer(u0.copy())  # extrapolated point
+    cand = ws.buffer(np.empty_like(u0))  # trial buffer, swapped with u on acceptance
     alpha = alpha0
     history = []
     converged = False
@@ -350,7 +392,7 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
         if bt.needs_restart:
             # discard the candidate; restart momentum from the current iterate
             t = 1.0
-            np.copyto(y, u)
+            np.copyto(y.stack, u.stack)
             alpha = alpha0
             restarts += 1
             history.append(
@@ -368,9 +410,10 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
         step = ws.step_norm(cand, u)
         t_new = next_t(t)
         beta = (t - 1.0) / t_new
-        np.subtract(cand, u, out=y)  # y <- cand + beta * (cand - u)
-        np.multiply(y, beta, out=y)
-        np.add(cand, y, out=y)
+        yk = y.stack  # y <- cand + beta * (cand - u)
+        np.subtract(cand.stack, u.stack, out=yk)
+        np.multiply(yk, beta, out=yk)
+        np.add(cand.stack, yk, out=yk)
         t = t_new
         u, cand = cand, u
         mask = bt.assignment

@@ -46,11 +46,11 @@ PINS = {
     "gauss_seidel_step": "177c12a03c28a26d7971f5f6e4da04fbce8a4ee7903904d933c4e70077a4a404",
     "phase_field_step": "401724e797c06a8ae21f97816a9abe84a542665c7168b1cf5db37d945753c94d",
     # up to twelve sweeps a stage on eps 1e-2, 1e-3; from the third on, Galerkin starts
-    "run_penalty_picard": "6b213a32e308f0e7e94e39a8787bb3f7811ee7772c18f0aa80854326e47986f0",
-    "run_penalty_gauss_seidel": "824defba3d0a8333a965c0871e044a4d45cedc0432a888366e73fe84d270ee97",
-    "run_penalty_semi_implicit": "1a4abd7a36e71969f0a3d48c3734dc16f2784d73af411ae1681885ea111831d2",
-    "run_penalty_phase_field": "2fe08ff4fb8b297b73d3a8d2b616745184b30e336f08d53dd90cd6fdaa58f9ba",
-    "even_nx": "8a2a927d281ce35e05046199a727d94f85f95bf6f87c7f4f081cbde378930867",
+    "run_penalty_picard": "30dd01db706e15138b73b66b49dffc67517daeca4cfe5a99fd654422651cf9f8",
+    "run_penalty_gauss_seidel": "64e2ad66f44468b4a8e4c657d98cb6511a9584feb0a81bc4c8e046909861781f",
+    "run_penalty_semi_implicit": "b2232bce3fd44565e2a8c02bcbd053c8ff862de3073d019e5a36b31c1ec53b62",
+    "run_penalty_phase_field": "e492c29384a1e2b3c33a963a511b8e65d0dea10011e925be28e44a2a08465fbe",
+    "even_nx": "bf58527d2818c4819d79654351b66040b110089638305393ebcd055ab5bf020f",
 }
 
 

@@ -671,6 +671,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PenaltyConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_max_outer_must_be_an_integer(self, value):
+        # a float cap built, then failed in range() after the harmonic
+        # extensions; True ran as a cap of 1
+        with pytest.raises(ValueError, match="^max_outer must be an integer"):
+            PenaltyConfig(epsilon_target=1e-3, max_outer=value)
+
+    @pytest.mark.parametrize(
+        "field", ["epsilon_target", "epsilon_start", "continuation_factor", "alpha", "outer_tol"]
+    )
+    def test_bool_in_a_float_field_rejected(self, field):
+        kwargs = {"epsilon_target": 1e-3, field: True}
+        with pytest.raises(ValueError, match=f"^{field} must be a float"):
+            PenaltyConfig(**kwargs)
+
+    def test_numpy_integer_cap_accepted(self):
+        assert PenaltyConfig(1e-3, max_outer=np.int64(7)).max_outer == 7
+
     def test_start_defaults_to_a_target_above_1e_2(self):
         assert PenaltyConfig(0.05).stages() == [0.05]
         assert PenaltyConfig(1e-3).stages()[0] == 1e-2

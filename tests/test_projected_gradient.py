@@ -8,7 +8,7 @@ import pytest
 
 from segsolve import projected_gradient
 from segsolve.boundary import BoundaryTrace, builtin_config, evaluate_bc
-from segsolve.grid import ScalarField, build_grid, energy_of_stack, node_weights
+from segsolve.grid import ScalarField, build_grid, energy_of_stack, max_l2_step, node_weights
 from segsolve.linear_solver import harmonic_extension
 from segsolve.projected_gradient import (
     TIE,
@@ -28,10 +28,10 @@ SQUARE = (-1.0, 1.0, -1.0, 1.0)
 
 
 def plain_max_l2_step(grid, a, b):
-    """Largest per-component trapezoidal L2 norm of a - b, as a plain expression."""
+    """Largest per-component trapezoidal L2 norm of a - b, as the einsum on plain arrays."""
     w = node_weights(grid)
     d = a - b
-    return float(np.sqrt(np.max(np.sum(w * d * d, axis=(1, 2)))))
+    return float(np.sqrt(np.max(np.einsum("kij,ij,kij->k", d, w, d))))
 
 
 def rough_two_phase_state(grid, seed=42):
@@ -83,6 +83,27 @@ class TestPgdConfig:
         # an infinite alpha0 made FISTA's backtracking shrink inf forever
         with pytest.raises(ValueError, match="finite"):
             config(**{field: value})
+
+    @pytest.mark.parametrize("config", [PgdConfig, FistaConfig])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_max_iters_must_be_an_integer(self, config, value):
+        # a float cap built, then failed in range() after the harmonic
+        # extensions; True ran as a cap of 1
+        with pytest.raises(ValueError, match="^max_iters must be an integer"):
+            config(max_iters=value)
+
+    @pytest.mark.parametrize("config, field", [
+        (PgdConfig, "alpha"), (PgdConfig, "tol"), (FistaConfig, "alpha0"),
+        (FistaConfig, "alpha_min"), (FistaConfig, "rho"), (FistaConfig, "eta"),
+        (FistaConfig, "tau"), (FistaConfig, "tol"),
+    ])
+    def test_bool_in_a_float_field_rejected(self, config, field):
+        # PgdConfig(tol=True) ran one iteration and reported convergence
+        with pytest.raises(ValueError, match=f"^{field} must be a float"):
+            config(**{field: True})
+
+    def test_numpy_integer_cap_accepted(self):
+        assert PgdConfig(max_iters=np.int64(7)).max_iters == 7
 
 
 class TestMomentumSequence:
@@ -157,8 +178,9 @@ class TestStoppingMeasure:
 def run_backtrack(g, u, tr, alpha, current_energy, cfg):
     """`_backtrack` from u with no momentum and no previous assignment."""
     _, alpha_min = cfg.resolve_alphas(g)
-    return _backtrack(_Workspace(g, tr), np.empty_like(u), u.copy(), u, alpha, current_energy,
-                      cfg, alpha_min, None)
+    ws = _Workspace(g, tr)
+    return _backtrack(ws, ws.buffer(np.empty_like(u)), ws.buffer(u.copy()), ws.buffer(u),
+                      alpha, current_energy, cfg, alpha_min, None)
 
 
 class TestBacktrack:
@@ -461,20 +483,25 @@ class TestReferenceLoops:
 
 class TestStepNormWeighting:
     def test_step_norm_uses_domain_quadrature(self):
-        # one unit change at a single interior node: step = sqrt(hx*hy)
-        g = build_grid(11, 11, SQUARE)
-        w = node_weights(g)
-        d = np.zeros((3, *g.shape))
-        d[0, 5, 5] = 1.0
-        norm = np.sqrt(np.max(np.sum(w * d * d, axis=(1, 2))))
-        assert norm == pytest.approx(np.sqrt(g.hx * g.hy))
+        # one unit change at a single interior node: step = sqrt(hx*hy), from
+        # the shared measure and from the loops' workspace method alike
+        g = build_grid(11, 9, SQUARE)
+        a = np.zeros((3, *g.shape))
+        a[0, 5, 5] = 1.0
+        b = np.zeros_like(a)
+        expected = np.sqrt(g.hx * g.hy)
+        assert max_l2_step(node_weights(g), a, b) == expected
+        ws = _Workspace(g, b)
+        assert ws.step_norm(ws.buffer(a), ws.buffer(b)) == expected
+        assert ws.step_norm(ws.buffer(b), ws.buffer(a)) == expected
 
 
 # Runs in a child process: bench/tracing.py wraps the module functions of
 # segsolve in place.  Prints, per algorithm, the iterations of the report,
-# the traced backtracking trials (FISTA), the step_into spans, the
-# grid.energy_of_stack and projection.project_stack_interior spans, and
-# those of them nested in a span of either name.
+# the traced backtracking trials and accepted steps (FISTA), the step_into,
+# step_norm and violation_max spans, the grid.energy_of_stack and
+# projection.project_stack_interior spans, and those of them nested in a
+# span of either name.
 TRACED_RUNS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -490,12 +517,17 @@ out = {}
 for name, run in (("pgd", pg.pgd_run), ("fista", pg.fista_run)):
     start = len(rec.names)
     trials = rec.counts.get("projected_gradient.backtrack_trials", 0)
+    accepted = rec.counts.get("projected_gradient.accepted", 0)
     _, report = run(grid, "ex41")
     spans = range(start, len(rec.names))
     out[name] = {
         "iters": report.iters,
         "trials": rec.counts.get("projected_gradient.backtrack_trials", 0) - trials,
+        "accepted": rec.counts.get("projected_gradient.accepted", 0) - accepted,
         "steps": sum(rec.names[k].endswith("step_into") for k in spans),
+        "step_norm": sum(rec.names[k] == "projected_gradient._Workspace.step_norm" for k in spans),
+        "violation": sum(rec.names[k] == "projected_gradient._Workspace.violation_max"
+                         for k in spans),
         "energy": sum(rec.names[k] == layers[0] for k in spans),
         "project": sum(rec.names[k] == layers[1] for k in spans),
         "nested": sum(rec.names[k] in layers and rec.parents[k] >= 0
@@ -508,7 +540,10 @@ print(json.dumps(out))
 def test_tracer_records_one_span_per_kernel_call(tmp_path, child_env):
     # the spans behind grid.energy_ms and projection.project_ms: one per
     # iteration (PGD) or backtracking trial (FISTA), plus the projection of
-    # the initial state, the final energy and FISTA's initial energy
+    # the initial state, the final energy and FISTA's initial energy.  The
+    # spans behind step_norm_ms and violation_ms: one step norm per accepted
+    # step, one violation per history row plus the final one (PGD 1,184 and
+    # 1,185 on this grid, FISTA 834 and 835, with no restart)
     bench = Path(__file__).resolve().parents[1] / "bench"
     res = subprocess.run(
         [sys.executable, "-c", TRACED_RUNS, str(bench), str(tmp_path)],
@@ -523,4 +558,7 @@ def test_tracer_records_one_span_per_kernel_call(tmp_path, child_env):
     assert fista["trials"] >= fista["iters"] > 0 and fista["steps"] == fista["trials"]
     assert fista["energy"] == fista["trials"] + 2
     assert fista["project"] == fista["trials"] + 1
+    assert pgd["step_norm"] == pgd["iters"] and pgd["violation"] == pgd["iters"] + 1
+    assert fista["step_norm"] == fista["accepted"] and fista["violation"] == fista["iters"] + 1
+    assert (pgd["iters"], fista["iters"], fista["accepted"]) == (1184, 834, 834)
     assert pgd["nested"] == fista["nested"] == 0
