@@ -42,7 +42,7 @@ from .contours import (
     render_svg,
     render_tiled_svg,
 )
-from .grid import SystemState, build_grid, field_from_csv, field_to_csv
+from .grid import SystemState, build_grid, check_fields, field_from_csv, field_to_csv, fits
 from .linear_solver import LinearSolveError
 from .penalty import PenaltyConfig, run_penalty
 from .projected_gradient import FistaConfig, PgdConfig, fista_run, pgd_run
@@ -99,6 +99,7 @@ class RunConfig:
     custom_bc_csv: str | None = None
 
     def validate(self) -> None:
+        check_fields(self)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}"
@@ -110,18 +111,10 @@ class RunConfig:
             )
         if self.bc == "custom" and not self.custom_bc_csv:
             raise ValueError("bc 'custom' requires custom_bc_csv in the config file")
-        if self.n < 3:
-            raise ValueError("resolution n must be >= 3")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.delta is not None:
             check_delta(self.delta)
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def _load_config_file(path: str) -> dict:
@@ -137,22 +130,9 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for name, value in data.items():
-        if not _has_type(value, types[name]):
+        if not fits(value, types[name]):
             raise ValueError(f"config key {name!r} must be {types[name]}, got {value!r}")
     return data
-
-
-def _has_type(value, annotation: str) -> bool:
-    """Whether a JSON value fits a RunConfig annotation such as 'int' or 'float | None'.
-
-    A bool is no number, and an int is a float.
-    """
-    kind, _, optional = annotation.partition(" | ")
-    if value is None:
-        return optional == "None"
-    if kind == "bool" or isinstance(value, bool):
-        return kind == "bool" and isinstance(value, bool)
-    return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 def _merge_config(args: argparse.Namespace, bench_keys: tuple[str, ...] = ()) -> RunConfig:

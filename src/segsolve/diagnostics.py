@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, RegionMask
+from .grid import Grid, RegionMask, check_fields
 from .penalty import PenaltyConfig, run_penalty
 
 __all__ = [
@@ -37,6 +37,7 @@ class RegionSpec:
     w: float = 0.05  # layer width
 
     def __post_init__(self):
+        check_fields(self)
         if self.name not in REGION_NAMES:
             raise ValueError(f"region name must be one of {REGION_NAMES}")
         if not 0.0 < self.a < 1.0:

@@ -18,13 +18,17 @@ stopping measure of every outer loop) and `l2_norm`.  `dirichlet_energy`,
 `l2_diff` and `product_violation` are their wrappers on the dataclasses.
 A loop that measures the same buffers every iteration builds their
 `energy_views` once and passes them to `energy_of_stack`.
+
+`fits` and `check_fields` decide once, from the dataclass annotations, which
+values the fields of `Grid` and of every config accept.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +55,41 @@ __all__ = [
 ]
 
 
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a float"),
+          "str": (str, "a string"), "bool": (bool, "a bool")}
+
+
+def fits(value, annotation: str) -> bool:
+    """Whether `value` fits an annotation: 'int', 'float', 'str' or 'bool', optionally '| None'.
+
+    A numpy scalar fits like the Python number it stands for.  A bool is no
+    number, and an integer is a float.
+    """
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, _KINDS[kind][0])
+
+
+def check_fields(obj) -> None:
+    """ValueError unless every field of the dataclass `obj` fits its annotation (:func:`fits`).
+
+    An integer field must also be >= 1 and a float field finite.  The
+    message names the first field that fails.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind = f.type.partition(" | ")[0]
+        if not fits(value, f.type):
+            raise ValueError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
+        if kind == "int" and value is not None and value < 1:
+            raise ValueError(f"{f.name} must be >= 1")
+        if kind == "float" and value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform Cartesian grid on [x_min, x_max] x [y_min, y_max].
@@ -67,6 +106,7 @@ class Grid:
     y_max: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid needs nx, ny >= 3, got ({self.nx}, {self.ny})")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):

@@ -65,7 +65,6 @@ every solve.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -73,7 +72,7 @@ from typing import Callable
 import numpy as np
 
 from .boundary import BoundaryTrace, resolve_trace
-from .grid import Grid, SystemState, energy_of_stack, max_l2_step, node_weights
+from .grid import Grid, SystemState, check_fields, energy_of_stack, max_l2_step, node_weights
 from .linear_solver import _RedBlackPlan, solve_helmholtz_with_info
 from .reporting import SolveReport
 
@@ -101,20 +100,12 @@ class PenaltyConfig:
     scheme: str = "picard"
 
     def __post_init__(self):
-        # a bool is neither a float nor an iteration count; range() rejects a float count late
-        for name in ("epsilon_target", "epsilon_start", "continuation_factor", "alpha", "outer_tol"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a float, got {getattr(self, name)!r}")
-        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, numbers.Integral):
-            raise ValueError(f"max_outer must be an integer, got {self.max_outer!r}")
+        # before the defaults: an infinite target is named, not the start resolved from it
+        check_fields(self)
         if self.epsilon_start is None:
             self.epsilon_start = max(1e-2, self.epsilon_target)
         if self.alpha is None:
             self.alpha = 1.0 if self.scheme in ("gauss_seidel", "semi_implicit") else 0.5
-        # epsilon_target first: an infinite target is named, not the start resolved from it
-        for name in ("epsilon_target", "epsilon_start", "outer_tol"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.epsilon_target <= self.epsilon_start:
             raise ValueError("need 0 < epsilon_target <= epsilon_start")
         if not 0.0 < self.continuation_factor < 1.0:
@@ -125,8 +116,6 @@ class PenaltyConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not self.outer_tol > 0.0:
             raise ValueError("outer_tol must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
 
     def stages(self) -> list[float]:
         """Geometric epsilon ladder from epsilon_start down to epsilon_target."""

@@ -24,14 +24,14 @@ returns it.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import resolve_trace
-from .grid import Grid, SystemState, energy_of_stack, energy_views, max_l2_step, node_weights
+from .grid import (Grid, SystemState, check_fields, energy_of_stack, energy_views, max_l2_step,
+                   node_weights)
 from .linear_solver import harmonic_extension
 from .projection import project_and_pin
 from .reporting import SolveReport
@@ -56,21 +56,10 @@ def stability_limit(grid: Grid) -> float:
 
 
 def _check_config(cfg) -> None:
-    """ValueError for a bool or non-finite value in a float field, tol <= 0, or a
-    max_iters that is not an integer >= 1."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "max_iters":  # a bool is no integer
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"max_iters must be an integer, got {value!r}")
-        elif isinstance(value, bool):
-            raise ValueError(f"{f.name} must be a float, got {value!r}")
-        elif isinstance(value, float) and not np.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+    """ValueError for a field :func:`segsolve.grid.check_fields` rejects, or tol <= 0."""
+    check_fields(cfg)
     if not cfg.tol > 0.0:
         raise ValueError("step-norm tolerance tol must be positive")
-    if cfg.max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -410,10 +399,9 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
         step = ws.step_norm(cand, u)
         t_new = next_t(t)
         beta = (t - 1.0) / t_new
-        yk = y.stack  # y <- cand + beta * (cand - u)
-        np.subtract(cand.stack, u.stack, out=yk)
-        np.multiply(yk, beta, out=yk)
-        np.add(cand.stack, yk, out=yk)
+        # y <- cand + beta * (cand - u), reading cand - u from ws.diff, where step_norm left it
+        np.multiply(ws.diff, beta, out=y.stack)
+        np.add(cand.stack, y.stack, out=y.stack)
         t = t_new
         u, cand = cand, u
         mask = bt.assignment

@@ -116,10 +116,9 @@ def project_and_pin(
     passed to :func:`project_stack_interior`.
     """
     _, zero = project_stack_interior(out, prev, tau, out, work)
-    out[:, 0, :] = tr[:, 0, :]
-    out[:, -1, :] = tr[:, -1, :]
-    out[:, :, 0] = tr[:, :, 0]
-    out[:, :, -1] = tr[:, :, -1]
+    ny, nx = out.shape[1:]
+    out[:, :: ny - 1] = tr[:, :: ny - 1]  # the first and last row
+    out[:, :, :: nx - 1] = tr[:, :, :: nx - 1]  # the first and last column
     return zero
 
 

@@ -61,6 +61,12 @@ class TestSolve:
         assert "max_iters" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_too_small_exits_1_without_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--algo", "pgd", "--n", "2", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: grid needs nx, ny >= 3, got (2, 2)\n"
+        assert not out.exists()
+
     def test_jobs_is_a_bench_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("solve", "--algo", "pgd", "--jobs", "2", "--out", str(tmp_path / "run"))

@@ -1,8 +1,11 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from segsolve.cli import RunConfig
+from segsolve.diagnostics import RegionSpec
 from segsolve.grid import (
     Grid,
     RegionMask,
@@ -306,6 +309,36 @@ class TestFieldValidation:
         g2 = build_grid(5, 5, (0, 1, 0, 1))
         with pytest.raises(ValueError):
             SystemState(ScalarField.zeros(g1), ScalarField.zeros(g1), ScalarField.zeros(g2))
+
+
+# valid values around the field under test; RunConfig is checked by validate()
+CHECKED = {
+    Grid: lambda **kw: Grid(**{**dict(nx=5, ny=5, x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0), **kw}),
+    RegionSpec: lambda **kw: RegionSpec(**{"name": "inner_square", **kw}),
+    RunConfig: lambda **kw: RunConfig(**kw).validate(),
+}
+SCALAR_FIELDS = [
+    (cls, f.name, f.type.partition(" | ")[0])
+    for cls in CHECKED for f in fields(cls) if f.type.partition(" | ")[0] in ("int", "float")
+]
+
+
+class TestCheckFields:
+    @pytest.mark.parametrize(
+        "cls, name, kind", SCALAR_FIELDS, ids=[f"{c.__name__}-{n}" for c, n, _ in SCALAR_FIELDS]
+    )
+    def test_every_numeric_field_is_checked_from_its_annotation(self, cls, name, kind):
+        # Grid(nx=2.5) built a grid, RunConfig(eps=True) and RunConfig(jobs=2.5)
+        # validated, and RegionSpec(a="0.3") raised TypeError
+        if kind == "int":
+            rejected = {2.5: "must be an integer", True: "must be an integer",
+                        "3": "must be an integer"}
+        else:
+            rejected = {True: "must be a float", "0.1": "must be a float",
+                        np.inf: "must be finite", np.nan: "must be finite"}
+        for value, message in rejected.items():
+            with pytest.raises(ValueError, match=f"^{name} {message}"):
+                CHECKED[cls](**{name: value})
 
 
 class TestCsvRoundTrip:

@@ -682,9 +682,11 @@ class TestConfigValidation:
         "field", ["epsilon_target", "epsilon_start", "continuation_factor", "alpha", "outer_tol"]
     )
     def test_bool_in_a_float_field_rejected(self, field):
-        kwargs = {"epsilon_target": 1e-3, field: True}
-        with pytest.raises(ValueError, match=f"^{field} must be a float"):
-            PenaltyConfig(**kwargs)
+        # a str value raised TypeError
+        for value in (True, "0.1"):
+            kwargs = {"epsilon_target": 1e-3, field: value}
+            with pytest.raises(ValueError, match=f"^{field} must be a float"):
+                PenaltyConfig(**kwargs)
 
     def test_numpy_integer_cap_accepted(self):
         assert PenaltyConfig(1e-3, max_outer=np.int64(7)).max_outer == 7

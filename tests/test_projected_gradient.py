@@ -98,9 +98,11 @@ class TestPgdConfig:
         (FistaConfig, "tau"), (FistaConfig, "tol"),
     ])
     def test_bool_in_a_float_field_rejected(self, config, field):
-        # PgdConfig(tol=True) ran one iteration and reported convergence
-        with pytest.raises(ValueError, match=f"^{field} must be a float"):
-            config(**{field: True})
+        # PgdConfig(tol=True) ran one iteration and reported convergence, and
+        # PgdConfig(alpha="0.1") was accepted
+        for value in (True, "0.1"):
+            with pytest.raises(ValueError, match=f"^{field} must be a float"):
+                config(**{field: value})
 
     def test_numpy_integer_cap_accepted(self):
         assert PgdConfig(max_iters=np.int64(7)).max_iters == 7

@@ -114,11 +114,14 @@ class TestProjectField:
         assert np.all(inner[0] == 0.0) and np.all(inner[1:] == 1.0)
         assert np.array_equal(zero[self.INNER], mask_of(np.full((4, 4), 1)))
 
-    def test_boundary_set_verbatim_and_interior_product_zero(self):
-        g = build_grid(9, 9, SQUARE)
+    @pytest.mark.parametrize("nx, ny", [(13, 9), (9, 13), (12, 9)], ids=["13x9", "9x13", "12x9"])
+    def test_boundary_set_verbatim_and_interior_product_zero(self, nx, ny):
+        # non-square grids and a ring trace that differs from node to node:
+        # pinning rows with the column stride (or the reverse) shows
+        g = build_grid(nx, ny, SQUARE)
         rng = np.random.default_rng(6)
         out = rng.uniform(-1.0, 2.0, (3, *g.shape))
-        tr = self._trace(g)
+        tr = rng.uniform(0.5, 1.0, (3, *g.shape))
         project_and_pin(out, tr)
         b = g.boundary_mask()
         assert np.array_equal(out[:, b], tr[:, b])
