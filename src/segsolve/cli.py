@@ -220,8 +220,8 @@ def _write_artifacts(outdir: str, state: SystemState, report, delta: float) -> C
     os.makedirs(outdir, exist_ok=True)
     for k, comp in enumerate(state.components, start=1):
         field_to_csv(comp, os.path.join(outdir, f"u{k}.csv"))
-    write_report_json(report, os.path.join(outdir, "report.json"))
-    write_history_jsonl(report.history, os.path.join(outdir, "history.jsonl"))
+    lines = write_history_jsonl(report.history, os.path.join(outdir, "history.jsonl"))
+    write_report_json(report, os.path.join(outdir, "report.json"), lines)
     return _write_contours(outdir, state, delta)
 
 

@@ -76,7 +76,8 @@ def fits(value, annotation: str) -> bool:
 def check_fields(obj) -> None:
     """ValueError unless every field of the dataclass `obj` fits its annotation (:func:`fits`).
 
-    An integer field must also be >= 1 and a float field finite.  The
+    An integer field must also be >= 1 and a float field finite; a number
+    beyond the float range, such as the integer 10**400, is not finite.  The
     message names the first field that fails.
     """
     for f in fields(obj):
@@ -86,8 +87,13 @@ def check_fields(obj) -> None:
             raise ValueError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
         if kind == "int" and value is not None and value < 1:
             raise ValueError(f"{f.name} must be >= 1")
-        if kind == "float" and value is not None and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind == "float" and value is not None:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # named, not printed: it may run to hundreds of digits
+                finite, value = False, "a number beyond the float range"
+            if not finite:
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ one einsum), and a `SystemState` is built only for the result.
 The hysteresis state is the (3, ny, nx) boolean zero mask of the last
 accepted projection, as :func:`segsolve.projection.project_and_pin`
 returns it.
+
+The `violation_max` column of the history is measured once per run, on the
+initial iterate, and copied into every row.  That is exact for finite
+iterates: every iterate, the initial one included, leaves
+`project_and_pin`, which zeroes one component exactly at every node, so
+the product u1*u2*u3 is 0.0 at every interior node, and pins the ring to
+the same trace.  The final iterate is still measured for the report.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .boundary import resolve_trace
 from .grid import (Grid, SystemState, check_fields, energy_of_stack, energy_views, max_l2_step,
                    node_weights)
 from .linear_solver import harmonic_extension
-from .projection import project_and_pin
+from .projection import project_and_pin, projection_views
 from .reporting import SolveReport
 
 __all__ = [
@@ -124,11 +131,12 @@ class _Buffer:
     left, down and up neighbour windows of the stencil, `centre` the span
     they are centred on (the span `step_into` writes), and `parts` the three
     components as flat runs; `energy` is the
-    :func:`segsolve.grid.energy_views` of the stack.  Built once per run by
-    `_Workspace.buffer`.
+    :func:`segsolve.grid.energy_views` of the stack, and `project` its two
+    :func:`segsolve.projection.projection_views`, one per mask buffer of
+    the workspace.  Built once per run by `_Workspace.buffer`.
     """
 
-    __slots__ = ("stack", "windows", "centre", "parts", "energy")
+    __slots__ = ("stack", "windows", "centre", "parts", "energy", "project")
 
 
 class _Workspace:
@@ -159,7 +167,9 @@ class _Workspace:
       mask, which is also the hysteresis state FISTA carries: `project`
       writes into whichever of the two mask buffers is not `prev`, so an
       accepted step's mask survives the next step's trials and the buffers
-      swap roles on acceptance.
+      swap roles on acceptance.  Each buffer carries the projection views
+      for both mask buffers; all of them share one scratch mask and one
+      threshold plane.
     """
 
     def __init__(self, grid: Grid, tr: np.ndarray):
@@ -177,10 +187,10 @@ class _Workspace:
         self.tmp = np.empty(self.span.stop - self.span.start)
         self.energy_work = np.empty((2, tr.size))
         self.prod = np.empty(grid.ny * nx)
-        # the projection's threshold plane is scratch within one call, like prod
-        keep = np.empty(tr.shape, bool)
-        thr = self.prod.reshape(grid.shape)
-        self.project_work = tuple((np.empty(tr.shape, bool), keep, thr) for _ in range(2))
+        # the projection's scratch mask and threshold plane are scratch within one call, like prod
+        self.keep = np.empty(tr.shape, bool)
+        self.thr = self.prod.reshape(grid.shape)
+        self.masks = (np.empty(tr.shape, bool), np.empty(tr.shape, bool))
 
     def buffer(self, stack: np.ndarray) -> _Buffer:
         """The views of the C-contiguous (3, ny, nx) `stack` (ValueError otherwise)."""
@@ -192,6 +202,8 @@ class _Workspace:
         buf.centre = f[self.span]
         buf.parts = tuple(f.reshape(3, -1))
         buf.energy = energy_views(self.grid, stack, self.energy_work)
+        buf.project = tuple(projection_views(stack, zero, self.keep, self.thr, self.tr)
+                            for zero in self.masks)
         return buf
 
     def step_into(self, out: _Buffer, y: _Buffer, alpha, u: _Buffer | None = None, eta=0.0):
@@ -225,13 +237,12 @@ class _Workspace:
             np.multiply(u.centre, eta * scale, out=t)
             np.add(o, t, out=o)
 
-    def project(self, out: np.ndarray, prev=None, tau=0.0):
-        """`project_and_pin` of the stack `out` with this workspace's buffers; returns the zero mask.
+    def project(self, out: _Buffer, prev=None, tau=0.0):
+        """`project_and_pin` of the buffer `out` with this workspace's buffers; returns the zero mask.
 
         The mask is written into the mask buffer that `prev` is not.
         """
-        work = self.project_work[prev is self.project_work[0][0]]
-        return project_and_pin(out, self.tr, prev, tau, work)
+        return project_and_pin(out.stack, self.tr, prev, tau, out.project[prev is self.masks[0]])
 
     def energy(self, u: _Buffer) -> float:
         return energy_of_stack(self.grid, u.stack, u.energy)
@@ -257,14 +268,16 @@ def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     the smallest tied index is zeroed.  Symmetric data give the extensions
     such ties, which otherwise rounding breaks, and no measured run from
     this start has moved the zero mask they choose.  Returns the stack and
-    its (3, ny, nx) zero mask, as `project_and_pin` does.
+    its (3, ny, nx) zero mask, as `project_and_pin` does; the mask is a
+    fresh array, so the first projection of a loop may write into either
+    mask buffer.
     """
     u = np.stack([harmonic_extension(ws.grid, ws.tr[k]).values for k in range(3)])
     p = np.maximum(u, 0.0)
     tied = p <= p.min(axis=0) + TIE * p.max(axis=0)
     zero = np.arange(3)[:, None, None] == tied.argmax(axis=0)  # the first tied index
     # hysteresis that keeps the previous phase at any gap zeroes exactly `zero`
-    return u, ws.project(u, zero, math.inf)
+    return u, project_and_pin(u, ws.tr, zero, math.inf)
 
 
 def _result(ws, algorithm, trace, u, iters, converged, t0, history, meta):
@@ -295,12 +308,13 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
     ws = _Workspace(grid, tr)
     u0, _ = _initial_state(ws)
     u, new = ws.buffer(u0), ws.buffer(np.empty_like(u0))
+    violation = ws.violation_max(u)  # every iterate's, bit for bit (module docstring)
     history = []
     converged = False
     iters = 0
     for k in range(cfg.max_iters):
         ws.step_into(new, u, alpha)
-        ws.project(new.stack)
+        ws.project(new)
         step = ws.step_norm(new, u)
         u, new = new, u
         iters = k + 1
@@ -309,7 +323,7 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
                 "iter": iters,
                 "energy": ws.energy(u),
                 "step_norm": step,
-                "violation_max": ws.violation_max(u),
+                "violation_max": violation,
                 "pg_residual": step / alpha,
             }
         )
@@ -344,7 +358,7 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev):
     a = alpha
     while True:
         ws.step_into(out, y, a, u, cfg.eta)
-        mask = ws.project(out.stack, prev, cfg.tau)
+        mask = ws.project(out, prev, cfg.tau)
         energy = ws.energy(out)
         if energy <= current_energy:
             return BacktrackResult(mask, a, energy, False, shrinks)
@@ -366,6 +380,7 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
     u0, mask = _initial_state(ws)
     u = ws.buffer(u0)
     energy_u = ws.energy(u)
+    violation = ws.violation_max(u)  # every iterate's, bit for bit (module docstring)
     t = 1.0  # Nesterov t-sequence
     y = ws.buffer(u0.copy())  # extrapolated point
     cand = ws.buffer(np.empty_like(u0))  # trial buffer, swapped with u on acceptance
@@ -389,7 +404,7 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
                     "iter": iters,
                     "energy": energy_u,
                     "step_norm": None,
-                    "violation_max": ws.violation_max(u),
+                    "violation_max": violation,
                     "alpha": bt.alpha,
                     "restarted": True,
                 }
@@ -412,7 +427,7 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
                 "iter": iters,
                 "energy": energy_u,
                 "step_norm": step,
-                "violation_max": ws.violation_max(u),
+                "violation_max": violation,
                 "alpha": alpha,
                 "restarted": False,
             }

@@ -9,9 +9,19 @@ part, ties going to the smallest index.  An optional hysteresis tolerance
 keeps the previously zeroed index at near-ties to avoid phase flicker.
 `project_point` names the zeroed face by its 1-based index; the stack
 projections carry it as a (3, ny, nx) boolean zero mask.
+
+`project_stack_interior` is the one vectorized kernel, and `project_and_pin`
+applies it to a whole stack and pins the boundary ring to the trace.  A loop
+that projects the same buffers every iteration builds their
+`projection_views` once (the component planes of the stack and of the mask
+buffers, the threshold plane and the ring views) and passes them in; the
+kernel builds the same record on every call otherwise, so both paths run the
+same code.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +29,7 @@ __all__ = [
     "project_point",
     "project_stack_interior",
     "project_and_pin",
+    "projection_views",
     "face_projections",
     "projection_selftest",
 ]
@@ -50,12 +61,57 @@ def project_point(v, prev: int | None = None, tau: float = 0.0):
     return out, k + 1
 
 
+class ProjectionViews(NamedTuple):
+    """What :func:`project_stack_interior` and :func:`project_and_pin` read and write for one
+    stack and one mask buffer; see :func:`projection_views`."""
+
+    stack: np.ndarray  # the (3, m, n) block, projected in place
+    planes: tuple  # its three components
+    zero: np.ndarray  # the zero mask written
+    zero_planes: tuple
+    keep: np.ndarray  # scratch mask of the hysteresis
+    keep_planes: tuple
+    thr: np.ndarray  # (m, n) plane of the hysteresis threshold
+    trace: np.ndarray | None
+    ring: tuple | None  # the first and last rows, then columns, of stack and of trace
+
+
+def projection_views(
+    stack: np.ndarray, zero=None, keep=None, thr=None, trace=None
+) -> ProjectionViews:
+    """The views the projection uses on the (3, m, n) block `stack`.
+
+    zero and keep are bool arrays of the block's shape, the mask written and
+    a scratch mask, and thr a float (m, n) array; each is allocated when
+    None.  Stacks may share keep and thr, which are scratch within one call.
+    With the (3, m, n) `trace`, the record also holds the ring views that
+    :func:`project_and_pin` pins: the first and last row, and the first and
+    last column, of the stack and of the trace.  Built once per stack and
+    mask buffer, they let repeated calls skip every unpack and slice; the
+    views see the arrays' later values.
+    """
+    if zero is None:
+        zero = np.empty(stack.shape, bool)
+    if keep is None:
+        keep = np.empty(stack.shape, bool)
+    if thr is None:
+        thr = np.empty(stack.shape[1:])
+    ring = None
+    if trace is not None:
+        m, n = stack.shape[1:]
+        rows = (slice(None), slice(None, None, m - 1))
+        cols = (slice(None), slice(None), slice(None, None, n - 1))
+        ring = (stack[rows], trace[rows], stack[cols], trace[cols])
+    return ProjectionViews(stack, tuple(stack), zero, tuple(zero), keep, tuple(keep), thr, trace,
+                           ring)
+
+
 def project_stack_interior(
     values: np.ndarray,
     prev: np.ndarray | None = None,
     tau: float = 0.0,
     out: np.ndarray | None = None,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    work: ProjectionViews | tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of a (3, m, n) block of interior triples.
 
@@ -69,16 +125,19 @@ def project_stack_interior(
     the smallest index); with prev, a node takes prev's column instead where
     that component's positive part is within tau of the smallest.  `work`
     may supply the mask, a bool scratch array of the block's shape and a
-    float (m, n) array for the hysteresis threshold; the mask returned is
-    then work[0], which must not be prev, and repeated calls allocate
-    nothing.  The results are the same bit for bit as without `work`.
+    float (m, n) array for the hysteresis threshold, so repeated calls
+    allocate nothing, or the :func:`projection_views` of `out` (ValueError
+    for views of another stack), so they also build no views.  The mask
+    returned is then the supplied one, which must not be prev.  The results
+    are the same bit for bit either way.
     """
+    views = isinstance(work, ProjectionViews)
+    if views and work.stack is not out:
+        raise ValueError("projection views of another stack than out")
     p = np.maximum(values, 0.0, out=out)
-    p0, p1, p2 = p
-    if work is None:
-        work = (np.empty(p.shape, bool), np.empty(p.shape, bool), np.empty(p0.shape))
-    zero, keep, thr = work
-    z0, z1, z2 = zero
+    if not views:
+        work = projection_views(p, *(work or ()))
+    _, (p0, p1, p2), zero, (z0, z1, z2), keep, (k0, k1, k2), thr, _, _ = work
     # smallest positive part, ties to the smallest index (argmin's rule)
     np.less_equal(p0, p1, out=z0)
     np.less_equal(p0, p2, out=z2)
@@ -93,9 +152,9 @@ def project_stack_interior(
         thr += tau
         np.less_equal(p, thr, out=keep)
         np.logical_and(keep, prev, out=keep)
-        kept = np.logical_or(keep[0], keep[1], out=keep[0])
-        np.logical_or(kept, keep[2], out=kept)
-        np.copyto(zero, prev, where=kept)
+        np.logical_or(k0, k1, out=k0)
+        np.logical_or(k0, k2, out=k0)
+        np.copyto(zero, prev, where=k0)
     np.copyto(p, 0.0, where=zero)
     return p, zero
 
@@ -105,20 +164,26 @@ def project_and_pin(
     tr: np.ndarray,
     prev: np.ndarray | None = None,
     tau: float = 0.0,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    work: ProjectionViews | tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Project the (3, ny, nx) stack `out` in place and pin its ring to the trace `tr`.
 
     The whole stack is projected as one contiguous block, which is faster
     than the strided interior view; the ring values this produces are then
-    overwritten.  prev is a previous (3, ny, nx) zero mask or None, and the
-    returned zero mask, like prev's, is meaningless on the ring.  `work` is
-    passed to :func:`project_stack_interior`.
+    overwritten, by two copies between the ring views.  prev is a previous
+    (3, ny, nx) zero mask or None, and the returned zero mask, like prev's,
+    is meaningless on the ring.  `work` is the :func:`projection_views` of
+    `out` and `tr` (ValueError for views of another stack or trace), or
+    what :func:`project_stack_interior` takes in place of them.
     """
+    if not isinstance(work, ProjectionViews):
+        work = projection_views(out, *(work or ()), trace=tr)
+    elif work.trace is not tr:
+        raise ValueError("projection views of another trace than tr")
     _, zero = project_stack_interior(out, prev, tau, out, work)
-    ny, nx = out.shape[1:]
-    out[:, :: ny - 1] = tr[:, :: ny - 1]  # the first and last row
-    out[:, :, :: nx - 1] = tr[:, :, :: nx - 1]  # the first and last column
+    rows, tr_rows, cols, tr_cols = work.ring
+    np.copyto(rows, tr_rows)  # the first and last row
+    np.copyto(cols, tr_cols)  # the first and last column
     return zero
 
 

@@ -7,6 +7,12 @@ one compact line (the default `json.dumps` separators, no indent) and
 json module's C encoder, which an indent would switch off.  Wall time is
 the only machine-dependent entry and is zeroed by callers running in
 deterministic mode so artifact bytes are reproducible.
+
+Each history row is encoded once for both files: `write_history_jsonl`
+returns the lines it wrote, and `write_report_json` splices them into the
+report after its other entries.  The bytes are those of `json.dumps` of
+the whole report, because `history` is the last key of `to_dict()` and the
+encoder joins list items with the same ", " it joins dict entries with.
 """
 
 from __future__ import annotations
@@ -47,16 +53,29 @@ class SolveReport:
         return d
 
 
-def write_report_json(report: SolveReport, path) -> None:
-    """Write `report.to_dict()` as one line of compact JSON."""
-    text = json.dumps(report.to_dict())
+def write_report_json(report: SolveReport, path, history_lines: list[str] | None = None) -> None:
+    """Write `report.to_dict()` as one line of compact JSON, the bytes of `json.dumps` plus a newline.
+
+    `history_lines` may supply the rows of `report.history` already
+    encoded, as `write_history_jsonl` returns them; they are spliced in
+    as they are.
+    """
+    encode = json.JSONEncoder().encode
+    d = report.to_dict()
+    rows = d.pop("history")
+    if history_lines is None:
+        history_lines = map(encode, rows)
+    text = encode(d)[:-1] + ', "history": [' + ", ".join(history_lines) + "]}\n"
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
-def write_history_jsonl(rows: list[dict], path) -> None:
-    """Write one line of compact JSON per row, the bytes of `json.dumps(row)` plus a newline."""
+def write_history_jsonl(rows: list[dict], path) -> list[str]:
+    """Write one line of compact JSON per row, the bytes of `json.dumps(row)` plus a newline.
+
+    Returns the encoded rows, without their newlines.
+    """
     lines = list(map(json.JSONEncoder().encode, rows))
-    lines.append("")  # the last row's newline
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+        fh.write("\n".join([*lines, ""]))  # "" for the last row's newline
+    return lines

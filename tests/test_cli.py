@@ -248,6 +248,17 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith(f"error: config key {next(iter(values))!r}")
         assert not out.exists()
 
+    def test_config_integer_beyond_the_float_range_exits_1(self, tmp_path, capsys):
+        # "eps": 1 followed by 400 zeros raised OverflowError from math.isfinite
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algorithm": "penalty-picard", "bc": "bc4", "n": 9,
+                                   "eps": 10**400}))
+        out = tmp_path / "run"
+        assert run_cli("solve", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: eps must be finite, got a number beyond the float range\n")
+        assert not out.exists()
+
     def test_jobs_key_refused_by_solve(self, tmp_path, capsys):
         # solve runs one cell: a jobs key from a file is refused like the --jobs flag
         cfg = tmp_path / "cfg.json"

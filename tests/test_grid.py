@@ -340,6 +340,18 @@ class TestCheckFields:
             with pytest.raises(ValueError, match=f"^{name} {message}"):
                 CHECKED[cls](**{name: value})
 
+    FLOAT_FIELDS = [(cls, name) for cls, name, kind in SCALAR_FIELDS if kind == "float"]
+
+    @pytest.mark.parametrize(
+        "cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}-{n}" for c, n in FLOAT_FIELDS]
+    )
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["big", "-big"])
+    def test_an_integer_beyond_the_float_range_is_not_finite(self, cls, name, value):
+        # math.isfinite raised OverflowError; the message does not print the digits
+        message = f"^{name} must be finite, got a number beyond the float range$"
+        with pytest.raises(ValueError, match=message):
+            CHECKED[cls](**{name: value})
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):

@@ -671,6 +671,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PenaltyConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["epsilon_target", "epsilon_start", "continuation_factor", "outer_tol"]
+    )
+    def test_integer_beyond_the_float_range_rejected(self, field):
+        # PenaltyConfig(10**400) raised OverflowError from math.isfinite
+        kwargs = {"epsilon_target": 1e-3, field: 10**400}
+        message = f"^{field} must be finite, got a number beyond the float range$"
+        with pytest.raises(ValueError, match=message):
+            PenaltyConfig(**kwargs)
+
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
     def test_max_outer_must_be_an_integer(self, value):
         # a float cap built, then failed in range() after the harmonic

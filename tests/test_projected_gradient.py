@@ -544,8 +544,9 @@ def test_tracer_records_one_span_per_kernel_call(tmp_path, child_env):
     # iteration (PGD) or backtracking trial (FISTA), plus the projection of
     # the initial state, the final energy and FISTA's initial energy.  The
     # spans behind step_norm_ms and violation_ms: one step norm per accepted
-    # step, one violation per history row plus the final one (PGD 1,184 and
-    # 1,185 on this grid, FISTA 834 and 835, with no restart)
+    # step (PGD 1,184 on this grid, FISTA 834, with no restart), and two
+    # violations, the initial iterate's, which every history row copies, and
+    # the final one
     bench = Path(__file__).resolve().parents[1] / "bench"
     res = subprocess.run(
         [sys.executable, "-c", TRACED_RUNS, str(bench), str(tmp_path)],
@@ -560,7 +561,7 @@ def test_tracer_records_one_span_per_kernel_call(tmp_path, child_env):
     assert fista["trials"] >= fista["iters"] > 0 and fista["steps"] == fista["trials"]
     assert fista["energy"] == fista["trials"] + 2
     assert fista["project"] == fista["trials"] + 1
-    assert pgd["step_norm"] == pgd["iters"] and pgd["violation"] == pgd["iters"] + 1
-    assert fista["step_norm"] == fista["accepted"] and fista["violation"] == fista["iters"] + 1
+    assert pgd["step_norm"] == pgd["iters"] and pgd["violation"] == 2
+    assert fista["step_norm"] == fista["accepted"] and fista["violation"] == 2
     assert (pgd["iters"], fista["iters"], fista["accepted"]) == (1184, 834, 834)
     assert pgd["nested"] == fista["nested"] == 0

@@ -8,6 +8,7 @@ from segsolve.projection import (
     project_point,
     project_stack_interior,
     projection_selftest,
+    projection_views,
 )
 
 SQUARE = (-1.0, 1.0, -1.0, 1.0)
@@ -231,6 +232,64 @@ class TestProjectStackInterior:
             pos = np.maximum(values, 0.0)
             assert np.array_equal(zero, mask_of(np.argmin(pos, axis=0) + 1))
             assert out.tobytes() == np.where(zero, 0.0, pos).tobytes()
+
+
+class TestProjectionViews:
+    """Views built once per stack and mask buffer give the bits of the plain path."""
+
+    def _data(self, nx, ny, seed):
+        # values with exact ties and near-ties, a ring trace that differs from
+        # node to node, and a one-hot previous mask
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0], size=(3, ny, nx))
+        values[:, : ny // 2] += rng.uniform(-1.0, 2.0, (3, ny // 2, nx))
+        values[1, -3:] = values[0, -3:] + 1e-12
+        tr = rng.uniform(0.5, 1.0, (3, ny, nx))
+        prev = mask_of(rng.integers(1, 4, (ny, nx)))
+        return values, tr, prev
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-10])
+    @pytest.mark.parametrize("with_prev", [False, True])
+    @pytest.mark.parametrize("nx, ny", [(13, 9), (9, 13), (12, 9)], ids=["13x9", "9x13", "12x9"])
+    def test_views_give_the_plain_bits(self, nx, ny, with_prev, tau):
+        values, tr, prev = self._data(nx, ny, 41 + nx)
+        stack = np.empty_like(values)
+        masks = (np.empty(values.shape, bool), np.empty(values.shape, bool))
+        keep, thr = np.empty(values.shape, bool), np.empty((ny, nx))
+        views = [projection_views(stack, zero, keep, thr, tr) for zero in masks]
+        for k, v in enumerate(views):
+            for seed in range(2):  # the views see the stack's later values
+                data = values + seed
+                plain = data.copy()
+                zero_plain = project_and_pin(plain, tr, prev if with_prev else None, tau)
+                stack[...] = data
+                last = masks[1 - k]  # the other buffer holds the last mask, as in the loops
+                last[...] = prev
+                zero = project_and_pin(stack, tr, last if with_prev else None, tau, v)
+                assert zero is masks[k]
+                assert stack.tobytes() == plain.tobytes()
+                assert np.array_equal(zero, zero_plain)
+
+    def test_kernel_views_without_a_trace(self):
+        values, _, prev = self._data(11, 9, 7)
+        out = np.empty_like(values)
+        p, zero = project_stack_interior(values, prev, 1e-10, out, projection_views(out))
+        fresh, zero_fresh = project_stack_interior(values, prev, 1e-10)
+        assert p is out and p.tobytes() == fresh.tobytes() and np.array_equal(zero, zero_fresh)
+
+    def test_views_of_another_stack_or_trace_refused(self):
+        values, tr, _ = self._data(11, 9, 8)
+        out = values.copy()
+        views = projection_views(np.empty_like(values), trace=tr)
+        with pytest.raises(ValueError, match="another stack"):
+            project_stack_interior(values, None, 0.0, out, views)
+        with pytest.raises(ValueError, match="another stack"):
+            project_stack_interior(values, None, 0.0, None, views)
+        with pytest.raises(ValueError, match="another stack"):
+            project_and_pin(out, tr, work=views)
+        with pytest.raises(ValueError, match="another trace"):
+            project_and_pin(out, tr.copy(), work=projection_views(out, trace=tr))
+        assert out.tobytes() == values.tobytes()  # refused before writing
 
 
 class TestControls:
