@@ -247,7 +247,7 @@ def _segregated_trace(grid: Grid, phi: np.ndarray, config_id: str) -> BoundaryTr
 
 
 def _resolve_corners(phi: np.ndarray, grid: Grid) -> None:
-    """Zero the second-smallest positive component at conflicting corners."""
+    """Zero the second positive index, 1 when all three are positive, at conflicting corners."""
     for j in (0, grid.ny - 1):
         for i in (0, grid.nx - 1):
             vals = phi[:, j, i]

@@ -99,6 +99,8 @@ class RunConfig:
     custom_bc_csv: str | None = None
 
     def validate(self) -> None:
+        if fits(self.n, "int"):
+            _grid(self.n)  # an n below 3 gets the grid's message, not check_fields' n >= 1
         check_fields(self)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
@@ -276,12 +278,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cells = [
         replace(cfg, bc=bc, algorithm=algo, out=outroot) for bc in BENCH_BCS for algo in algos
     ]
-    grid = _grid(cfg.n)
     # cells of one algorithm differ only in their built-in bc, on which neither
     # check depends: one cell per algorithm checks every value before any runs
     for cell in cells[: len(algos)]:
         cell.validate()
-        _solver_config(cell, grid)
+        _solver_config(cell, _grid(cell.n))
 
     os.makedirs(outroot, exist_ok=True)
     payloads = [asdict(cell) for cell in cells]
@@ -311,7 +312,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if cell.algorithm == algo
         ]
         with open(os.path.join(outroot, f"{algo}_sheet.svg"), "w") as fh:
-            fh.write(render_tiled_svg(entries, grid))
+            fh.write(render_tiled_svg(entries, _grid(cfg.n)))
 
     n_ok = sum(1 for r in results if r.get("converged"))
     print(f"bench: {n_ok}/{len(results)} runs converged -> {outroot}")

@@ -112,9 +112,10 @@ class Grid:
     y_max: float
 
     def __post_init__(self):
-        check_fields(self)
-        if self.nx < 3 or self.ny < 3:
+        # the grid's own bound before check_fields' integer bound, so 0 gets this message too
+        if fits(self.nx, "int") and fits(self.ny, "int") and min(self.nx, self.ny) < 3:
             raise ValueError(f"grid needs nx, ny >= 3, got ({self.nx}, {self.ny})")
+        check_fields(self)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate domain bounds")
 

@@ -18,7 +18,8 @@ the shared measures of :mod:`segsolve.grid` (the step norm one subtract and
 one einsum), and a `SystemState` is built only for the result.
 The hysteresis state is the (3, ny, nx) boolean zero mask of the last
 accepted projection, as :func:`segsolve.projection.project_and_pin`
-returns it.
+returns it: the mask of the accepted iterate's buffer, which the next
+projection, written into another buffer's own mask, reads as prev.
 
 The `violation_max` column of the history is measured once per run, on the
 initial iterate, and copied into every row.  That is exact for finite
@@ -128,15 +129,14 @@ class _Buffer:
     """One (3, ny, nx) loop buffer and the views of it that the kernels read.
 
     On the stack read as one flat C-ordered run: `windows` are its right,
-    left, down and up neighbour windows of the stencil, `centre` the span
-    they are centred on (the span `step_into` writes), and `parts` the three
-    components as flat runs; `energy` is the
-    :func:`segsolve.grid.energy_views` of the stack, and `project` its two
-    :func:`segsolve.projection.projection_views`, one per mask buffer of
-    the workspace.  Built once per run by `_Workspace.buffer`.
+    left, down and up neighbour windows of the stencil, and `centre` the
+    span they are centred on (the span `step_into` writes); `energy` is the
+    :func:`segsolve.grid.energy_views` of the stack, and `project` its
+    :func:`segsolve.projection.projection_views` record, which owns the
+    buffer's zero mask.  Built once per run by `_Workspace.buffer`.
     """
 
-    __slots__ = ("stack", "windows", "centre", "parts", "energy", "project")
+    __slots__ = ("stack", "windows", "centre", "energy", "project")
 
 
 class _Workspace:
@@ -163,13 +163,12 @@ class _Workspace:
       the projection;
     - the energy forms its differences on the flat stack and sums the cell
       entries of each in one einsum over a strided view, without a copy;
-    - the projection zeroes each component from a preallocated boolean zero
-      mask, which is also the hysteresis state FISTA carries: `project`
-      writes into whichever of the two mask buffers is not `prev`, so an
-      accepted step's mask survives the next step's trials and the buffers
-      swap roles on acceptance.  Each buffer carries the projection views
-      for both mask buffers; all of them share one scratch mask and one
-      threshold plane.
+    - each buffer owns its mask: the projection of a buffer zeroes each
+      component from the buffer's preallocated boolean zero mask, which is
+      also the hysteresis state FISTA carries.  The accepted iterate's mask
+      is prev, and the trials write their candidate buffer's own, so it
+      survives them and passes to the next buffer on acceptance, with the
+      swap.  All records share one scratch mask and one threshold plane.
     """
 
     def __init__(self, grid: Grid, tr: np.ndarray):
@@ -190,7 +189,6 @@ class _Workspace:
         # the projection's scratch mask and threshold plane are scratch within one call, like prod
         self.keep = np.empty(tr.shape, bool)
         self.thr = self.prod.reshape(grid.shape)
-        self.masks = (np.empty(tr.shape, bool), np.empty(tr.shape, bool))
 
     def buffer(self, stack: np.ndarray) -> _Buffer:
         """The views of the C-contiguous (3, ny, nx) `stack` (ValueError otherwise)."""
@@ -200,10 +198,8 @@ class _Workspace:
         length = self.tmp.size
         buf.windows = tuple(f[s : s + length] for s in self.shifts)
         buf.centre = f[self.span]
-        buf.parts = tuple(f.reshape(3, -1))
         buf.energy = energy_views(self.grid, stack, self.energy_work)
-        buf.project = tuple(projection_views(stack, zero, self.keep, self.thr, self.tr)
-                            for zero in self.masks)
+        buf.project = projection_views(stack, self.tr, self.keep, self.thr)
         return buf
 
     def step_into(self, out: _Buffer, y: _Buffer, alpha, u: _Buffer | None = None, eta=0.0):
@@ -237,13 +233,6 @@ class _Workspace:
             np.multiply(u.centre, eta * scale, out=t)
             np.add(o, t, out=o)
 
-    def project(self, out: _Buffer, prev=None, tau=0.0):
-        """`project_and_pin` of the buffer `out` with this workspace's buffers; returns the zero mask.
-
-        The mask is written into the mask buffer that `prev` is not.
-        """
-        return project_and_pin(out.stack, self.tr, prev, tau, out.project[prev is self.masks[0]])
-
     def energy(self, u: _Buffer) -> float:
         return energy_of_stack(self.grid, u.stack, u.energy)
 
@@ -252,7 +241,7 @@ class _Workspace:
 
     def violation_max(self, u: _Buffer) -> float:
         """max |u1 * u2 * u3| over all nodes."""
-        u1, u2, u3 = u.parts
+        u1, u2, u3 = u.stack.reshape(3, -1)
         p = self.prod
         np.multiply(u1, u2, out=p)
         np.multiply(p, u3, out=p)
@@ -268,16 +257,16 @@ def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     the smallest tied index is zeroed.  Symmetric data give the extensions
     such ties, which otherwise rounding breaks, and no measured run from
     this start has moved the zero mask they choose.  Returns the stack and
-    its (3, ny, nx) zero mask, as `project_and_pin` does; the mask is a
-    fresh array, so the first projection of a loop may write into either
-    mask buffer.
+    its (3, ny, nx) zero mask, as `project_and_pin` does; the stack and
+    the mask are fresh arrays, projected through a record built here, so
+    the first projection of a loop reads the mask as prev from no buffer.
     """
     u = np.stack([harmonic_extension(ws.grid, ws.tr[k]).values for k in range(3)])
     p = np.maximum(u, 0.0)
     tied = p <= p.min(axis=0) + TIE * p.max(axis=0)
     zero = np.arange(3)[:, None, None] == tied.argmax(axis=0)  # the first tied index
     # hysteresis that keeps the previous phase at any gap zeroes exactly `zero`
-    return u, project_and_pin(u, ws.tr, zero, math.inf)
+    return u, project_and_pin(projection_views(u, ws.tr), zero, math.inf)
 
 
 def _result(ws, algorithm, trace, u, iters, converged, t0, history, meta):
@@ -314,7 +303,7 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
     iters = 0
     for k in range(cfg.max_iters):
         ws.step_into(new, u, alpha)
-        ws.project(new)
+        project_and_pin(new.project)
         step = ws.step_norm(new, u)
         u, new = new, u
         iters = k + 1
@@ -350,15 +339,15 @@ def _backtrack(ws, out, y, u, alpha, current_energy, cfg, alpha_min, prev):
     Trial steps start at `alpha` and shrink geometrically by cfg.rho with
     floor alpha_min; if even the floor candidate increases the energy it is
     returned flagged for a momentum restart.  out, y and u are the
-    workspace's buffers, and each trial candidate is written into `out`; prev and the returned assignment are (3, ny, nx)
-    zero masks, the assignment in the workspace's mask buffer that prev is
-    not.
+    workspace's buffers, and each trial candidate is written into `out`;
+    prev and the returned assignment are (3, ny, nx) zero masks, the
+    assignment in out's own mask.
     """
     shrinks = 0
     a = alpha
     while True:
         ws.step_into(out, y, a, u, cfg.eta)
-        mask = ws.project(out, prev, cfg.tau)
+        mask = project_and_pin(out.project, prev, cfg.tau)
         energy = ws.energy(out)
         if energy <= current_energy:
             return BacktrackResult(mask, a, energy, False, shrinks)

@@ -11,12 +11,12 @@ keeps the previously zeroed index at near-ties to avoid phase flicker.
 projections carry it as a (3, ny, nx) boolean zero mask.
 
 `project_stack_interior` is the one vectorized kernel, and `project_and_pin`
-applies it to a whole stack and pins the boundary ring to the trace.  A loop
-that projects the same buffers every iteration builds their
-`projection_views` once (the component planes of the stack and of the mask
-buffers, the threshold plane and the ring views) and passes them in; the
-kernel builds the same record on every call otherwise, so both paths run the
-same code.
+applies it to a whole stack and pins the boundary ring to the trace.  Both
+work through a `projection_views` record of one stack: its component
+planes, the zero mask it owns, the hysteresis scratch and, with a trace,
+the ring views.  A loop builds one record per buffer once and passes it to
+every call; the kernel builds a fresh record when given none, so both
+paths run the same code.
 """
 
 from __future__ import annotations
@@ -63,35 +63,31 @@ def project_point(v, prev: int | None = None, tau: float = 0.0):
 
 class ProjectionViews(NamedTuple):
     """What :func:`project_stack_interior` and :func:`project_and_pin` read and write for one
-    stack and one mask buffer; see :func:`projection_views`."""
+    stack, which owns its zero mask; see :func:`projection_views`."""
 
     stack: np.ndarray  # the (3, m, n) block, projected in place
     planes: tuple  # its three components
-    zero: np.ndarray  # the zero mask written
+    zero: np.ndarray  # the zero mask written, this record's own
     zero_planes: tuple
     keep: np.ndarray  # scratch mask of the hysteresis
     keep_planes: tuple
     thr: np.ndarray  # (m, n) plane of the hysteresis threshold
-    trace: np.ndarray | None
     ring: tuple | None  # the first and last rows, then columns, of stack and of trace
 
 
-def projection_views(
-    stack: np.ndarray, zero=None, keep=None, thr=None, trace=None
-) -> ProjectionViews:
-    """The views the projection uses on the (3, m, n) block `stack`.
+def projection_views(stack: np.ndarray, trace=None, keep=None, thr=None) -> ProjectionViews:
+    """The record through which the projection reads and writes the (3, m, n) block `stack`.
 
-    zero and keep are bool arrays of the block's shape, the mask written and
-    a scratch mask, and thr a float (m, n) array; each is allocated when
-    None.  Stacks may share keep and thr, which are scratch within one call.
-    With the (3, m, n) `trace`, the record also holds the ring views that
-    :func:`project_and_pin` pins: the first and last row, and the first and
-    last column, of the stack and of the trace.  Built once per stack and
-    mask buffer, they let repeated calls skip every unpack and slice; the
-    views see the arrays' later values.
+    The record allocates its own zero mask, the bool array of the block's
+    shape that every projection through it writes.  With the (3, m, n)
+    `trace`, it also holds the ring views that :func:`project_and_pin`
+    pins: the first and last row, and the first and last column, of the
+    stack and of the trace.  keep, a bool array of the block's shape, and
+    thr, a float (m, n) array, are scratch within one call, so records may
+    share them; each is allocated when None.  Built once per stack, a
+    record lets repeated calls skip every unpack and slice; its views see
+    the arrays' later values.
     """
-    if zero is None:
-        zero = np.empty(stack.shape, bool)
     if keep is None:
         keep = np.empty(stack.shape, bool)
     if thr is None:
@@ -102,42 +98,38 @@ def projection_views(
         rows = (slice(None), slice(None, None, m - 1))
         cols = (slice(None), slice(None), slice(None, None, n - 1))
         ring = (stack[rows], trace[rows], stack[cols], trace[cols])
-    return ProjectionViews(stack, tuple(stack), zero, tuple(zero), keep, tuple(keep), thr, trace,
-                           ring)
+    zero = np.empty(stack.shape, bool)
+    return ProjectionViews(stack, tuple(stack), zero, tuple(zero), keep, tuple(keep), thr, ring)
 
 
 def project_stack_interior(
     values: np.ndarray,
     prev: np.ndarray | None = None,
     tau: float = 0.0,
-    out: np.ndarray | None = None,
-    work: ProjectionViews | tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    views: ProjectionViews | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of a (3, m, n) block of interior triples.
 
     Returns the projected block and its zero mask: a (3, m, n) bool array,
     true at the one component each node zeroes.  prev is such a mask from an
     earlier call, or None; a node whose column of prev is all false has no
-    previous phase, as 0 does for `project_point`'s prev.  With `out` given
-    the block is written there (it may be `values` itself).
+    previous phase, as 0 does for `project_point`'s prev.
 
     The mask starts as the comparisons of the smallest positive part (ties to
     the smallest index); with prev, a node takes prev's column instead where
-    that component's positive part is within tau of the smallest.  `work`
-    may supply the mask, a bool scratch array of the block's shape and a
-    float (m, n) array for the hysteresis threshold, so repeated calls
-    allocate nothing, or the :func:`projection_views` of `out` (ValueError
-    for views of another stack), so they also build no views.  The mask
-    returned is then the supplied one, which must not be prev.  The results
-    are the same bit for bit either way.
+    that component's positive part is within tau of the smallest.  The block
+    and the mask are written into the stack and the mask of the
+    :func:`projection_views` record `views` (`values` may be its stack), or
+    of a fresh record when None.  prev, read while the mask is written,
+    must not be the record's own mask (ValueError, before anything is
+    written).
     """
-    views = isinstance(work, ProjectionViews)
-    if views and work.stack is not out:
-        raise ValueError("projection views of another stack than out")
-    p = np.maximum(values, 0.0, out=out)
-    if not views:
-        work = projection_views(p, *(work or ()))
-    _, (p0, p1, p2), zero, (z0, z1, z2), keep, (k0, k1, k2), thr, _, _ = work
+    if views is None:
+        views = projection_views(np.empty(values.shape))
+    elif prev is views.zero:
+        raise ValueError("prev is the zero mask this projection writes")
+    p = np.maximum(values, 0.0, out=views.stack)
+    _, (p0, p1, p2), zero, (z0, z1, z2), keep, (k0, k1, k2), thr, _ = views
     # smallest positive part, ties to the smallest index (argmin's rule)
     np.less_equal(p0, p1, out=z0)
     np.less_equal(p0, p2, out=z2)
@@ -160,28 +152,20 @@ def project_stack_interior(
 
 
 def project_and_pin(
-    out: np.ndarray,
-    tr: np.ndarray,
-    prev: np.ndarray | None = None,
-    tau: float = 0.0,
-    work: ProjectionViews | tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    views: ProjectionViews, prev: np.ndarray | None = None, tau: float = 0.0
 ) -> np.ndarray:
-    """Project the (3, ny, nx) stack `out` in place and pin its ring to the trace `tr`.
+    """Project the stack of the record `views` in place and pin its ring to the record's trace.
 
-    The whole stack is projected as one contiguous block, which is faster
-    than the strided interior view; the ring values this produces are then
-    overwritten, by two copies between the ring views.  prev is a previous
-    (3, ny, nx) zero mask or None, and the returned zero mask, like prev's,
-    is meaningless on the ring.  `work` is the :func:`projection_views` of
-    `out` and `tr` (ValueError for views of another stack or trace), or
-    what :func:`project_stack_interior` takes in place of them.
+    The whole (3, ny, nx) stack is projected as one contiguous block, which
+    is faster than the strided interior view; the ring values this produces
+    are then overwritten, by two copies between the ring views.  `views` is
+    a :func:`projection_views` record built with a trace.  prev is a
+    previous (3, ny, nx) zero mask or None, never the record's own.
+    Returns the record's mask, which, like prev's, is meaningless on the
+    ring.
     """
-    if not isinstance(work, ProjectionViews):
-        work = projection_views(out, *(work or ()), trace=tr)
-    elif work.trace is not tr:
-        raise ValueError("projection views of another trace than tr")
-    _, zero = project_stack_interior(out, prev, tau, out, work)
-    rows, tr_rows, cols, tr_cols = work.ring
+    rows, tr_rows, cols, tr_cols = views.ring
+    _, zero = project_stack_interior(views.stack, prev, tau, views)
     np.copyto(rows, tr_rows)  # the first and last row
     np.copyto(cols, tr_cols)  # the first and last column
     return zero

@@ -61,10 +61,12 @@ class TestSolve:
         assert "max_iters" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_grid_too_small_exits_1_without_artifacts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_grid_too_small_exits_1_without_artifacts(self, tmp_path, capsys, n):
+        # n = 0 read "n must be >= 1", a weaker bound than the grid's
         out = tmp_path / "run"
-        assert run_cli("solve", "--algo", "pgd", "--n", "2", "--out", str(out)) == 1
-        assert capsys.readouterr().err == "error: grid needs nx, ny >= 3, got (2, 2)\n"
+        assert run_cli("solve", "--algo", "pgd", "--n", str(n), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: grid needs nx, ny >= 3, got ({n}, {n})\n"
         assert not out.exists()
 
     def test_jobs_is_a_bench_flag(self, tmp_path):
@@ -440,6 +442,14 @@ class TestBench:
             assert line.startswith(f"bench: bc{k} penalty-picard failed: CG did not reach"), line
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert rows == [f"bc{k},penalty-picard,,,,error," for k in range(1, 10)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_grid_too_small_exits_1_without_artifacts(self, tmp_path, capsys, n):
+        # n = 0 read "nx must be >= 1": the grid was built before any cell was checked
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--algos", "pgd", "--n", str(n), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: grid needs nx, ny >= 3, got ({n}, {n})\n"
+        assert not out.exists()
 
     def test_empty_algorithm_list_exits_1(self, tmp_path):
         assert run_cli("bench", "--algos", "", "--out", str(tmp_path / "x")) == 1

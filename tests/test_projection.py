@@ -103,14 +103,14 @@ class TestProjectField:
         stack = rng.uniform(0.0, 1.0, (3, *g.shape))
         stack[2] = 0.0  # already on the third face
         out = stack.copy()
-        zero = project_and_pin(out, self._trace(g))
+        zero = project_and_pin(projection_views(out, self._trace(g)))
         assert np.array_equal(out[self.INNER], stack[self.INNER])
         assert np.array_equal(zero[self.INNER], mask_of(np.full((5, 5), 3)))
 
     def test_uniform_tie_zeroes_first_component(self):
         g = build_grid(6, 6, SQUARE)
         out = np.ones((3, *g.shape))
-        zero = project_and_pin(out, self._trace(g))
+        zero = project_and_pin(projection_views(out, self._trace(g)))
         inner = out[self.INNER]
         assert np.all(inner[0] == 0.0) and np.all(inner[1:] == 1.0)
         assert np.array_equal(zero[self.INNER], mask_of(np.full((4, 4), 1)))
@@ -123,7 +123,7 @@ class TestProjectField:
         rng = np.random.default_rng(6)
         out = rng.uniform(-1.0, 2.0, (3, *g.shape))
         tr = rng.uniform(0.5, 1.0, (3, *g.shape))
-        project_and_pin(out, tr)
+        project_and_pin(projection_views(out, tr))
         b = g.boundary_mask()
         assert np.array_equal(out[:, b], tr[:, b])
         assert np.abs(np.prod(out[self.INNER], axis=0)).max() == 0.0
@@ -133,7 +133,7 @@ class TestProjectField:
         rng = np.random.default_rng(7)
         stack = rng.uniform(-1.0, 2.0, (3, *g.shape))
         out = stack.copy()
-        zero = project_and_pin(out, self._trace(g))
+        zero = project_and_pin(projection_views(out, self._trace(g)))
         for j in range(1, g.ny - 1):
             for i in range(1, g.nx - 1):
                 expected, k_exp = project_point(stack[:, j, i])
@@ -145,7 +145,7 @@ class TestProjectField:
         rng = np.random.default_rng(8)
         stack = rng.uniform(-1.0, 2.0, (3, *g.shape))
         out = stack.copy()
-        project_and_pin(out, self._trace(g))
+        project_and_pin(projection_views(out, self._trace(g)))
         v = stack[self.INNER]
         diff = out[self.INNER] - v
         d2 = np.sum(diff * diff, axis=0)
@@ -160,7 +160,7 @@ class TestProjectField:
         out = np.full((3, *g.shape), 0.5)
         out[1] += 1e-12  # component 2 barely above the tie
         prev = mask_of(np.full(g.shape, 2))
-        zero = project_and_pin(out, self._trace(g), prev, 1e-10)
+        zero = project_and_pin(projection_views(out, self._trace(g)), prev, 1e-10)
         assert np.array_equal(zero[self.INNER], prev[self.INNER])
         assert np.all(out[1, 1:-1, 1:-1] == 0.0)
 
@@ -191,7 +191,7 @@ class TestProjectStackInterior:
         for prev, tau in ((None, 0.0), (mask_of(prev_k), 1e-10)):
             fresh, zero_fresh = project_stack_interior(values, prev, tau)
             block = values.copy()
-            out, zero = project_stack_interior(block, prev, tau, out=block)
+            out, zero = project_stack_interior(block, prev, tau, projection_views(block))
             assert out is block
             assert fresh.tobytes() == block.tobytes()
             assert np.array_equal(zero, zero_fresh) and zero.dtype == bool
@@ -214,13 +214,12 @@ class TestProjectStackInterior:
         # the zero mask is the one-hot form of project_point's index
         values, prev_k = self._tie_block(31 + int(with_prev))
         prev = mask_of(prev_k) if with_prev else None
-        work = (np.empty(values.shape, bool), np.empty(values.shape, bool),
-                np.empty(values.shape[1:]))
         out, zero = project_stack_interior(values, prev, tau)
         block = values.copy()
-        p, zero_work = project_stack_interior(block, prev, tau, out=block, work=work)
+        views = projection_views(block)
+        p, zero_work = project_stack_interior(block, prev, tau, views)
         assert p.tobytes() == out.tobytes() and np.array_equal(zero_work, zero)
-        assert zero_work is work[0]
+        assert zero_work is views.zero
         for j in range(values.shape[1]):
             for i in range(values.shape[2]):
                 pp = int(prev_k[j, i]) if with_prev else None
@@ -235,7 +234,7 @@ class TestProjectStackInterior:
 
 
 class TestProjectionViews:
-    """Views built once per stack and mask buffer give the bits of the plain path."""
+    """Records built once per stack give the bits of the plain path."""
 
     def _data(self, nx, ny, seed):
         # values with exact ties and near-ties, a ring trace that differs from
@@ -254,42 +253,45 @@ class TestProjectionViews:
     def test_views_give_the_plain_bits(self, nx, ny, with_prev, tau):
         values, tr, prev = self._data(nx, ny, 41 + nx)
         stack = np.empty_like(values)
-        masks = (np.empty(values.shape, bool), np.empty(values.shape, bool))
         keep, thr = np.empty(values.shape, bool), np.empty((ny, nx))
-        views = [projection_views(stack, zero, keep, thr, tr) for zero in masks]
+        views = [projection_views(stack, tr, keep, thr) for _ in range(2)]
         for k, v in enumerate(views):
             for seed in range(2):  # the views see the stack's later values
                 data = values + seed
                 plain = data.copy()
-                zero_plain = project_and_pin(plain, tr, prev if with_prev else None, tau)
+                zero_plain = project_and_pin(projection_views(plain, tr),
+                                             prev if with_prev else None, tau)
                 stack[...] = data
-                last = masks[1 - k]  # the other buffer holds the last mask, as in the loops
+                last = views[1 - k].zero  # the other record holds the last mask, as in the loops
                 last[...] = prev
-                zero = project_and_pin(stack, tr, last if with_prev else None, tau, v)
-                assert zero is masks[k]
+                zero = project_and_pin(v, last if with_prev else None, tau)
+                assert zero is v.zero and zero is not last
                 assert stack.tobytes() == plain.tobytes()
                 assert np.array_equal(zero, zero_plain)
 
     def test_kernel_views_without_a_trace(self):
         values, _, prev = self._data(11, 9, 7)
         out = np.empty_like(values)
-        p, zero = project_stack_interior(values, prev, 1e-10, out, projection_views(out))
+        p, zero = project_stack_interior(values, prev, 1e-10, projection_views(out))
         fresh, zero_fresh = project_stack_interior(values, prev, 1e-10)
         assert p is out and p.tobytes() == fresh.tobytes() and np.array_equal(zero, zero_fresh)
 
-    def test_views_of_another_stack_or_trace_refused(self):
-        values, tr, _ = self._data(11, 9, 8)
-        out = values.copy()
-        views = projection_views(np.empty_like(values), trace=tr)
-        with pytest.raises(ValueError, match="another stack"):
-            project_stack_interior(values, None, 0.0, out, views)
-        with pytest.raises(ValueError, match="another stack"):
-            project_stack_interior(values, None, 0.0, None, views)
-        with pytest.raises(ValueError, match="another stack"):
-            project_and_pin(out, tr, work=views)
-        with pytest.raises(ValueError, match="another trace"):
-            project_and_pin(out, tr.copy(), work=projection_views(out, trace=tr))
-        assert out.tobytes() == values.tobytes()  # refused before writing
+    @pytest.mark.parametrize(
+        "project",
+        [lambda v: project_stack_interior(v.stack, v.zero, 1e-10, v),
+         lambda v: project_and_pin(v, v.zero, 1e-10)],
+        ids=["project_stack_interior", "project_and_pin"],
+    )
+    def test_prev_that_is_the_written_mask_refused(self, project):
+        # the mask is written before the hysteresis reads prev, so prev must be another mask
+        values, tr, prev = self._data(11, 9, 8)
+        stack = values.copy()
+        views = projection_views(stack, tr)
+        views.zero[...] = prev
+        with pytest.raises(ValueError, match="prev is the zero mask"):
+            project(views)
+        assert stack.tobytes() == values.tobytes()  # refused before writing
+        assert np.array_equal(views.zero, prev)
 
 
 class TestControls:
