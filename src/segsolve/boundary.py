@@ -247,13 +247,15 @@ def _segregated_trace(grid: Grid, phi: np.ndarray, config_id: str) -> BoundaryTr
 
 
 def _resolve_corners(phi: np.ndarray, grid: Grid) -> None:
-    """Zero the second positive index, 1 when all three are positive, at conflicting corners."""
+    """Zero index 1 at corners where all three components are positive.
+
+    A corner with a negative component is left as it is, for the trace's
+    nonnegativity check to refuse.
+    """
     for j in (0, grid.ny - 1):
         for i in (0, grid.nx - 1):
-            vals = phi[:, j, i]
-            if vals[0] * vals[1] * vals[2] > 0.0:
-                positive = np.nonzero(vals > 0.0)[0]
-                phi[positive[1], j, i] = 0.0
+            if np.all(phi[:, j, i] > 0.0):
+                phi[1, j, i] = 0.0
 
 
 def validate_segregation(trace: BoundaryTrace) -> SegregationReport:

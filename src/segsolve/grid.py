@@ -175,7 +175,7 @@ class ScalarField:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field contains non-finite values")
 
     @classmethod

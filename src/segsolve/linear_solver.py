@@ -95,6 +95,18 @@ over x + span(D).
     test is the same, so every solve still meets its tolerance and obeys
     the discrete maximum principle as a cold solve does.
 
+Call overhead.  At the sizes of the penalty runs (about 1,300 entries per
+half at n=51) a ufunc call costs about half a microsecond, and the
+interpreter work around it once cost as much again.  So the per-iteration
+and per-solve code runs on views built once per plan (or per trace, for
+the kept steps), binds the ufuncs it calls to locals, passes every output
+positionally and gives scalar operands as 0-d arrays: a Python float costs
+a ufunc call about a third more.  The CG operator `negative_schur` is one
+closure with the red neighbour sum, the D_r^-1 product and the black
+neighbour sum written out in it, and the Galerkin combination writes its
+products into CG scratch.  None of this changes an operation or its order,
+so every solve keeps its bits.
+
 A dense factorization of the reduced interior system, assembled separately
 from the interior right-hand side, is an independent oracle for small grids.
 """
@@ -224,43 +236,62 @@ def _jacobi_pcg(pair, xr, dinv, negative_apply, scale, budget, work):
     work is a float array of shape (3, v.size) for the update step and the
     preconditioned residual.  Returns the iteration count and the final
     relative residual.
+
+    An iteration is five ufunc calls and two dot products besides
+    negative_apply(), in the module's hot-path idiom (module docstring):
+    the ufuncs, the dot methods and the tolerance are bound to locals, and
+    alpha and beta reach the ufuncs as 0-d arrays.  The tolerance is read
+    once per call.
     """
+    add, multiply, sqrt, tol = np.add, np.multiply, math.sqrt, REL_TOL
     v, minus_ap = pair
     x, r = xr
     tmp, z = work[:2], work[2]
-    np.multiply(r, dinv, out=z)
-    rz = float(r.dot(z))
-    res = math.sqrt(max(rz, 0.0)) / scale
+    step, decay = np.empty(()), np.empty(())  # alpha and beta as 0-d operands
+    vdot, rdot = v.dot, r.dot
+    multiply(r, dinv, z)
+    rz = float(rdot(z))
+    res = sqrt(max(rz, 0.0)) / scale
     v[:] = z
     iters = 0
-    while res > REL_TOL and iters < budget:
+    while res > tol and iters < budget:
         negative_apply()
-        alpha = -rz / float(v.dot(minus_ap))
-        np.add(xr, np.multiply(pair, alpha, out=tmp), out=xr)  # x += alpha p, r -= alpha A p
-        np.multiply(r, dinv, out=z)
-        rz_new = float(r.dot(z))
-        res = math.sqrt(max(rz_new, 0.0)) / scale
-        beta = rz_new / rz
+        step[()] = -rz / float(vdot(minus_ap))
+        add(xr, multiply(pair, step, tmp), xr)  # x += alpha p, r -= alpha A p
+        multiply(r, dinv, z)
+        rz_new = float(rdot(z))
+        res = sqrt(max(rz_new, 0.0)) / scale
+        decay[()] = rz_new / rz
         rz = rz_new
-        np.multiply(v, beta, out=v)
-        np.add(z, v, out=v)  # p <- z + beta * p
+        multiply(v, decay, v)
+        add(z, v, v)  # p <- z + beta * p
         iters += 1
     return iters, res
 
 
 def _galerkin_coefficients(gram: np.ndarray, rhs: np.ndarray) -> list[float]:
-    """c solving gram c = rhs on the steps taken, 0 on the dropped ones (module docstring)."""
+    """c solving gram c = rhs on the steps taken, 0 on the dropped ones (module docstring).
+
+    Gauss-Jordan elimination on the rows of [gram | rhs] as Python floats,
+    newest step (last row) first; returns a list of Python floats.
+    """
     k = len(rhs)
-    a = [row + [b] for row, b in zip(gram.tolist(), rhs.tolist())]
+    a = gram.tolist()
+    floor = [DEPENDENT * a[j][j] for j in range(k)]
+    for row, b in zip(a, rhs.tolist()):
+        row.append(b)
     taken = []
     for j in reversed(range(k)):
-        if a[j][j] <= DEPENDENT * gram[j, j]:
+        pivot = a[j]
+        p = pivot[j]
+        if p <= floor[j]:
             continue
         taken.append(j)
         for i in range(k):
             if i != j:
-                f = a[i][j] / a[j][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+                row = a[i]
+                f = row[j] / p
+                a[i] = [x - f * y for x, y in zip(row, pivot)]
     return [a[j][k] / a[j][j] if j in taken else 0.0 for j in range(k)]
 
 
@@ -296,12 +327,23 @@ class _RedBlackPlan:
         self.ring_nodes = np.flatnonzero(ring)
         self.nr, self.nb = nr, nb = (ny * w + 1) // 2, ny * w // 2
         self.staged = np.zeros((3, ny, w))  # dinv, diag, b; the padding column stays 0
+        self.stage = self.staged[:, :, :nx]  # their grid columns
+        flat = self.staged.reshape(3, -1)
+        self.split = flat[:, 0::2], flat[:, 1::2]  # red and black halves of staged
+        # 0-d ufunc operands (module docstring): the stencil's centre
+        # coefficient 2 + 2q and the weight's hx^2 / eps of the current solve
+        self.stencil_centre, self.coefficient = np.array(2.0 + 2.0 * self.q), np.empty(())
         self.x_staged = np.zeros((ny, w))  # black_half's interior copy; ring and padding stay 0
         self.rows_r, self.rows_b = np.zeros((3, nr)), np.zeros((3, nb))  # halves of staged
         self.c_r = np.zeros(nr)
         self.cg_work = np.empty((3, nb))
         self.solution = np.empty((ny, w))
+        flat = self.solution.reshape(-1)
+        self.solution_halves = flat[0::2], flat[1::2]
+        self.solution_interior = self.solution[1:-1, 1 : nx - 1]
+        self.scale_work = np.empty(ny * nx)  # b D^-1 b in grid order, for the scale
         self.weights = np.empty(nb + nr)  # (D_b, -D_r^-1) of the current solve
+        self.weights_b, self.weights_r = self.weights[:nb], self.weights[nb:]
         self.weighted = np.empty((START_DEPTH, nb + nr))  # basis rows times weights
 
         self.pair = pair = np.zeros((2, nb))  # (v, -S v) on black nodes
@@ -312,45 +354,56 @@ class _RedBlackPlan:
         c_r = self.c_r
         # spans holding every interior node of one colour, all four neighbours in range
         lo, hi = h + 1, nb - h
-        red_x, red_y = (v[lo - 1 : hi - 1], v[lo:hi]), (v[lo - h - 1 : hi - h - 1], v[lo + h : hi + h])
+        vx0, vx1, vy0, vy1 = v[lo - 1 : hi - 1], v[lo:hi], v[lo - h - 1 : hi - h - 1], v[lo + h : hi + h]
         t_span, dr, tmp_r = t[lo:hi], self.rows_r[0, lo:hi], np.empty(hi - lo)
         lo, hi = h, nr - h - 1
-        black_x, black_y = (t[lo:hi], t[lo + 1 : hi + 1]), (t[lo - h : hi - h], t[lo + h + 1 : hi + h + 1])
+        tx0, tx1, ty0, ty1 = t[lo:hi], t[lo + 1 : hi + 1], t[lo - h : hi - h], t[lo + h + 1 : hi + h + 1]
         out, centre, db, tmp_b = minus_sv[lo:hi], v[lo:hi], self.rows_b[1, lo:hi], np.empty(hi - lo)
         # on square cells q is exactly 1, and a product with 1.0 changes no bit
         scaled = q != 1.0
+        q = np.array(q)
+        add, multiply, subtract = np.add, np.multiply, np.subtract
 
         def red_sums() -> None:
             """t <- N v on the red span: weight-free, finite junk on the red ring."""
-            np.add(*red_x, out=t_span)
-            np.add(*red_y, out=tmp_r)
+            add(vx0, vx1, t_span)
+            add(vy0, vy1, tmp_r)
             if scaled:
-                np.multiply(tmp_r, q, out=tmp_r)
-            np.add(t_span, tmp_r, out=t_span)
-
-        def to_red() -> None:
-            """t <- D_r^-1 N v: zero on the red ring."""
-            red_sums()
-            np.multiply(t_span, dr, out=t_span)
+                multiply(tmp_r, q, tmp_r)
+            add(t_span, tmp_r, t_span)
 
         def to_black() -> None:
             """minus_sv <- N^T t - D_b v: exact at interior nodes, finite junk on the ring."""
-            np.add(*black_x, out=out)
-            np.add(*black_y, out=tmp_b)
+            add(tx0, tx1, out)
+            add(ty0, ty1, tmp_b)
             if scaled:
-                np.multiply(tmp_b, q, out=tmp_b)
-            np.add(out, tmp_b, out=out)
-            np.multiply(db, centre, out=tmp_b)
-            np.subtract(out, tmp_b, out=out)
+                multiply(tmp_b, q, tmp_b)
+            add(out, tmp_b, out)
+            multiply(db, centre, tmp_b)
+            subtract(out, tmp_b, out)
 
         def negative_schur() -> None:
-            to_red()
-            to_black()
+            """minus_sv <- -S v, leaving t = D_r^-1 N v: red_sums, the D_r^-1
+            product and to_black in one body, since CG calls it every iteration."""
+            add(vx0, vx1, t_span)
+            add(vy0, vy1, tmp_r)
+            if scaled:
+                multiply(tmp_r, q, tmp_r)
+            add(t_span, tmp_r, t_span)
+            multiply(t_span, dr, t_span)
+            add(tx0, tx1, out)
+            add(ty0, ty1, tmp_b)
+            if scaled:
+                multiply(tmp_b, q, tmp_b)
+            add(out, tmp_b, out)
+            multiply(db, centre, tmp_b)
+            subtract(out, tmp_b, out)
 
         def back_substitute() -> None:
             """t <- D_r^-1 (b_r + N v): the red unknowns that zero the red residual."""
-            to_red()
-            np.add(t, c_r, out=t)
+            red_sums()
+            multiply(t_span, dr, t_span)
+            add(t, c_r, t)
 
         self.red_sums, self.to_black = red_sums, to_black
         self.negative_schur, self.back_substitute = negative_schur, back_substitute
@@ -378,8 +431,16 @@ class _RedBlackPlan:
         self.answer = None  # black half of the last answer of a solve given this plan
         # rows (step d, N d): the steps between kept solutions on black nodes,
         # newest last, and their red neighbour sums
-        self.basis = np.zeros((START_DEPTH, self.nb + self.nr))
+        self.basis = basis = np.zeros((START_DEPTH, self.nb + self.nr))
         self.stale = 0  # newest rows whose N d is not computed yet
+        nb = self.nb
+        self.steps = [(row[:nb], row[nb:]) for row in basis]  # (d, N d) views of each row
+        flat = basis.reshape(-1)
+        self.shift = flat[: -basis.shape[1]], flat[basis.shape[1] :]  # rows 0.. <- rows 1..
+        # by the number k of steps a start projects on: the newest k rows of
+        # the basis and of its weighted copy, and their steps d
+        self.newest = [None] + [(basis[-k:], self.weighted[-k:], basis[-k:, :nb])
+                                for k in range(1, START_DEPTH + 1)]
 
     def sibling(self, trace: np.ndarray) -> _RedBlackPlan:
         """A plan for another trace on the same grid that shares this plan's buffers.
@@ -424,8 +485,8 @@ class _RedBlackPlan:
         """
         xb = self.answer if x is None else self.black_half(x)
         if self.kept:
-            self.basis[:-1] = self.basis[1:]
-            np.subtract(xb, self.last, out=self.basis[-1, : xb.size])
+            np.copyto(*self.shift)
+            np.subtract(xb, self.last, self.steps[-1][0])
             self.stale = min(self.stale + 1, START_DEPTH)
         self.last = xb
         self.kept += 1
@@ -441,30 +502,29 @@ class _RedBlackPlan:
         k = min(self.kept - 1, START_DEPTH)
         v, minus_sv = self.pair
         x_b, r = self.xr
-        nb = v.size
-        basis = self.basis[-k:]
         passes = min(self.stale, k)
-        for row in basis[k - passes :]:
-            v[:] = row[:nb]
+        for d, nd in self.steps[START_DEPTH - passes :]:
+            v[:] = d
             self.red_sums()
-            row[nb:] = self.t
+            nd[:] = self.t
         self.stale = 0
         # D^T S D = D^T D_b D - (N D)^T D_r^-1 (N D) and D^T r; einsum loops,
         # not BLAS, so the bits do not depend on the BLAS thread count
-        np.copyto(self.weights[:nb], self.rows_b[1])
-        np.negative(self.rows_r[0], out=self.weights[nb:])
-        weighted = np.multiply(basis, self.weights, out=self.weighted[-k:])
+        basis, weighted, steps = self.newest[k]
+        np.copyto(self.weights_b, self.rows_b[1])
+        np.negative(self.rows_r[0], self.weights_r)
+        np.multiply(basis, self.weights, weighted)
         gram = np.einsum("ik,jk->ij", basis, weighted)
-        steps = basis[:, :nb]
         c = _galerkin_coefficients(gram, np.einsum("ik,k->i", steps, r))
         if not any(c):
             return passes
-        np.multiply(steps[0], c[0], out=v)
+        product = self.cg_work[0]  # free until CG starts
+        np.multiply(steps[0], c[0], v)
         for cj, d in zip(c[1:], steps[1:]):
-            v += cj * d
-        x_b += v
+            np.add(v, np.multiply(d, cj, product), v)
+        np.add(x_b, v, x_b)
         self.negative_schur()
-        r += minus_sv  # r - S D c; finite junk on the ring, where D c is zero
+        np.add(r, minus_sv, r)  # r - S D c; finite junk on the ring, where D c is zero
         return passes + 1
 
     def check(self, p: HelmholtzProblem) -> None:
@@ -488,29 +548,29 @@ class _RedBlackPlan:
         since every start and CG update is zero at its ring and padding
         entries.
         """
-        ny, nx = self.grid.shape
         rows_r, rows_b = self.rows_r, self.rows_b
-        dinv, diag, b = self.staged[:, :, :nx]
+        dinv, diag, b = self.stage
         # the system times hx^2: x-neighbour coefficient 1, y-neighbour coefficient q
-        np.multiply(p.weight, self.interior, out=diag)  # zero on the ring
-        np.multiply(diag, self.hx2 / p.epsilon, out=diag)
-        np.add(2.0 + 2.0 * self.q, diag, out=diag)
-        np.divide(self.interior, diag, out=dinv)  # zero on the ring
+        np.multiply(p.weight, self.interior, diag)  # zero on the ring
+        self.coefficient[()] = self.hx2 / p.epsilon
+        np.multiply(diag, self.coefficient, diag)
+        np.add(self.stencil_centre, diag, diag)
+        np.divide(self.interior, diag, dinv)  # zero on the ring
         load = 0.0 if p.load is None else np.where(self.ring, 0.0, p.load * self.hx2)
-        np.add(load, self.minus_trace, out=b)
-        staged = self.staged.reshape(3, -1)
-        np.copyto(rows_r, staged[:, 0::2])
-        np.copyto(rows_b, staged[:, 1::2])
+        np.add(load, self.minus_trace, b)
+        staged_r, staged_b = self.split
+        np.copyto(rows_r, staged_r)
+        np.copyto(rows_b, staged_b)
         # the scale sums grid-ordered contiguous vectors (copies for even nx),
         # so its bits do not depend on the padding
-        b, dinv = b.reshape(-1), dinv.reshape(-1)
-        bz = float(b.dot(b * dinv))
+        b = b.reshape(-1)
+        bz = float(b.dot(np.multiply(b, dinv.reshape(-1), self.scale_work)))
         if bz == 0.0:
             # zero data: unique solution is zero (coefficient is nonnegative)
             self.answer = np.zeros(self.nb)
             return self.trace_only.copy(), 0, 0.0, 0
 
-        np.multiply(rows_r[2], rows_r[0], out=self.c_r)
+        np.multiply(rows_r[2], rows_r[0], self.c_r)
         v, minus_sv = self.pair
         x_b, r = self.xr
         if self.kept >= 2:
@@ -522,7 +582,7 @@ class _RedBlackPlan:
         v[:] = x_b
         self.back_substitute()
         self.to_black()
-        np.add(rows_b[2], minus_sv, out=r)  # residual of the full system at black nodes
+        np.add(rows_b[2], minus_sv, r)  # residual of the full system at black nodes
         applies = self.galerkin_start() if self.kept >= 2 else 0
         iters, res = _jacobi_pcg(
             self.pair, self.xr, rows_b[0], self.negative_schur, math.sqrt(bz), budget, self.cg_work
@@ -531,11 +591,11 @@ class _RedBlackPlan:
         self.answer = x_b.copy()
         v[:] = x_b
         self.back_substitute()
-        flat = self.solution.reshape(-1)
-        flat[0::2] = self.t
-        flat[1::2] = x_b
+        red, black = self.solution_halves
+        red[:] = self.t
+        black[:] = x_b
         x = self.trace_only.copy()
-        x.reshape(ny, nx)[1:-1, 1:-1] = self.solution[1:-1, 1 : nx - 1]
+        x.reshape(self.grid.shape)[1:-1, 1:-1] = self.solution_interior
         return x, iters, res, applies
 
 

@@ -27,6 +27,10 @@ solves on its own plans (below), and continues a geometrically decreasing
 ladder of penalty parameters, warm-starting each stage from the previous.
 The sweeps and the loop work on raw (3, ny, nx) stacks; all sweeps take
 (u, eps, alpha, plans), and `run_penalty` picks the sweep once per run.
+The Picard sweep forms each weight in the row of its new stack that the
+damped solution then fills, and the loop forms the product u1 u2 u3 and its
+weighted square in two arrays allocated once per run; the operations and
+their order are those of the plain expressions, so the bits are too.
 The loop stops a stage on :func:`segsolve.grid.max_l2_step`; its history is
 a plain list of one dict per sweep, which is also the report's history.
 Each stage summary holds the values of the stage's last sweep, its total CG
@@ -65,6 +69,7 @@ every solve.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -149,12 +154,13 @@ def _solve(plan, w, eps, x0, load=None):
 
 
 def _picard_sweep(u, eps, alpha, plans):
-    weights = ((u[1] * u[2]) ** 2, (u[0] * u[2]) ** 2, (u[0] * u[1]) ** 2)
     out = np.empty_like(u)
     infos = []
-    for k in range(3):
-        v, info = _solve(plans[k], weights[k], eps, u[k])
-        out[k] = alpha * v + (1.0 - alpha) * u[k]
+    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        # the weight (u_i u_j)^2 lives in the row its damped solution then fills
+        w = np.square(np.multiply(u[i], u[j], out[k]), out[k])
+        v, info = _solve(plans[k], w, eps, u[k])
+        np.add(np.multiply(v, alpha, v), np.multiply(u[k], 1.0 - alpha, w), w)
         infos.append(info)
     return out, infos
 
@@ -261,6 +267,7 @@ def run_penalty(
 
     weights = node_weights(grid)
     work = np.empty((2, u.size))  # the step norm's difference, then the energy's differences
+    prod, sq = np.empty((2,) + grid.shape)  # u1 u2 u3 and its weighted square
     history = []
     stage_summaries = []
     for eps in ladder:
@@ -276,8 +283,9 @@ def run_penalty(
 
             sn = max_l2_step(weights, new, u, work[0].reshape(u.shape))
             u = new
-            prod = u[0] * u[1] * u[2]
-            prod_l2 = float(np.sqrt(np.sum(weights * prod * prod)))  # grid.l2_norm's bits
+            np.multiply(np.multiply(u[0], u[1], prod), u[2], prod)
+            np.multiply(np.multiply(weights, prod, sq), prod, sq)
+            prod_l2 = math.sqrt(sq.sum())  # grid.l2_norm's bits
             energy = energy_of_stack(grid, u, work)
             history.append(
                 {

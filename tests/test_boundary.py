@@ -4,6 +4,7 @@ import pytest
 from segsolve.boundary import (
     BUILTIN_IDS,
     BoundaryTrace,
+    _segregated_trace,
     builtin_config,
     evaluate_bc,
     sup_bound,
@@ -123,6 +124,15 @@ class TestValidation:
         phi[2, -1, 3] = value
         with pytest.raises(ValueError, match="finite"):
             BoundaryTrace(g, phi)
+
+    def test_corner_with_negative_components_rejected(self):
+        # its product is positive, but it has no second positive component
+        # to zero: the nonnegativity check refuses it
+        g = build_grid(5, 5, SQUARE)
+        phi = np.zeros((3, *g.shape))
+        phi[:, 0, 0] = (-1.0, -1.0, 2.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _segregated_trace(g, phi, "custom")
 
     def test_domain_mismatch(self):
         g = build_grid(9, 9, (0, 1, 0, 1))

@@ -183,6 +183,25 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_negative_corner_in_custom_trace_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "side,coord,phi1,phi2,phi3\n"
+            "bottom,-1,-1,-1,2\nbottom,1,0,0,1\n"
+            "top,-1,0,1,0\ntop,1,0,1,0\n"
+            "left,-1,1,0,0\nleft,1,0,1,0\n"
+            "right,-1,0,0,1\nright,1,0,1,0\n"
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"algorithm": "pgd", "bc": "custom", "n": 5, "custom_bc_csv": str(trace)}
+        ))
+        out = tmp_path / "run"
+        assert run_cli("solve", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command", [["solve"], ["bench", "--algos", "pgd"]], ids=["solve", "bench"]
     )

@@ -8,8 +8,11 @@ a load, one sweep of each public step, and a short continuation run of every
 scheme.  One more pin covers bc7 over a 12 x 9 grid, where nx is even and the
 red-black layout has a padding column: a plan solve with x0 and a load, and
 short picard and phase_field runs (black-half starts from x0, then Galerkin
-starts).  A refactor keeps every hash; an intended change of bits replaces
-the entry, with the reason in CHANGES.md.
+starts).  The last pin is the run the `penalty-ex41` benchmark times: picard
+with damping 0.5 on ex41 over a 51 x 51 grid and the ladder 1e-2 ... 1e-5
+(303 sweeps, about 0.3 s), hashed as its final stack and each history row's
+energy and CG iterations.  A refactor keeps every hash; an intended change
+of bits replaces the entry, with the reason in CHANGES.md.
 """
 
 import hashlib
@@ -51,6 +54,7 @@ PINS = {
     "run_penalty_semi_implicit": "b2232bce3fd44565e2a8c02bcbd053c8ff862de3073d019e5a36b31c1ec53b62",
     "run_penalty_phase_field": "e492c29384a1e2b3c33a963a511b8e65d0dea10011e925be28e44a2a08465fbe",
     "even_nx": "bf58527d2818c4819d79654351b66040b110089638305393ebcd055ab5bf020f",
+    "penalty_ex41_n51": "a6a23a01b9918a0d9d854b3681a86fac3864b31126b40feebc78a2550fb9b7d6",
 }
 
 
@@ -100,6 +104,7 @@ def library_digests(grid, trace, u0) -> dict:
         final, history, report = run_penalty(grid, trace, cfg)
         out[f"run_penalty_{scheme}"] = _sha(final.stack(), history, report.meta["stages"])
     out["even_nx"] = even_nx_digest()
+    out["penalty_ex41_n51"] = penalty_ex41_n51_digest()
     return out
 
 
@@ -116,6 +121,15 @@ def even_nx_digest() -> str:
         final, history, report = run_penalty(grid, trace, PenaltyConfig(1e-3, scheme=scheme, max_outer=12))
         parts += [final.stack(), history, report.meta["stages"]]
     return _sha(*parts)
+
+
+def penalty_ex41_n51_digest() -> str:
+    """The `penalty-ex41` benchmark run: picard, alpha 0.5, ex41 on 51 x 51, eps 1e-2 ... 1e-5."""
+    grid = build_grid(51, 51, (-1.0, 1.0, -1.0, 1.0))
+    trace = evaluate_bc(builtin_config("ex41"), grid)
+    cfg = PenaltyConfig(1e-5, scheme="picard", alpha=0.5)
+    final, history, _ = run_penalty(grid, trace, cfg, stages=[1e-2, 1e-3, 1e-4, 1e-5])
+    return _sha(final.stack(), [[row["energy"], row["cg_iters"]] for row in history])
 
 
 def test_library_bytes(case):

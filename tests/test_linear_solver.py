@@ -11,6 +11,7 @@ from segsolve.linear_solver import (
     HelmholtzProblem,
     LinearSolveError,
     REL_TOL,
+    _galerkin_coefficients,
     _RedBlackPlan,
     dense_interior_system,
     dense_oracle_solve,
@@ -472,6 +473,45 @@ class TestRedBlackPlan:
         fld, _ = solve_helmholtz_with_info(p, plan=plan)
         ref, _ = solve_helmholtz_with_info(p)
         assert fld.values.tobytes() == ref.values.tobytes()
+
+
+class TestGalerkinCoefficients:
+    """The small solve of a Galerkin start, against numpy.linalg.solve."""
+
+    @staticmethod
+    def system(steps, seed):
+        """gram = D W D^T and rhs = D r for the step rows D, a positive weight W."""
+        rng = np.random.default_rng(seed)
+        weight = rng.uniform(0.5, 2.0, steps.shape[1])
+        return (steps * weight) @ steps.T, steps @ rng.standard_normal(steps.shape[1])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_spd_systems_match_a_direct_solve(self, k):
+        rng = np.random.default_rng(k)
+        for seed in range(5):
+            gram, rhs = self.system(rng.standard_normal((k, 40)), seed)
+            ref = np.linalg.solve(gram, rhs)
+            c = _galerkin_coefficients(gram, rhs)
+            assert np.abs(np.array(c) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_repeated_step_gets_zero_and_the_newest_is_kept(self):
+        steps = np.random.default_rng(7).standard_normal((3, 40))
+        steps[1] = steps[2]  # the newest step repeats the one before it
+        gram, rhs = self.system(steps, 8)
+        c = _galerkin_coefficients(gram, rhs)
+        assert c[1] == 0.0 and c[2] != 0.0
+        taken = np.ix_([0, 2], [0, 2])
+        ref = np.linalg.solve(gram[taken], rhs[[0, 2]])
+        assert np.abs(np.array([c[0], c[2]]) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zero_system_gives_zeros(self):
+        assert _galerkin_coefficients(np.zeros((3, 3)), np.zeros(3)) == [0.0, 0.0, 0.0]
+
+    def test_result_is_a_list_of_python_floats(self):
+        gram, rhs = self.system(np.random.default_rng(9).standard_normal((3, 40)), 10)
+        c = _galerkin_coefficients(gram, rhs)
+        assert type(c) is list and len(c) == 3
+        assert all(type(x) is float for x in c)
 
 
 class TestInitialMasks:
