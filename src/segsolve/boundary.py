@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 SEGREGATION_TOL = 1e-14
+TRACE_BOUND = 1e100  # largest ring value; below (float max)^(1/3), phi1*phi2*phi3 is finite
 
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -51,7 +52,7 @@ class BoundaryConfig:
 
 @dataclass
 class BoundaryTrace:
-    """Three nonnegative values per boundary node; zero at interior nodes."""
+    """Three values in [0, TRACE_BOUND] per boundary node; zero at interior nodes."""
 
     grid: Grid
     phi: np.ndarray  # shape (3, ny, nx)
@@ -66,6 +67,8 @@ class BoundaryTrace:
             raise ValueError("boundary data must be finite")
         if np.any(ring < 0):
             raise ValueError("boundary data must be nonnegative")
+        if np.any(ring > TRACE_BOUND):
+            raise ValueError(f"boundary data must be at most {TRACE_BOUND:g}")
 
 
 @dataclass
@@ -231,8 +234,9 @@ def evaluate_bc(config: BoundaryConfig, grid: Grid) -> BoundaryTrace:
 def _segregated_trace(grid: Grid, phi: np.ndarray, config_id: str) -> BoundaryTrace:
     """Resolve corner conflicts in phi, then build and validate the trace.
 
-    Raises ValueError on non-finite or negative data, or if the data still
-    violates segregation after corner resolution.
+    Raises ValueError on non-finite, negative or oversized data (see
+    BoundaryTrace), or if the data still violates segregation after corner
+    resolution.
     """
     _resolve_corners(phi, grid)
     trace = BoundaryTrace(grid, phi, config_id=config_id)
@@ -296,8 +300,8 @@ def trace_from_csv(path, grid: Grid, config_id: str = "custom") -> BoundaryTrace
     interpolated linearly along each side.  Corner nodes take the bottom/top
     table values, and conflicting corners are resolved as for the built-ins.
     Raises ValueError on an empty or header-only file, a row without five
-    columns, a non-finite table value, and on node data that is negative or
-    violates segregation.
+    columns, a non-finite table value, and on node data that is negative,
+    above TRACE_BOUND or not segregated.
     """
     tables: dict[str, list[tuple[float, float, float, float]]] = {
         "bottom": [],

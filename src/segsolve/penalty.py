@@ -33,9 +33,9 @@ weighted square in two arrays allocated once per run; the operations and
 their order are those of the plain expressions, so the bits are too.
 The loop stops a stage on :func:`segsolve.grid.max_l2_step`; its history is
 a plain list of one dict per sweep, which is also the report's history.
-Each stage summary holds the values of the stage's last sweep, its total CG
-iterations (`cg_iterations`), its largest single solve (`cg_max`) and the
-operator passes of its CG starts (`start_applies`).
+Each stage summary holds the values of the stage's last sweep, the sum and
+the largest of its rows' `cg_iters` (`cg_iterations`, `cg_max`) and the
+operator passes of its CG starts (`start_applies`), which no row holds.
 
 CG starts (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998): the three
 Helmholtz answers change slowly from sweep to sweep.  `run_penalty` builds
@@ -151,12 +151,13 @@ def _solve(plan, w, eps, x0, load=None):
 # the run's red-black plans, one per component, and returns (new stack,
 # SolveInfo of each solve).  CG starts from u, or from the plan's kept
 # solutions once it holds two.
+_PAIRS = ((1, 2), (0, 2), (0, 1))  # component k's weight is (u_i u_j)^2, (i, j) = _PAIRS[k]
 
 
 def _picard_sweep(u, eps, alpha, plans):
     out = np.empty_like(u)
     infos = []
-    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+    for k, (i, j) in enumerate(_PAIRS):
         # the weight (u_i u_j)^2 lives in the row its damped solution then fills
         w = np.square(np.multiply(u[i], u[j], out[k]), out[k])
         v, info = _solve(plans[k], w, eps, u[k])
@@ -192,9 +193,8 @@ def _semi_implicit_sweep(u, eps, alpha, plans):
 def _phase_field_sweep(u, eps, alpha, plans):
     out = np.empty_like(u)
     infos = []
-    for k in range(3):
-        others = [u[m] for m in range(3) if m != k]
-        w = (others[0] * others[1]) ** 2
+    for k, (i, j) in enumerate(_PAIRS):
+        w = (u[i] * u[j]) ** 2
         load = -(w / (2.0 * eps)) * u[k]
         v, info = _solve(plans[k], w / 2.0, eps, u[k], load=load)
         out[k] = alpha * np.maximum(v, 0.0) + (1.0 - alpha) * u[k]
@@ -271,14 +271,11 @@ def run_penalty(
     history = []
     stage_summaries = []
     for eps in ladder:
-        cg_total = cg_max = start_applies = 0
+        start_applies = 0
         for plan in plans:
             plan.clear()  # starts project on this stage's solutions only
         for it in range(1, cfg.max_outer + 1):
             new, infos = sweep(u, eps, cfg.alpha, plans)
-            cg = [info.iterations for info in infos]
-            cg_total += sum(cg)
-            cg_max = max(cg_max, *cg)
             start_applies += sum(info.start_applies for info in infos)
 
             sn = max_l2_step(weights, new, u, work[0].reshape(u.shape))
@@ -295,13 +292,14 @@ def run_penalty(
                     "energy": energy,
                     "penalty_energy": prod_l2**2 / eps,
                     "step_norm": sn,
-                    "cg_iters": cg,
+                    "cg_iters": [info.iterations for info in infos],
                 }
             )
             if iterate_hook is not None:
                 iterate_hook(eps, it, u)
             if sn < cfg.outer_tol:
                 break
+        cg = [row["cg_iters"] for row in history[-it:]]  # the stage's rows
         stage_summaries.append(
             {
                 "epsilon": eps,
@@ -309,8 +307,8 @@ def run_penalty(
                 "converged": sn < cfg.outer_tol,
                 "product_l2": prod_l2,
                 "energy": energy,
-                "cg_iterations": cg_total,
-                "cg_max": cg_max,
+                "cg_iterations": sum(map(sum, cg)),
+                "cg_max": max(map(max, cg)),
                 "start_applies": start_applies,
             }
         )

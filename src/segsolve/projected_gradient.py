@@ -21,6 +21,11 @@ accepted projection, as :func:`segsolve.projection.project_and_pin`
 returns it: the mask of the accepted iterate's buffer, which the next
 projection, written into another buffer's own mask, reads as prev.
 
+Each loop appends one history row per iteration, its only record of it:
+the report's `iters` counts the rows, and FISTA's `restarts` the rows
+marked `restarted`, which keep the iterate's energy, the floor trial's
+`alpha` and `step_norm` None.
+
 The `violation_max` column of the history is measured once per run, on the
 initial iterate, and copied into every row.  That is exact for finite
 iterates: every iterate, the initial one included, leaves
@@ -269,13 +274,14 @@ def _initial_state(ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     return u, project_and_pin(projection_views(u, ws.tr), zero, math.inf)
 
 
-def _result(ws, algorithm, trace, u, iters, converged, t0, history, meta):
-    """The (state, report) of a finished loop; the final energy and violation are measured on buffer u."""
+def _result(ws, algorithm, trace, u, converged, t0, history, meta):
+    """The (state, report) of a finished loop: `iters` counts the history rows, and the
+    final energy and violation are measured on buffer u."""
     report = SolveReport(
         algorithm=algorithm,
         bc_id=trace.config_id,
         h=ws.grid.hx,
-        iters=iters,
+        iters=len(history),
         converged=converged,
         final_energy=ws.energy(u),
         final_violation_max=ws.violation_max(u),
@@ -300,16 +306,14 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
     violation = ws.violation_max(u)  # every iterate's, bit for bit (module docstring)
     history = []
     converged = False
-    iters = 0
     for k in range(cfg.max_iters):
         ws.step_into(new, u, alpha)
         project_and_pin(new.project)
         step = ws.step_norm(new, u)
         u, new = new, u
-        iters = k + 1
         history.append(
             {
-                "iter": iters,
+                "iter": k + 1,
                 "energy": ws.energy(u),
                 "step_norm": step,
                 "violation_max": violation,
@@ -321,7 +325,7 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
             break
 
     meta = {"alpha": alpha, "tol": cfg.tol}
-    return _result(ws, "pgd", trace, u, iters, converged, t0, history, meta)
+    return _result(ws, "pgd", trace, u, converged, t0, history, meta)
 
 
 @dataclass
@@ -376,55 +380,41 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
     alpha = alpha0
     history = []
     converged = False
-    iters = 0
-    restarts = 0
 
     for k in range(cfg.max_iters):
-        iters = k + 1
         bt = _backtrack(ws, cand, y, u, alpha, energy_u, cfg, alpha_min, mask)
         if bt.needs_restart:
             # discard the candidate; restart momentum from the current iterate
             t = 1.0
             np.copyto(y.stack, u.stack)
             alpha = alpha0
-            restarts += 1
-            history.append(
-                {
-                    "iter": iters,
-                    "energy": energy_u,
-                    "step_norm": None,
-                    "violation_max": violation,
-                    "alpha": bt.alpha,
-                    "restarted": True,
-                }
-            )
-            continue
-
-        step = ws.step_norm(cand, u)
-        t_new = next_t(t)
-        beta = (t - 1.0) / t_new
-        # y <- cand + beta * (cand - u), reading cand - u from ws.diff, where step_norm left it
-        np.multiply(ws.diff, beta, out=y.stack)
-        np.add(cand.stack, y.stack, out=y.stack)
-        t = t_new
-        u, cand = cand, u
-        mask = bt.assignment
-        energy_u = bt.energy
-        alpha = bt.alpha
+            step = None
+        else:
+            step = ws.step_norm(cand, u)
+            t_new = next_t(t)
+            beta = (t - 1.0) / t_new
+            # y <- cand + beta * (cand - u), reading cand - u from ws.diff, where step_norm left it
+            np.multiply(ws.diff, beta, out=y.stack)
+            np.add(cand.stack, y.stack, out=y.stack)
+            t = t_new
+            u, cand = cand, u
+            mask = bt.assignment
+            energy_u = bt.energy
+            alpha = bt.alpha
         history.append(
             {
-                "iter": iters,
+                "iter": k + 1,
                 "energy": energy_u,
                 "step_norm": step,
                 "violation_max": violation,
-                "alpha": alpha,
-                "restarted": False,
+                "alpha": bt.alpha,
+                "restarted": bt.needs_restart,
             }
         )
-        if step < cfg.tol:
+        if step is not None and step < cfg.tol:
             converged = True
             break
 
     meta = {"alpha0": alpha0, "rho": cfg.rho, "eta": cfg.eta, "tau": cfg.tau, "tol": cfg.tol,
-            "restarts": restarts}
-    return _result(ws, "fista", trace, u, iters, converged, t0, history, meta)
+            "restarts": sum(row["restarted"] for row in history)}
+    return _result(ws, "fista", trace, u, converged, t0, history, meta)

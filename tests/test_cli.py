@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,35 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "table",
+        [
+            # segregated, but phi1*phi2 overflows to inf and inf*0 is nan, not above the tolerance
+            "bottom,-1,1e308,0,0\nbottom,1,0,1e308,0\n",
+            # the product overflows at the middle node, where segregation fails anyway
+            "bottom,-1,1,0,0\nbottom,0,1e200,1e200,1e-300\nbottom,1,0,1,0\n",
+        ],
+        ids=["segregated", "product-overflows"],
+    )
+    def test_oversized_custom_trace_exits_1_without_warning(self, tmp_path, capsys, table):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "side,coord,phi1,phi2,phi3\n" + table
+            + "top,-1,0,0,1\ntop,1,0,0,1\nleft,-1,1,0,0\nleft,1,0,0,1\n"
+            "right,-1,0,1,0\nright,1,0,0,1\n"
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"algorithm": "pgd", "bc": "custom", "n": 5, "custom_bc_csv": str(trace)}
+        ))
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("solve", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert caught == []
+        assert capsys.readouterr().err == "error: boundary data must be at most 1e+100\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command", [["solve"], ["bench", "--algos", "pgd"]], ids=["solve", "bench"]
     )
     def test_config_file_not_utf8_exits_1(self, tmp_path, capsys, command):
@@ -347,6 +377,23 @@ class TestConfigEcho:
         for name, value in other.items():
             changed = cli._solver_config(replace(cfg, **{name: value}), grid) != built
             assert (name in echo) == changed, name
+
+
+class TestHistoryBookkeeping:
+    """The report's counts agree with the history rows they summarise."""
+
+    @pytest.mark.parametrize("algo", cli.ALGORITHMS)
+    def test_counts_match_the_rows(self, algo):
+        report = cli._run_single(cli.RunConfig(algorithm=algo, bc="bc7", n=13))[1]
+        rows = report.history
+        assert report.iters == len(rows) > 0
+        if algo == "fista":
+            assert report.meta["restarts"] == sum(row["restarted"] for row in rows)
+        for stage in report.meta.get("stages", []):
+            cg = [row["cg_iters"] for row in rows if row["stage_epsilon"] == stage["epsilon"]]
+            assert len(cg) == stage["iterations"]
+            assert stage["cg_iterations"] == sum(map(sum, cg))
+            assert stage["cg_max"] == max(map(max, cg))
 
 
 class TestReportWriters:

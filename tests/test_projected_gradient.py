@@ -483,6 +483,19 @@ class TestReferenceLoops:
         assert report.final_energy == plain_energy(g, u)
 
 
+class TestHistoryBookkeeping:
+    def test_restarts_and_iterations_are_counted_from_the_rows(self):
+        # the restarts configuration of TestReferenceLoops: every failed floor trial restarts
+        g = build_grid(31, 31, SQUARE)
+        h2 = g.hx**2
+        cfg = FistaConfig(alpha0=0.2 * h2, alpha_min=0.2 * h2, max_iters=200)
+        report = fista_run(g, "bc7", cfg)[1]
+        restarted = [row for row in report.history if row["restarted"]]
+        assert report.iters == len(report.history) == 200
+        assert report.meta["restarts"] == len(restarted) > 0
+        assert all(row["step_norm"] is None for row in restarted)
+
+
 class TestStepNormWeighting:
     def test_step_norm_uses_domain_quadrature(self):
         # one unit change at a single interior node: step = sqrt(hx*hy), from
