@@ -405,10 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the one place that turns its errors into exit codes."""
+    """Run one command; the one place that turns its errors into exit codes.
+
+    numpy's floating-point warnings are off: a value that overflows or turns
+    NaN reaches a check that reports it, and stderr holds only that report.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except LinearSolveError as exc:
         print(f"inner solver failed: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,12 @@ stopping measure of every outer loop) and `l2_norm`.  `dirichlet_energy`,
 A loop that measures the same buffers every iteration builds their
 `energy_views` once and passes them to `energy_of_stack`.
 
+Every buffer a solver loop touches on each iteration comes from
+`aligned_empty`, which starts it on a 64-byte cache line: a short numpy
+pass runs faster on such a buffer (on a shared Xeon host at n=61, the energy
+took 20.8 us aligned, 25.7-27.5 us at byte offsets 8 to 48, best of seven
+processes), and the bits are the same at every offset.
+
 `fits` and `check_fields` decide once, from the dataclass annotations, which
 values the fields of `Grid` and of every config accept.
 """
@@ -36,6 +42,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "ScalarField",
+    "aligned_empty",
     "SystemState",
     "RegionMask",
     "build_grid",
@@ -43,6 +50,7 @@ __all__ = [
     "dirichlet_energy",
     "energy_of_stack",
     "energy_views",
+    "energy_work",
     "max_l2_step",
     "product_violation",
     "interior_product_max",
@@ -53,6 +61,22 @@ __all__ = [
     "field_to_csv",
     "field_from_csv",
 ]
+
+
+ALIGN = 64  # bytes: one cache line
+
+
+def aligned_empty(shape, dtype=float) -> np.ndarray:
+    """An uninitialised C-contiguous array of `shape` whose data start on a 64-byte boundary.
+
+    numpy has no aligned allocation, so the array is the aligned slice of a
+    byte buffer ALIGN bytes longer, as pyFFTW's `empty_aligned` does it.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape if np.iterable(shape) else (shape,)) * dtype.itemsize
+    raw = np.empty(nbytes + ALIGN, np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:][:nbytes].view(dtype).reshape(shape)  # [start:] is never empty
 
 
 _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a float"),
@@ -259,13 +283,15 @@ def node_weights(grid: Grid) -> np.ndarray:
     """Trapezoidal quadrature weight per node, shape (ny, nx).
 
     Row sums of the lumped mass matrix: hx*hy at interior nodes, halved per
-    boundary axis.  Sums exactly to the domain area.
+    boundary axis.  Sums exactly to the domain area.  The array is
+    64-byte aligned (:func:`aligned_empty`), since the loops' step norms
+    read it every iteration.
     """
     wx = np.full(grid.nx, grid.hx)
     wx[0] = wx[-1] = grid.hx / 2.0
     wy = np.full(grid.ny, grid.hy)
     wy[0] = wy[-1] = grid.hy / 2.0
-    return np.outer(wy, wx)
+    return np.outer(wy, wx, out=aligned_empty(grid.shape))
 
 
 def apply_laplacian(grid: Grid, f: ScalarField) -> ScalarField:
@@ -313,18 +339,31 @@ def energy_views(grid: Grid, arr: np.ndarray, work=None) -> EnergyViews:
     Built once per stack buffer, they let repeated energy calls on that
     buffer skip every reshape, slice and `Grid` property read.  `arr` must be
     C-contiguous (ValueError otherwise), so that the views see its later
-    values.  `work` may supply a float array of shape (2, 3*ny*nx) to
-    hold the differences; buffers of one grid can share it.
+    values.  `work` may supply a float array of two rows of at least
+    3*ny*nx entries each, such as `energy_work(grid)`, to hold the
+    differences; each row is read alone, so the row stride may be padded,
+    and buffers of one grid can share it.  Without it, `energy_work` is
+    called.
     """
     ny, nx = grid.ny, grid.nx
     if work is None:
-        work = np.empty((2, 3 * ny * nx))
+        work = energy_work(grid)
     f = arr.reshape(-1, copy=False)
     m = f.size - nx  # every cell corner p has p + nx < f.size
-    dx, dy = work.reshape(2, 3, ny, nx)[:, :, :-1, :-1]  # cell views, no copy
+    dx, dy = (row[: f.size].reshape(3, ny, nx)[:, :-1, :-1] for row in work)  # cell views, no copy
     hx, hy = grid.hx, grid.hy
     return EnergyViews(hx, hy, hx**2, hy**2, f[1 : m + 1], f[nx:], f[:m], work[0, :m],
                        work[1, :m], dx, dy)
+
+
+def energy_work(grid: Grid) -> np.ndarray:
+    """Scratch for :func:`energy_views`: two rows that each start on a cache line.
+
+    Its shape is (2, L), L = 3*ny*nx rounded up to a multiple of 8 doubles
+    (64 bytes), from :func:`aligned_empty`.
+    """
+    size = 3 * grid.ny * grid.nx
+    return aligned_empty((2, -(-size // 8) * 8))
 
 
 def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
@@ -347,7 +386,8 @@ def energy_of_stack(grid: Grid, arr: np.ndarray, work=None) -> float:
     `tests/test_grid.py::TestDirichletEnergy` pins the value bit for bit to
     this expression written out on plain arrays.
 
-    `work` may supply a float array of shape (2, 3*ny*nx) to hold the
+    `work` may supply the two-row float array of :func:`energy_views`
+    (rows of at least 3*ny*nx entries, padded or not) to hold the
     differences, so repeated calls allocate nothing, or the
     :func:`energy_views` of `arr`, so they also build no views; the value is
     the same bit for bit either way.

@@ -119,7 +119,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, aligned_empty
 
 __all__ = [
     "HelmholtzProblem",
@@ -295,6 +295,13 @@ def _galerkin_coefficients(gram: np.ndarray, rhs: np.ndarray) -> list[float]:
     return [a[j][k] / a[j][j] if j in taken else 0.0 for j in range(k)]
 
 
+def _zeros(shape) -> np.ndarray:
+    """A zero-filled :func:`segsolve.grid.aligned_empty` float array."""
+    a = aligned_empty(shape)
+    a.fill(0.0)
+    return a
+
+
 class _RedBlackPlan:
     """The set-up of red-black solves on one grid with one boundary trace.
 
@@ -313,6 +320,11 @@ class _RedBlackPlan:
     since the last `clear`, as the last one and the steps between the last
     START_DEPTH + 1; with two or more, a solve starts from a Galerkin
     projection onto them instead of x0 (module docstring).
+
+    Alignment: every buffer the plan sets up, 0-d operands aside, starts
+    on a 64-byte cache line (:func:`segsolve.grid.aligned_empty`).  The
+    (2, nb) `pair` and `xr` and the (3, nb) `cg_work` keep unpadded rows,
+    because CG runs whole-array ufuncs on them, which padding made slower.
     """
 
     def __init__(self, grid: Grid, trace: np.ndarray):
@@ -323,42 +335,43 @@ class _RedBlackPlan:
         self.hx2 = grid.hx**2
         self.q = q = self.hx2 / grid.hy**2
         self.ring = ring = grid.boundary_mask()
-        self.interior = np.where(ring, 0.0, 1.0)
+        self.interior = _zeros(grid.shape)
+        np.logical_not(ring, self.interior)
         self.ring_nodes = np.flatnonzero(ring)
         self.nr, self.nb = nr, nb = (ny * w + 1) // 2, ny * w // 2
-        self.staged = np.zeros((3, ny, w))  # dinv, diag, b; the padding column stays 0
+        self.staged = _zeros((3, ny, w))  # dinv, diag, b; the padding column stays 0
         self.stage = self.staged[:, :, :nx]  # their grid columns
         flat = self.staged.reshape(3, -1)
         self.split = flat[:, 0::2], flat[:, 1::2]  # red and black halves of staged
         # 0-d ufunc operands (module docstring): the stencil's centre
         # coefficient 2 + 2q and the weight's hx^2 / eps of the current solve
         self.stencil_centre, self.coefficient = np.array(2.0 + 2.0 * self.q), np.empty(())
-        self.x_staged = np.zeros((ny, w))  # black_half's interior copy; ring and padding stay 0
-        self.rows_r, self.rows_b = np.zeros((3, nr)), np.zeros((3, nb))  # halves of staged
-        self.c_r = np.zeros(nr)
-        self.cg_work = np.empty((3, nb))
-        self.solution = np.empty((ny, w))
+        self.x_staged = _zeros((ny, w))  # black_half's interior copy; ring and padding stay 0
+        self.rows_r, self.rows_b = _zeros((3, nr)), _zeros((3, nb))  # halves of staged
+        self.c_r = _zeros(nr)
+        self.cg_work = aligned_empty((3, nb))
+        self.solution = aligned_empty((ny, w))
         flat = self.solution.reshape(-1)
         self.solution_halves = flat[0::2], flat[1::2]
         self.solution_interior = self.solution[1:-1, 1 : nx - 1]
-        self.scale_work = np.empty(ny * nx)  # b D^-1 b in grid order, for the scale
-        self.weights = np.empty(nb + nr)  # (D_b, -D_r^-1) of the current solve
+        self.scale_work = aligned_empty(ny * nx)  # b D^-1 b in grid order, for the scale
+        self.weights = aligned_empty(nb + nr)  # (D_b, -D_r^-1) of the current solve
         self.weights_b, self.weights_r = self.weights[:nb], self.weights[nb:]
-        self.weighted = np.empty((START_DEPTH, nb + nr))  # basis rows times weights
+        self.weighted = aligned_empty((START_DEPTH, nb + nr))  # basis rows times weights
 
-        self.pair = pair = np.zeros((2, nb))  # (v, -S v) on black nodes
-        self.xr = np.empty((2, nb))  # (x, r) on black nodes
+        self.pair = pair = _zeros((2, nb))  # (v, -S v) on black nodes
+        self.xr = aligned_empty((2, nb))  # (x, r) on black nodes
         v, minus_sv = pair
         # red nodes: D_r^-1 N v, or the red unknowns after back_substitute
-        self.t = t = np.zeros(nr)
+        self.t = t = _zeros(nr)
         c_r = self.c_r
         # spans holding every interior node of one colour, all four neighbours in range
         lo, hi = h + 1, nb - h
         vx0, vx1, vy0, vy1 = v[lo - 1 : hi - 1], v[lo:hi], v[lo - h - 1 : hi - h - 1], v[lo + h : hi + h]
-        t_span, dr, tmp_r = t[lo:hi], self.rows_r[0, lo:hi], np.empty(hi - lo)
+        t_span, dr, tmp_r = t[lo:hi], self.rows_r[0, lo:hi], aligned_empty(hi - lo)
         lo, hi = h, nr - h - 1
         tx0, tx1, ty0, ty1 = t[lo:hi], t[lo + 1 : hi + 1], t[lo - h : hi - h], t[lo + h + 1 : hi + h + 1]
-        out, centre, db, tmp_b = minus_sv[lo:hi], v[lo:hi], self.rows_b[1, lo:hi], np.empty(hi - lo)
+        out, centre, db, tmp_b = minus_sv[lo:hi], v[lo:hi], self.rows_b[1, lo:hi], aligned_empty(hi - lo)
         # on square cells q is exactly 1, and a product with 1.0 changes no bit
         scaled = q != 1.0
         q = np.array(q)
@@ -418,20 +431,22 @@ class _RedBlackPlan:
         """
         zero = np.broadcast_to(0.0, self.grid.shape)
         self.problem = HelmholtzProblem(self.grid, zero, 1.0, trace)
-        self.trace_only = np.where(self.ring, self.problem.trace, 0.0).reshape(-1)
+        trace_only = _zeros(self.grid.shape)
+        np.copyto(trace_only, self.problem.trace, where=self.ring)
+        self.trace_only = trace_only.reshape(-1)
         self.trace_only.flags.writeable = False
         self.trace = self.problem.trace = self.trace_only.reshape(self.grid.shape)
         self.ring_trace = self.trace_only[self.ring_nodes]
         # -A t times hx^2 at interior nodes: the diagonal meets only t's zero interior
         t = self.trace
-        self.minus_trace = np.zeros(self.grid.shape)
+        self.minus_trace = _zeros(self.grid.shape)
         self.minus_trace[1:-1, 1:-1] = (t[:-2, 1:-1] + t[2:, 1:-1]) * self.q + (t[1:-1, :-2] + t[1:-1, 2:])
         self.kept = 0
-        self.last = np.zeros(self.nb)
+        self.last = _zeros(self.nb)
         self.answer = None  # black half of the last answer of a solve given this plan
         # rows (step d, N d): the steps between kept solutions on black nodes,
         # newest last, and their red neighbour sums
-        self.basis = basis = np.zeros((START_DEPTH, self.nb + self.nr))
+        self.basis = basis = _zeros((START_DEPTH, self.nb + self.nr))
         self.stale = 0  # newest rows whose N d is not computed yet
         nb = self.nb
         self.steps = [(row[:nb], row[nb:]) for row in basis]  # (d, N d) views of each row

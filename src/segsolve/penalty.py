@@ -30,7 +30,9 @@ The sweeps and the loop work on raw (3, ny, nx) stacks; all sweeps take
 The Picard sweep forms each weight in the row of its new stack that the
 damped solution then fills, and the loop forms the product u1 u2 u3 and its
 weighted square in two arrays allocated once per run; the operations and
-their order are those of the plain expressions, so the bits are too.
+their order are those of the plain expressions, so the bits are too.  The
+loop's scratch arrays start on 64-byte cache lines
+(:func:`segsolve.grid.aligned_empty`).
 The loop stops a stage on :func:`segsolve.grid.max_l2_step`; its history is
 a plain list of one dict per sweep, which is also the report's history.
 Each stage summary holds the values of the stage's last sweep, the sum and
@@ -77,7 +79,8 @@ from typing import Callable
 import numpy as np
 
 from .boundary import BoundaryTrace, resolve_trace
-from .grid import Grid, SystemState, check_fields, energy_of_stack, max_l2_step, node_weights
+from .grid import (Grid, SystemState, aligned_empty, check_fields, energy_of_stack, energy_work,
+                   max_l2_step, node_weights)
 from .linear_solver import _RedBlackPlan, solve_helmholtz_with_info
 from .reporting import SolveReport
 
@@ -266,8 +269,8 @@ def run_penalty(
     }[cfg.scheme]
 
     weights = node_weights(grid)
-    work = np.empty((2, u.size))  # the step norm's difference, then the energy's differences
-    prod, sq = np.empty((2,) + grid.shape)  # u1 u2 u3 and its weighted square
+    work = energy_work(grid)  # the step norm's difference, then the energy's differences
+    prod, sq = aligned_empty(grid.shape), aligned_empty(grid.shape)  # u1 u2 u3, its weighted square
     history = []
     stage_summaries = []
     for eps in ladder:
@@ -278,7 +281,7 @@ def run_penalty(
             new, infos = sweep(u, eps, cfg.alpha, plans)
             start_applies += sum(info.start_applies for info in infos)
 
-            sn = max_l2_step(weights, new, u, work[0].reshape(u.shape))
+            sn = max_l2_step(weights, new, u, work[0, : u.size].reshape(u.shape))
             u = new
             np.multiply(np.multiply(u[0], u[1], prod), u[2], prod)
             np.multiply(np.multiply(weights, prod, sq), prod, sq)

@@ -24,7 +24,9 @@ projection, written into another buffer's own mask, reads as prev.
 Each loop appends one history row per iteration, its only record of it:
 the report's `iters` counts the rows, and FISTA's `restarts` the rows
 marked `restarted`, which keep the iterate's energy, the floor trial's
-`alpha` and `step_norm` None.
+`alpha` and `step_norm` None.  The history is a
+:class:`segsolve.reporting.History`, which stores the rows as columns and
+builds each row dict when it is read.
 
 The `violation_max` column of the history is measured once per run, on the
 initial iterate, and copied into every row.  That is exact for finite
@@ -43,11 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import resolve_trace
-from .grid import (Grid, SystemState, check_fields, energy_of_stack, energy_views, max_l2_step,
-                   node_weights)
+from .grid import (Grid, SystemState, aligned_empty, check_fields, energy_of_stack, energy_views,
+                   energy_work, max_l2_step, node_weights)
 from .linear_solver import harmonic_extension
 from .projection import project_and_pin, projection_views
-from .reporting import SolveReport
+from .reporting import History, SolveReport
 
 __all__ = [
     "PgdConfig",
@@ -174,13 +176,19 @@ class _Workspace:
       is prev, and the trials write their candidate buffer's own, so it
       survives them and passes to the next buffer on acceptance, with the
       swap.  All records share one scratch mask and one threshold plane.
+
+    Alignment: every array here, each loop buffer's stack and each record's
+    masks start on a 64-byte cache line (:func:`segsolve.grid.aligned_empty`).
+    The stacks stay contiguous (3, ny, nx) blocks, which the flat-stack
+    kernels need; the two rows of `energy_work`, which no kernel reads as
+    one operand, are padded so that each starts on a line too.
     """
 
     def __init__(self, grid: Grid, tr: np.ndarray):
         self.grid = grid
         self.tr = tr
         self.weights = node_weights(grid)
-        self.diff = np.empty(tr.shape)
+        self.diff = aligned_empty(tr.shape)
         self.hx2 = grid.hx**2
         self.hy2 = grid.hy**2
         nx = grid.nx
@@ -188,17 +196,19 @@ class _Workspace:
         # last node of the span are interior, everything outside it is ring
         self.span = slice(nx + 1, 3 * grid.ny * nx - nx - 1)
         self.shifts = (nx + 2, nx, 2 * nx + 1, 1)  # right, left, down, up
-        self.tmp = np.empty(self.span.stop - self.span.start)
-        self.energy_work = np.empty((2, tr.size))
-        self.prod = np.empty(grid.ny * nx)
+        self.tmp = aligned_empty(self.span.stop - self.span.start)
+        self.energy_work = energy_work(grid)
+        self.prod = aligned_empty(grid.ny * nx)
         # the projection's scratch mask and threshold plane are scratch within one call, like prod
-        self.keep = np.empty(tr.shape, bool)
+        self.keep = aligned_empty(tr.shape, bool)
         self.thr = self.prod.reshape(grid.shape)
 
-    def buffer(self, stack: np.ndarray) -> _Buffer:
-        """The views of the C-contiguous (3, ny, nx) `stack` (ValueError otherwise)."""
+    def buffer(self, values: np.ndarray | None = None) -> _Buffer:
+        """A loop buffer on a fresh aligned (3, ny, nx) stack, holding a copy of `values` if given."""
         buf = _Buffer()
-        buf.stack = stack
+        buf.stack = stack = aligned_empty(self.tr.shape)
+        if values is not None:
+            np.copyto(stack, values)
         f = stack.reshape(-1, copy=False)
         length = self.tmp.size
         buf.windows = tuple(f[s : s + length] for s in self.shifts)
@@ -302,24 +312,16 @@ def pgd_run(grid: Grid, bc, cfg: PgdConfig | None = None) -> tuple[SystemState, 
 
     ws = _Workspace(grid, tr)
     u0, _ = _initial_state(ws)
-    u, new = ws.buffer(u0), ws.buffer(np.empty_like(u0))
+    u, new = ws.buffer(u0), ws.buffer()
     violation = ws.violation_max(u)  # every iterate's, bit for bit (module docstring)
-    history = []
+    history = History(iter="q", energy="d", step_norm="d", violation_max=violation, pg_residual="d")
     converged = False
     for k in range(cfg.max_iters):
         ws.step_into(new, u, alpha)
         project_and_pin(new.project)
         step = ws.step_norm(new, u)
         u, new = new, u
-        history.append(
-            {
-                "iter": k + 1,
-                "energy": ws.energy(u),
-                "step_norm": step,
-                "violation_max": violation,
-                "pg_residual": step / alpha,
-            }
-        )
+        history.append(k + 1, ws.energy(u), step, step / alpha)
         if step < cfg.tol:
             converged = True
             break
@@ -375,10 +377,11 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
     energy_u = ws.energy(u)
     violation = ws.violation_max(u)  # every iterate's, bit for bit (module docstring)
     t = 1.0  # Nesterov t-sequence
-    y = ws.buffer(u0.copy())  # extrapolated point
-    cand = ws.buffer(np.empty_like(u0))  # trial buffer, swapped with u on acceptance
+    y = ws.buffer(u0)  # extrapolated point
+    cand = ws.buffer()  # trial buffer, swapped with u on acceptance
     alpha = alpha0
-    history = []
+    history = History(iter="q", energy="d", step_norm=list, violation_max=violation, alpha="d",
+                      restarted=list)
     converged = False
 
     for k in range(cfg.max_iters):
@@ -401,20 +404,11 @@ def fista_run(grid: Grid, bc, cfg: FistaConfig | None = None) -> tuple[SystemSta
             mask = bt.assignment
             energy_u = bt.energy
             alpha = bt.alpha
-        history.append(
-            {
-                "iter": k + 1,
-                "energy": energy_u,
-                "step_norm": step,
-                "violation_max": violation,
-                "alpha": bt.alpha,
-                "restarted": bt.needs_restart,
-            }
-        )
+        history.append(k + 1, energy_u, step, bt.alpha, bt.needs_restart)
         if step is not None and step < cfg.tol:
             converged = True
             break
 
     meta = {"alpha0": alpha0, "rho": cfg.rho, "eta": cfg.eta, "tau": cfg.tau, "tol": cfg.tol,
-            "restarts": sum(row["restarted"] for row in history)}
+            "restarts": sum(history.columns["restarted"])}
     return _result(ws, "fista", trace, u, converged, t0, history, meta)

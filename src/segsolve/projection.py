@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .grid import aligned_empty
+
 __all__ = [
     "project_point",
     "project_stack_interior",
@@ -84,21 +86,23 @@ def projection_views(stack: np.ndarray, trace=None, keep=None, thr=None) -> Proj
     pins: the first and last row, and the first and last column, of the
     stack and of the trace.  keep, a bool array of the block's shape, and
     thr, a float (m, n) array, are scratch within one call, so records may
-    share them; each is allocated when None.  Built once per stack, a
+    share them; each is allocated when None.  Every array the record
+    allocates starts on a 64-byte cache line
+    (:func:`segsolve.grid.aligned_empty`).  Built once per stack, a
     record lets repeated calls skip every unpack and slice; its views see
     the arrays' later values.
     """
     if keep is None:
-        keep = np.empty(stack.shape, bool)
+        keep = aligned_empty(stack.shape, bool)
     if thr is None:
-        thr = np.empty(stack.shape[1:])
+        thr = aligned_empty(stack.shape[1:])
     ring = None
     if trace is not None:
         m, n = stack.shape[1:]
         rows = (slice(None), slice(None, None, m - 1))
         cols = (slice(None), slice(None), slice(None, None, n - 1))
         ring = (stack[rows], trace[rows], stack[cols], trace[cols])
-    zero = np.empty(stack.shape, bool)
+    zero = aligned_empty(stack.shape, bool)
     return ProjectionViews(stack, tuple(stack), zero, tuple(zero), keep, tuple(keep), thr, ring)
 
 

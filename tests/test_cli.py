@@ -233,6 +233,39 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "value, code, message",
+        [
+            # the penalty weights (u_i u_j)^2 overflow in the solves, whose residual is NaN
+            ("1e60", 2, "inner solver failed: CG did not reach rel_tol=1e-10 in 1 iterations"),
+            # the first sweep's weight is infinite, which the solve's check refuses
+            ("1e90", 1, "error: weight/trace must be finite"),
+        ],
+        ids=["1e60", "1e90"],
+    )
+    def test_penalty_overflow_below_the_trace_bound_prints_one_line(
+        self, tmp_path, capsys, value, code, message
+    ):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "side,coord,phi1,phi2,phi3\n"
+            f"bottom,-1,{value},0,0\nbottom,1,0,{value},0\ntop,-1,0,0,{value}\n"
+            f"top,1,0,0,{value}\nleft,-1,{value},0,0\nleft,1,0,0,{value}\n"
+            f"right,-1,0,{value},0\nright,1,0,0,{value}\n"
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"algorithm": "penalty-picard", "bc": "custom", "n": 5, "custom_bc_csv": str(trace)}
+        ))
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("solve", "--config", str(cfg_path), "--out", str(out)) == code
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command", [["solve"], ["bench", "--algos", "pgd"]], ids=["solve", "bench"]
     )
     def test_config_file_not_utf8_exits_1(self, tmp_path, capsys, command):
